@@ -17,11 +17,10 @@ from .network import (CodeanParams, RCodeanNet, SkipSpec, build_rcodean,
                       codean_loss, encode, gradient_check, loss_and_grads,
                       net_backward, net_forward)
 from .optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
-from .pipeline import (EvalReport, ModelBundle, PatchGrid, PatchWeights,
-                       PipelineConfig, build_stage2_features, evaluate,
-                       learn_patch_weights, predict, predict_batch, preprocess,
-                       score_images, score_sample, tessellate, train_full,
-                       train_stage1)
-from .tensor import Mat, activation, elementwise, matmul, norms
+from .pipeline import (EvalReport, ModelBundle, PatchWeights, PipelineConfig,
+                       build_stage2_features, evaluate, learn_patch_weights,
+                       predict, predict_batch, preprocess, score_images,
+                       train_full, train_stage1)
+from .tensor import Mat, activation
 
 __version__ = "0.1.0"

@@ -11,19 +11,18 @@ fields round-trip exactly through float64.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .classifiers import Forest, LinearSvm, MlpHead, Tree
+from .classifiers import Forest, LinearSvm, Tree, assemble_mlp_head
 from .errors import CorruptionError, FormatError, VersionError
-from .layers import DenseLayer
-from .network import CodeanParams, RCodeanNet, SkipSpec, LAYER_ORDER
+from .network import CodeanParams, assemble_rcodean
 from .pipeline import (BUNDLE_FORMAT_VERSION, ModelBundle, N_SOURCES,
                        PatchWeights)
-from .tensor import Mat
 
 BUNDLE_MAGIC = b"RCBN"
 
@@ -40,8 +39,10 @@ def _tree_from_array(arr: np.ndarray) -> Tree:
                 prob=arr[:, 4].copy())
 
 
-def _enumerate_arrays(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
-    arrays: list[tuple[str, np.ndarray]] = []
+def _enumerate_arrays(bundle: ModelBundle) -> list[tuple[str, np.ndarray | Tree]]:
+    """Every stored array by manifest name, in file order; forest trees
+    stay ``Tree``s here and become (n_nodes, 5) arrays when written."""
+    arrays: list[tuple[str, np.ndarray | Tree]] = []
     for s, net in enumerate(bundle.nets):
         for name, arr in net.parameters():
             arrays.append((f"net{s}.{name}", arr))
@@ -53,111 +54,129 @@ def _enumerate_arrays(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
         arrays.append((f"stage2_mlp.{name}", arr))
     for a, per_attr in enumerate(bundle.forest.trees):
         for t, tree in enumerate(per_attr):
-            arrays.append((f"forest.attr{a}.tree{t}", _tree_to_array(tree)))
+            arrays.append((f"forest.attr{a}.tree{t}", tree))
     arrays.append(("svm.weights", bundle.svm.weights))
     arrays.append(("svm.biases", bundle.svm.biases.reshape(-1, 1)))
     return arrays
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    arrays = _enumerate_arrays(bundle)
+    arrays = [(name, _tree_to_array(arr) if isinstance(arr, Tree) else arr)
+              for name, arr in _enumerate_arrays(bundle)]
     header = {
         "format_version": bundle.version,
         "config": bundle.config,
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    chunks = [BUNDLE_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes]
+    chunks = [BUNDLE_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes]
     for _, arr in arrays:
-        payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         chunks.append(struct.pack("<Q", arr.size))
-        chunks.append(payload)
-    body = b"".join(chunks)
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        chunks.append(np.ascontiguousarray(arr, dtype="<f8").data)
+    # streamed, so no copy of the whole file is ever held in memory
+    crc = 0
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+        fh.write(struct.pack("<I", crc))
 
 
-def _rebuild_net(config: dict, arrays: dict[str, np.ndarray], s: int) -> RCodeanNet:
-    params = CodeanParams(alpha=config["alpha"], beta=config["beta"],
-                          lam=config["lam"])
-    acts = {lid: "relu" for lid in LAYER_ORDER}
-    acts["dec3"] = "linear"
-    layers = {}
-    for lid in LAYER_ORDER:
-        w = arrays[f"net{s}.{lid}.weight"]
-        b = arrays[f"net{s}.{lid}.bias"]
-        layers[lid] = DenseLayer(Mat(w), Mat(b), acts[lid], name=lid)
-    skips = []
-    for src, dst, kind in config["skip_layout"]:
-        proj_name = f"net{s}.skip.{src}->{dst}.projection"
-        proj = Mat(arrays[proj_name]) if proj_name in arrays else None
-        skips.append(SkipSpec(src, dst, kind, proj))
-    return RCodeanNet(encoder=[layers[lid] for lid in LAYER_ORDER[:3]],
-                      decoder=[layers[lid] for lid in LAYER_ORDER[3:]],
-                      skips=skips, params=params)
+# config fields that loading and prediction read
+_CONFIG_FIELDS = ("alpha", "beta", "lam", "k", "attribute_names", "skip_layout",
+                  "forest_trees", "svm_reg")
 
 
-def _rebuild_head(arrays: dict[str, np.ndarray], prefix: str) -> MlpHead:
-    layers = []
-    acts = ("relu", "relu", "sigmoid")
-    for i in range(3):
-        w = arrays[f"{prefix}.layer{i}.weight"]
-        b = arrays[f"{prefix}.layer{i}.bias"]
-        layers.append(DenseLayer(Mat(w), Mat(b), acts[i], name=f"head{i}"))
-    return MlpHead(layers)
+def _read_header(path, data: bytes) -> tuple[dict, int]:
+    """The JSON header and the offset of the first array."""
+    if len(data) < 12 or data[:4] != BUNDLE_MAGIC:
+        raise FormatError(f"{path}: not a bundle file (bad magic)")
+    if struct.unpack("<I", data[-4:])[0] != zlib.crc32(memoryview(data)[:-4]):
+        raise CorruptionError(f"{path}: checksum mismatch")
+    header_len = struct.unpack("<I", data[4:8])[0]
+    if 8 + header_len > len(data) - 4:
+        raise FormatError(f"{path}: header length {header_len} exceeds the file")
+    try:
+        header = json.loads(data[8:8 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    version = header.get("format_version")
+    if version != BUNDLE_FORMAT_VERSION:
+        raise VersionError(f"{path}: unsupported format version {version!r}")
+    for key, kind in (("config", dict), ("arrays", list)):
+        if not isinstance(header.get(key), kind):
+            raise FormatError(f"{path}: header has no {key} {kind.__name__}")
+    missing = [f for f in _CONFIG_FIELDS if f not in header["config"]]
+    if missing:
+        raise FormatError(f"{path}: config lacks {', '.join(missing)}")
+    return header, 8 + header_len
+
+
+def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.ndarray]:
+    """Every manifest array, each copied out of the file's bytes."""
+    end = len(data) - 4
+    arrays: dict[str, np.ndarray] = {}
+    for entry in manifest:
+        try:
+            name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            name = None
+        if not isinstance(name, str):
+            raise FormatError(f"{path}: malformed array entry {entry!r}")
+        if pos + 8 > end:
+            raise FormatError(f"{path}: truncated array table")
+        count = struct.unpack("<Q", data[pos:pos + 8])[0]
+        pos += 8
+        if pos + count * 8 > end:
+            raise FormatError(f"{path}: truncated payload for {name}")
+        if min(shape, default=0) < 0 or math.prod(shape) != count:
+            raise FormatError(f"{path}: array {name} count {count} "
+                              f"does not match shape {shape}")
+        if name in arrays:
+            raise FormatError(f"{path}: array {name} appears twice")
+        flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
+        arrays[name] = flat.reshape(shape).copy()
+        pos += count * 8
+    return arrays
+
+
+def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
+    """The bundle whose ``_enumerate_arrays`` names are the keys of ``arrays``."""
+    groups: dict[str, dict[str, np.ndarray]] = {}
+    for name, arr in arrays.items():
+        group, _, rest = name.partition(".")
+        groups.setdefault(group, {})[rest] = arr
+    params = CodeanParams(alpha=config["alpha"], beta=config["beta"], lam=config["lam"])
+    nets = [assemble_rcodean(groups[f"net{s}"], config["skip_layout"], params)
+            for s in range(N_SOURCES)]
+    heads = [assemble_mlp_head(groups[f"head{s}"]) for s in range(N_SOURCES)]
+    forest = groups["forest"]
+    trees = [[_tree_from_array(forest[f"attr{a}.tree{t}"])
+              for t in range(int(config["forest_trees"]))]
+             for a in range(int(config["k"]))]
+    svm_weights = arrays["svm.weights"]
+    return ModelBundle(
+        config=config, nets=nets, heads=heads,
+        patch_weights=PatchWeights(arrays["patch_weights"]),
+        stage2_mlp=assemble_mlp_head(groups["stage2_mlp"]),
+        forest=Forest(trees=trees, n_features=int(svm_weights.shape[1])),
+        svm=LinearSvm(weights=svm_weights, biases=arrays["svm.biases"].reshape(-1),
+                      reg=float(config["svm_reg"])))
 
 
 def load_bundle(path) -> ModelBundle:
     data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != BUNDLE_MAGIC:
-        raise FormatError(f"{path}: not a bundle file (bad magic)")
-    body, crc_bytes = data[:-4], data[-4:]
-    if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(body):
-        raise CorruptionError(f"{path}: checksum mismatch")
-    header_len = struct.unpack("<I", body[4:8])[0]
+    header, pos = _read_header(path, data)
+    arrays = _read_arrays(path, data, header["arrays"], pos)
     try:
-        header = json.loads(body[8:8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from None
-    version = header.get("format_version")
-    if version != BUNDLE_FORMAT_VERSION:
-        raise VersionError(f"{path}: unsupported format version {version!r}")
-    config = header["config"]
-
-    arrays: dict[str, np.ndarray] = {}
-    pos = 8 + header_len
-    for entry in header["arrays"]:
-        if pos + 8 > len(body):
-            raise FormatError(f"{path}: truncated array table")
-        count = struct.unpack("<Q", body[pos:pos + 8])[0]
-        pos += 8
-        nbytes = count * 8
-        if pos + nbytes > len(body):
-            raise FormatError(f"{path}: truncated payload for {entry['name']}")
-        flat = np.frombuffer(body[pos:pos + nbytes], dtype="<f8")
-        pos += nbytes
-        shape = tuple(entry["shape"])
-        if int(np.prod(shape)) != count:
-            raise FormatError(f"{path}: array {entry['name']} count {count} "
-                              f"does not match shape {shape}")
-        arrays[entry["name"]] = flat.reshape(shape).copy()
-
-    nets = [_rebuild_net(config, arrays, s) for s in range(N_SOURCES)]
-    heads = [_rebuild_head(arrays, f"head{s}") for s in range(N_SOURCES)]
-    weights = PatchWeights(arrays["patch_weights"])
-    stage2 = _rebuild_head(arrays, "stage2_mlp")
-    k = int(config["k"])
-    trees = []
-    for a in range(k):
-        per_attr = []
-        t = 0
-        while f"forest.attr{a}.tree{t}" in arrays:
-            per_attr.append(_tree_from_array(arrays[f"forest.attr{a}.tree{t}"]))
-            t += 1
-        trees.append(per_attr)
-    forest = Forest(trees=trees, n_features=int(arrays["svm.weights"].shape[1]))
-    svm = LinearSvm(weights=arrays["svm.weights"],
-                    biases=arrays["svm.biases"].reshape(-1),
-                    reg=float(config["svm_reg"]))
-    return ModelBundle(config=config, nets=nets, heads=heads,
-                       patch_weights=weights, stage2_mlp=stage2,
-                       forest=forest, svm=svm, version=version)
+        bundle = _assemble(header["config"], arrays)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing array {exc}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: inconsistent arrays or config: {exc}") from None
+    expected = {name for name, _ in _enumerate_arrays(bundle)}
+    if set(arrays) != expected:
+        raise FormatError(f"{path}: unexpected arrays {sorted(set(arrays) ^ expected)[:5]}")
+    return bundle

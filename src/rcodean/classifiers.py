@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 from .layers import (DenseLayer, LayerCache, dense_backward, dense_backward_preact,
-                     dense_forward, init_dense)
+                     dense_forward, glorot_uniform)
 from .optimizer import AdamState, adam_step
 from .tensor import Mat
 
@@ -27,6 +27,10 @@ PROB_THRESHOLD = 0.5  # probability-like score above this maps to bit 1
 
 # ---------------------------------------------------------------------------
 # stage-1 / stage-2 MLP
+
+
+# two relu hidden layers and a sigmoid output layer
+HEAD_ACTS = ("relu", "relu", "sigmoid")
 
 
 @dataclass
@@ -51,16 +55,26 @@ class MlpHead:
         return out
 
 
+def assemble_mlp_head(arrays) -> MlpHead:
+    """Build a head around the arrays named as ``MlpHead.parameters()``
+    names them; the arrays are used as they are, not copied."""
+    return MlpHead([DenseLayer(Mat(arrays[f"layer{i}.weight"], copy=False),
+                               Mat(arrays[f"layer{i}.bias"], copy=False),
+                               act, name=f"head{i}")
+                    for i, act in enumerate(HEAD_ACTS)])
+
+
 def build_mlp_head(in_dim: int, k: int, seed: int = 0,
                    hidden: tuple[int, int] | None = None) -> MlpHead:
     if hidden is None:
         hidden = (max(1, in_dim // 2), max(1, in_dim // 4))
     rng = np.random.default_rng(seed)
     dims = [in_dim, hidden[0], hidden[1], k]
-    acts = ["relu", "relu", "sigmoid"]
-    layers = [init_dense(dims[i], dims[i + 1], acts[i], rng, name=f"head{i}")
-              for i in range(3)]
-    return MlpHead(layers)
+    arrays = {}
+    for i in range(len(HEAD_ACTS)):
+        arrays[f"layer{i}.weight"] = glorot_uniform(rng, dims[i + 1], dims[i])
+        arrays[f"layer{i}.bias"] = np.zeros((dims[i + 1], 1))
+    return assemble_mlp_head(arrays)
 
 
 def zero_mlp_head(in_dim: int, k: int) -> MlpHead:

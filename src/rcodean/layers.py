@@ -49,12 +49,17 @@ class LayerCache:
     output: Mat
 
 
+def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+    """(out_dim, in_dim) weights drawn uniformly from +-sqrt(6/(in+out))."""
+    bound = np.sqrt(6.0 / (in_dim + out_dim))
+    return rng.uniform(-bound, bound, size=(out_dim, in_dim))
+
+
 def init_dense(in_dim: int, out_dim: int, act: str, rng: np.random.Generator,
                name: str = "dense") -> DenseLayer:
-    """Uniform +-sqrt(6/(in+out)) weights, zero bias."""
-    bound = np.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    return DenseLayer(Mat(w, copy=False), Mat.zeros(out_dim, 1), act, name)
+    """Glorot-uniform weights, zero bias."""
+    return DenseLayer(Mat(glorot_uniform(rng, out_dim, in_dim), copy=False),
+                      Mat.zeros(out_dim, 1), act, name)
 
 
 def dense_forward(layer: DenseLayer, x: Mat, skip_in: Mat | None = None) -> LayerCache:

@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import DenseLayer, LayerCache, dense_forward, dense_backward, init_dense
+from .layers import (DenseLayer, LayerCache, dense_forward, dense_backward,
+                     glorot_uniform)
 from .tensor import Mat
 
 LAYER_ORDER = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
 ENCODER_IDS = LAYER_ORDER[:3]
-DECODER_IDS = LAYER_ORDER[3:]
+# hidden layers are relu; the reconstruction is linear so it can span the
+# pixel range unsaturated
+LAYER_ACTS = {lid: "relu" for lid in LAYER_ORDER} | {"dec3": "linear"}
 
 # (src, dst, kind) triples: three cross shortcuts between alternate layers
 # and three symmetric encoder/decoder pairs.
@@ -94,10 +97,14 @@ class CodeanLoss:
 
 @dataclass
 class RCodeanNet:
+    """The six layers and their shortcuts. ``incoming`` maps each layer id
+    to the shortcuts that end at it, in ``skips`` order; it is derived once
+    here, so replace ``skips`` by building a new net."""
     encoder: list[DenseLayer]
     decoder: list[DenseLayer]
     skips: list[SkipSpec]
     params: CodeanParams = field(default_factory=CodeanParams)
+    incoming: dict[str, list[SkipSpec]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.encoder) != 3 or len(self.decoder) != 3:
@@ -126,6 +133,8 @@ class RCodeanNet:
                         f"skip {spec.name}: projection shape {spec.projection.shape} "
                         f"should be ({dst_dim}, {src_dim})"
                     )
+        self.incoming = {lid: [spec for spec in self.skips if spec.dst == lid]
+                         for lid in LAYER_ORDER}
 
     @property
     def input_dim(self) -> int:
@@ -152,6 +161,21 @@ class RCodeanNet:
         return out
 
 
+def assemble_rcodean(arrays, skip_layout, params: CodeanParams) -> RCodeanNet:
+    """Build a net around the arrays named as ``RCodeanNet.parameters()``
+    names them. The arrays are used as they are, not copied; a shortcut
+    gets a projection exactly when its array is present."""
+    layers = [DenseLayer(Mat(arrays[f"{lid}.weight"], copy=False),
+                         Mat(arrays[f"{lid}.bias"], copy=False), LAYER_ACTS[lid], name=lid)
+              for lid in LAYER_ORDER]
+    skips = []
+    for src, dst, kind in skip_layout:
+        proj = arrays.get(f"skip.{src}->{dst}.projection")
+        skips.append(SkipSpec(src, dst, kind,
+                              None if proj is None else Mat(proj, copy=False)))
+    return RCodeanNet(encoder=layers[:3], decoder=layers[3:], skips=skips, params=params)
+
+
 def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
                   seed: int = 0,
                   skip_layout=DEFAULT_SKIP_LAYOUT) -> RCodeanNet:
@@ -161,23 +185,17 @@ def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
     mismatched dimensions; they are trained with all other parameters.
     """
     rng = np.random.default_rng(seed)
-    dims = {"enc1": (d, l), "enc2": (l, l), "enc3": (l, l),
-            "dec1": (l, l), "dec2": (l, l), "dec3": (l, d)}
-    acts = {lid: "relu" for lid in LAYER_ORDER}
-    acts["dec3"] = "linear"  # reconstructions must span the pixel range unsaturated
-    layers = {lid: init_dense(*dims[lid], acts[lid], rng, name=lid) for lid in LAYER_ORDER}
-    out_dims = {lid: dims[lid][1] for lid in LAYER_ORDER}
-    skips = []
-    for src, dst, kind in skip_layout:
-        proj = None
+    out_dims = {lid: l for lid in LAYER_ORDER} | {"dec3": d}
+    in_dims = {lid: l for lid in LAYER_ORDER} | {"enc1": d}
+    arrays = {}
+    for lid in LAYER_ORDER:
+        arrays[f"{lid}.weight"] = glorot_uniform(rng, out_dims[lid], in_dims[lid])
+        arrays[f"{lid}.bias"] = np.zeros((out_dims[lid], 1))
+    for src, dst, _ in skip_layout:
         if out_dims[src] != out_dims[dst]:
-            bound = np.sqrt(6.0 / (out_dims[src] + out_dims[dst]))
-            proj = Mat(rng.uniform(-bound, bound, size=(out_dims[dst], out_dims[src])),
-                       copy=False)
-        skips.append(SkipSpec(src, dst, kind, proj))
-    return RCodeanNet(encoder=[layers[i] for i in ENCODER_IDS],
-                      decoder=[layers[i] for i in DECODER_IDS],
-                      skips=skips, params=params or CodeanParams())
+            arrays[f"skip.{src}->{dst}.projection"] = glorot_uniform(
+                rng, out_dims[dst], out_dims[src])
+    return assemble_rcodean(arrays, skip_layout, params or CodeanParams())
 
 
 @dataclass
@@ -201,27 +219,30 @@ def _skip_contribution(spec: SkipSpec, src_out: Mat,
     return contrib
 
 
-def net_forward(net: RCodeanNet, x: Mat) -> NetForward:
-    """Run the full stack; x columns are samples of normalized pixels."""
+def _forward_caches(net: RCodeanNet, x: Mat, last: str) -> dict[str, LayerCache]:
+    """Run the stack from enc1 through layer ``last``."""
     if x.rows != net.input_dim:
         raise ShapeError(f"input has {x.rows} rows, expected {net.input_dim}")
-    incoming: dict[str, list[SkipSpec]] = {lid: [] for lid in LAYER_ORDER}
-    for spec in net.skips:
-        incoming[spec.dst].append(spec)
     caches: dict[str, LayerCache] = {}
     current = x
-    for lid in LAYER_ORDER:
+    for lid in LAYER_ORDER[:LAYER_ORDER.index(last) + 1]:
         layer = net.layer(lid)
         skip_in = None
-        if incoming[lid]:
+        if net.incoming[lid]:
             total = np.zeros((layer.out_dim, current.cols))
-            for spec in incoming[lid]:
+            for spec in net.incoming[lid]:
                 total += _skip_contribution(spec, caches[spec.src].output,
                                             total.shape)
             skip_in = Mat(total, copy=False)
         cache = dense_forward(layer, current, skip_in)
         caches[lid] = cache
         current = cache.output
+    return caches
+
+
+def net_forward(net: RCodeanNet, x: Mat) -> NetForward:
+    """Run the full stack; x columns are samples of normalized pixels."""
+    caches = _forward_caches(net, x, "dec3")
     return NetForward(reconstruction=caches["dec3"].output,
                       code=caches["enc3"].output, caches=caches)
 
@@ -229,27 +250,7 @@ def net_forward(net: RCodeanNet, x: Mat) -> NetForward:
 def encode(net: RCodeanNet, x: Mat) -> Mat:
     """Learned representation: the third encoder layer's output, including
     any incoming shortcut contributions."""
-    if x.rows != net.input_dim:
-        raise ShapeError(f"input has {x.rows} rows, expected {net.input_dim}")
-    incoming: dict[str, list[SkipSpec]] = {lid: [] for lid in ENCODER_IDS}
-    for spec in net.skips:
-        if spec.dst in incoming:
-            incoming[spec.dst].append(spec)
-    caches: dict[str, LayerCache] = {}
-    current = x
-    for lid in ENCODER_IDS:
-        layer = net.layer(lid)
-        skip_in = None
-        if incoming[lid]:
-            total = np.zeros((layer.out_dim, current.cols))
-            for spec in incoming[lid]:
-                total += _skip_contribution(spec, caches[spec.src].output,
-                                            total.shape)
-            skip_in = Mat(total, copy=False)
-        cache = dense_forward(layer, current, skip_in)
-        caches[lid] = cache
-        current = cache.output
-    return current
+    return _forward_caches(net, x, "enc3")["enc3"].output
 
 
 def _encoder_l1(net: RCodeanNet) -> float:
@@ -312,10 +313,6 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict
     recon = caches["dec3"].output
     if x.shape != recon.shape:
         raise ShapeError(f"stale caches: input {x.shape} vs reconstruction {recon.shape}")
-    incoming: dict[str, list[SkipSpec]] = {lid: [] for lid in LAYER_ORDER}
-    for spec in net.skips:
-        incoming[spec.dst].append(spec)
-
     grads: dict[str, np.ndarray] = {}
     # gradient w.r.t. each layer's output, accumulated as we sweep backwards;
     # sources always precede destinations, so by the time a layer is processed
@@ -336,7 +333,7 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict
         # grad_skip is the gradient at this layer's pre-activation, which is
         # exactly what each incoming shortcut contributed to
         delta = grad_skip.a
-        for spec in incoming[lid]:
+        for spec in net.incoming[lid]:
             src_out = caches[spec.src].output.a
             if spec.projection is not None:
                 grads[f"skip.{spec.name}.projection"] = delta @ src_out.T
@@ -387,12 +384,8 @@ class GradCheckReport:
         return max(self.groups, key=lambda g: g.worst_rel)
 
 
-def _total_loss(net: RCodeanNet, x: Mat, drop_cosine: bool = False) -> float:
-    fwd = net_forward(net, x)
-    loss = codean_loss(net, x, fwd.reconstruction)
-    if drop_cosine:
-        return net.params.alpha * loss.euc + net.params.lam * loss.reg
-    return loss.total
+def _total_loss(net: RCodeanNet, x: Mat) -> float:
+    return codean_loss(net, x, net_forward(net, x).reconstruction).total
 
 
 def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,

@@ -21,7 +21,7 @@ from .classifiers import (Forest, LinearSvm, MlpHead, ensemble_vote,
                           forest_predict_proba, forest_train, head_score,
                           head_train, svm_decision, svm_train, PROB_THRESHOLD)
 from .data import AttributeDataset
-from .errors import ConfigError, InputError, ShapeError, UsageError
+from .errors import ConfigError, InputError, ShapeError
 from .network import (DEFAULT_SKIP_LAYOUT, CodeanParams, RCodeanNet,
                       build_rcodean, codean_loss, encode, loss_and_grads,
                       net_forward)
@@ -70,26 +70,6 @@ def preprocess(image) -> Mat:
     if (h, w) != (IMAGE_SIZE, IMAGE_SIZE):
         img = _bilinear_resize(img, IMAGE_SIZE, IMAGE_SIZE)
     return Mat(img / 255.0, copy=False)
-
-
-@dataclass
-class PatchGrid:
-    """The ten flattened source vectors of one image, patch 1..9 then the
-    full face, each a row-major column vector."""
-    vectors: list[Mat]
-
-    def __post_init__(self):
-        if len(self.vectors) != N_SOURCES:
-            raise ShapeError(f"expected {N_SOURCES} sources, got {len(self.vectors)}")
-
-
-def tessellate(image: Mat) -> PatchGrid:
-    if image.shape != (IMAGE_SIZE, IMAGE_SIZE):
-        raise ShapeError(f"tessellate expects {IMAGE_SIZE}x{IMAGE_SIZE}, got {image.shape}")
-    vectors = [Mat(image.a[r:r + PATCH_SIZE, c:c + PATCH_SIZE].reshape(-1, 1))
-               for r, c in PATCH_OFFSETS]
-    vectors.append(Mat(image.a.reshape(-1, 1)))
-    return PatchGrid(vectors)
 
 
 def tessellate_batch(images: np.ndarray) -> list[np.ndarray]:
@@ -157,9 +137,9 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
     params = net.parameters()
 
     def full_batch_stats(epoch: int) -> EpochStats:
-        fwd_loss, _ = _eval_loss(net, X)
-        return EpochStats(epoch, fwd_loss.total, fwd_loss.euc, fwd_loss.cos,
-                          fwd_loss.reg, state.lr)
+        xm = Mat(X)
+        loss = codean_loss(net, xm, net_forward(net, xm).reconstruction)
+        return EpochStats(epoch, loss.total, loss.euc, loss.cos, loss.reg, state.lr)
 
     history = [full_batch_stats(0)]
     for epoch in range(1, cfg.epochs + 1):
@@ -175,12 +155,6 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
         state.lr = scheduler_update(sched, total)
         history.append(EpochStats(epoch, total, euc, cos, reg, state.lr))
     return history
-
-
-def _eval_loss(net, X):
-    xm = Mat(X)
-    fwd = net_forward(net, xm)
-    return codean_loss(net, xm, fwd.reconstruction), fwd
 
 
 def _preprocessed_stack(dataset: AttributeDataset, indices: np.ndarray) -> np.ndarray:
@@ -234,17 +208,6 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
 
 # ---------------------------------------------------------------------------
 # scoring and patch weights
-
-
-def score_sample(models, image: Mat) -> np.ndarray:
-    """Stage-1 probability grid (10, k) for one preprocessed image."""
-    if not models or any(net is None or head is None for net, head in models):
-        raise UsageError("score_sample requires ten trained (net, head) pairs")
-    grid = tessellate(image)
-    rows = []
-    for (net, head), vec in zip(models, grid.vectors):
-        rows.append(head_score(head, encode(net, vec)).a.ravel())
-    return np.stack(rows)
 
 
 def score_images(models, images: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Dense float64 matrix substrate with strict shape checking.
+"""Dense float64 matrix type and the entrywise activations.
 
-Every public operation returns a fresh ``Mat``; values are treated as
-immutable once constructed. There is no broadcasting: any shape mismatch
-is a hard ``ShapeError``. The only sanctioned in-place mutation anywhere
-in the package is the optimizer's documented parameter update.
+``Mat`` is the validated 2-D value the layers pass around: construction
+checks dimensionality and finiteness. The only sanctioned in-place
+mutation anywhere in the package is the optimizer's documented parameter
+update.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class Mat:
         return cls(np.zeros((rows, cols)), copy=False)
 
     @classmethod
-    def full(cls, rows: int, cols: int, value: float) -> "Mat":
-        return cls(np.full((rows, cols), float(value)), copy=False)
-
-    @classmethod
     def column(cls, values) -> "Mat":
         """Build a single-column matrix from a 1-D sequence."""
         v = np.asarray(values, dtype=np.float64)
@@ -63,72 +59,8 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.a.reshape(-1)
-
-    @property
-    def T(self) -> "Mat":
-        return Mat(self.a.T)
-
-    def copy(self) -> "Mat":
-        return Mat(self.a)
-
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols})"
-
-    # arithmetic sugar; Mat-Mat forms delegate to the strict ops below
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return matmul(self, other)
-
-    def __add__(self, other):
-        if isinstance(other, Mat):
-            return elementwise(self, other, "add")
-        return Mat(self.a + float(other), copy=False)
-
-    def __sub__(self, other):
-        if isinstance(other, Mat):
-            return elementwise(self, other, "sub")
-        return Mat(self.a - float(other), copy=False)
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            return elementwise(self, other, "mul")
-        return Mat(self.a * float(other), copy=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Mat":
-        return Mat(-self.a, copy=False)
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    """Standard matrix product, shape (a.rows, b.cols)."""
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return Mat(a.a @ b.a, copy=False)
-
-
-def elementwise(a: Mat, b: Mat, kind: str) -> Mat:
-    """Entrywise add/sub/mul of two equally shaped matrices."""
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise {kind}: shapes differ, {a.shape} vs {b.shape}")
-    if kind == "add":
-        return Mat(a.a + b.a, copy=False)
-    if kind == "sub":
-        return Mat(a.a - b.a, copy=False)
-    if kind == "mul":
-        return Mat(a.a * b.a, copy=False)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
-
-
-def norms(v: Mat) -> tuple[float, float, float]:
-    """Return (l1, l2, dot_self) over all entries of v."""
-    flat = v.data
-    l1 = float(np.sum(np.abs(flat)))
-    dot_self = float(flat @ flat)
-    return l1, float(np.sqrt(dot_self)), dot_self
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_criterion_02_cosine_euclidean_contrast():
     for beta in (0.5, 1.0):
         net = build_rcodean(40, 8, CodeanParams(alpha=1.0, beta=beta, lam=0.0), seed=2)
         for c in (0.5, 2.0, 5.0):
-            loss = codean_loss(net, x, c * x)
+            loss = codean_loss(net, x, Mat(c * x.a))
             assert abs(beta * loss.cos - (-beta)) < 1e-10
             assert loss.euc > 0.0
     # same-magnitude perturbed pair: small Euclidean error, nonzero angle

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from bundle_rewrite import rewrite_bundle
 from rcodean.bundle import load_bundle, save_bundle
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import ConfigError, CorruptionError, FormatError, VersionError
@@ -65,21 +68,74 @@ def test_bad_magic(tmp_path):
 
 def test_unknown_version_rejected(trained, tmp_path):
     _, _, path = trained
-    data = bytearray(path.read_bytes())
-    # the version lives in the JSON header; bump it and refresh the checksum
-    import json
-    import struct
-    import zlib
-    header_len = struct.unpack("<I", data[4:8])[0]
-    header = json.loads(data[8:8 + header_len].decode())
-    header["format_version"] = "999"
-    new_header = json.dumps(header, sort_keys=True).encode()
-    body = bytes(data[:4]) + struct.pack("<I", len(new_header)) + new_header \
-        + bytes(data[8 + header_len:-4])
-    p = tmp_path / "future.rcbn"
-    p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    p = rewrite_bundle(path, tmp_path / "future.rcbn",
+                       lambda header, chunks: header.update(format_version="999"))
     with pytest.raises(VersionError, match="999"):
         load_bundle(p)
+
+
+def _drop_array(name):
+    def mutate(header, chunks):
+        header["arrays"] = [e for e in header["arrays"] if e["name"] != name]
+    return mutate
+
+
+def _add_array(header, chunks):
+    header["arrays"].append({"name": "net0.extra", "shape": [1, 1]})
+    chunks["net0.extra"] = struct.pack("<Q", 1) + struct.pack("<d", 0.5)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda header, chunks: header.pop("config"),
+    lambda header, chunks: header.pop("arrays"),
+    lambda header, chunks: header.update(arrays={}),
+    lambda header, chunks: header["arrays"][0].pop("shape"),
+    _drop_array("net3.enc2.bias"),
+    _drop_array("net9.skip.enc1->dec3.projection"),
+    _drop_array("head4.layer1.weight"),
+    _drop_array("forest.attr1.tree2"),
+    _drop_array("svm.biases"),
+    _add_array,
+], ids=["no-config", "no-arrays", "arrays-not-list", "entry-no-shape",
+        "no-net-bias", "no-projection", "no-head-weight", "no-tree", "no-svm-bias",
+        "extra-array"])
+def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
+    _, _, path = trained
+    p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)
+    with pytest.raises(FormatError):
+        load_bundle(p)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "lam", "k", "attribute_names",
+                                   "skip_layout", "forest_trees", "svm_reg"])
+def test_missing_config_field_is_format_error(trained, tmp_path, field):
+    _, _, path = trained
+    p = rewrite_bundle(path, tmp_path / "bad.rcbn",
+                       lambda header, chunks: header["config"].pop(field))
+    with pytest.raises(FormatError, match=field):
+        load_bundle(p)
+
+
+def test_tree_count_comes_from_config(trained, tmp_path):
+    _, _, path = trained
+    p = rewrite_bundle(path, tmp_path / "bad.rcbn",
+                       lambda header, chunks: header["config"].update(forest_trees=2))
+    with pytest.raises(FormatError, match="unexpected arrays"):
+        load_bundle(p)
+
+
+def test_loaded_arrays_are_private_and_writeable(trained):
+    _, _, path = trained
+    loaded = load_bundle(path)
+    arrays = [arr for model in [*loaded.nets, *loaded.heads, loaded.stage2_mlp]
+              for _, arr in model.parameters()]
+    arrays += [loaded.patch_weights.values, loaded.svm.weights, loaded.svm.biases]
+    arrays += [getattr(tree, field) for per_attr in loaded.forest.trees
+               for tree in per_attr
+               for field in ("feature", "threshold", "left", "right", "prob")]
+    assert all(arr.flags.writeable for arr in arrays)
+    for i, a in enumerate(arrays):
+        assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_config_guard_on_mismatched_dataset(trained):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rcodean.classifiers import (build_mlp_head,
+from rcodean.classifiers import (assemble_mlp_head, build_mlp_head,
                                  ensemble_vote, forest_predict,
                                  forest_predict_proba, forest_train,
                                  head_loss_and_grads, head_score, head_train,
@@ -75,6 +75,18 @@ def test_head_hidden_dims_follow_half_quarter_rule():
     head = build_mlp_head(64, 4, seed=11)
     dims = [(l.in_dim, l.out_dim) for l in head.layers]
     assert dims == [(64, 32), (32, 16), (16, 4)]
+
+
+def test_assemble_from_named_parameters_rebuilds_the_head():
+    codes, labels = _separable_codes(60, seed=12, k=3)
+    head = head_train(codes, labels, epochs=20, seed=13)
+    again = assemble_mlp_head(dict(head.parameters()))
+    assert [(l.in_dim, l.out_dim, l.act, l.name) for l in again.layers] == \
+        [(l.in_dim, l.out_dim, l.act, l.name) for l in head.layers]
+    for (name_a, a), (name_b, b) in zip(head.parameters(), again.parameters()):
+        assert name_a == name_b
+        assert np.array_equal(a, b)
+    assert np.array_equal(head_score(head, codes).a, head_score(again, codes).a)
 
 
 def test_head_gradients_match_finite_differences():

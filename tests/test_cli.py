@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bundle_rewrite import rewrite_bundle
 from rcodean.cli import main
 from rcodean.data import load_attr_list, load_gray_image
 
@@ -60,7 +61,7 @@ def test_train_determinism_byte_identical_losses(tmp_path, synth_dir):
                    "--split-fractions", "0.5,0.3,0.2",
                    "--out", str(out), *TRAIN_FLAGS])
         assert rc == 0
-        outs.append((out / "losses.csv").read_bytes())
+        outs.append([(out / name).read_bytes() for name in ("losses.csv", "model.rcbn")])
     assert outs[0] == outs[1]
 
 
@@ -99,6 +100,17 @@ def test_predict_output(run_dir, synth_dir, capsys):
         name, bit, conf = line.split(",")
         assert bit in ("0", "1")
         assert 0.0 <= float(conf) <= 1.0
+
+
+def test_predict_on_malformed_bundle_is_usage_error(run_dir, synth_dir, tmp_path, capsys):
+    bad = rewrite_bundle(run_dir / "model.rcbn", tmp_path / "bad.rcbn",
+                         lambda header, chunks: header.pop("arrays"))
+    rc = main(["predict", "--bundle", str(bad),
+               "--image", str(synth_dir / "images" / "img_000003.rcim")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_report_weights(run_dir, capsys):

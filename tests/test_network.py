@@ -3,9 +3,10 @@ import pytest
 
 from oracles import PlainMseAutoencoder, straight_line_forward, _relu
 from rcodean.errors import ConfigError, ShapeError
-from rcodean.network import (CodeanParams, RCodeanNet, SkipSpec, build_rcodean,
-                             codean_loss, encode, gradient_check, loss_and_grads,
-                             net_backward, net_forward)
+from rcodean.network import (DEFAULT_SKIP_LAYOUT, CodeanParams, RCodeanNet, SkipSpec,
+                             assemble_rcodean, build_rcodean, codean_loss, encode,
+                             gradient_check, loss_and_grads, net_backward,
+                             net_forward)
 from rcodean.optimizer import AdamState, adam_step
 from rcodean.tensor import Mat
 
@@ -72,6 +73,23 @@ def test_encode_matches_forward_code():
     assert np.array_equal(encode(net, x).a, net_forward(net, x).code.a)
 
 
+def test_assemble_from_named_parameters_rebuilds_the_net():
+    rng = np.random.default_rng(104)
+    params = CodeanParams(alpha=0.5, beta=2.0, lam=0.1)
+    net = build_rcodean(10, 6, params, seed=5)
+    again = assemble_rcodean(dict(net.parameters()), DEFAULT_SKIP_LAYOUT, params)
+    assert again.params == params
+    assert [(s.src, s.dst, s.kind) for s in again.skips] == \
+        [(s.src, s.dst, s.kind) for s in net.skips]
+    assert [name for name, _ in again.parameters()] == \
+        [name for name, _ in net.parameters()]
+    for (_, a), (_, b) in zip(net.parameters(), again.parameters()):
+        assert np.array_equal(a, b)
+    x = Mat(rng.uniform(size=(10, 3)))
+    assert np.array_equal(net_forward(net, x).reconstruction.a,
+                          net_forward(again, x).reconstruction.a)
+
+
 def test_input_dimension_check():
     net = build_rcodean(6, 4, seed=6)
     with pytest.raises(ShapeError):
@@ -95,7 +113,7 @@ def test_loss_perfect_reconstruction():
 def test_loss_pure_scaling_gives_cosine_minus_one():
     net = build_rcodean(4, 3, CodeanParams(alpha=0.0, beta=1.0, lam=0.0), seed=8)
     x = Mat.column([0.3, 0.8, 0.2, 0.6])
-    loss = codean_loss(net, x, 2.0 * x)
+    loss = codean_loss(net, x, Mat(2.0 * x.a))
     assert loss.cos == pytest.approx(-1.0, abs=1e-12)
     assert loss.euc > 0.0  # magnitude error remains visible to the other term
 
@@ -117,14 +135,14 @@ def test_loss_cosine_scale_invariance():
     r = Mat(rng.uniform(0.1, 1.0, size=(9, 1)))
     base = codean_loss(net, x, r).cos
     for c, cp in [(0.5, 3.0), (2.0, 0.25), (7.0, 7.0)]:
-        scaled = codean_loss(net, c * x, cp * r).cos
+        scaled = codean_loss(net, Mat(c * x.a), Mat(cp * r.a)).cos
         assert abs(scaled - base) < 1e-10
 
 
 def test_loss_euclidean_not_scale_invariant():
     net = build_rcodean(3, 2, seed=11)
     x = Mat.column([0.5, 0.4, 0.3])
-    loss = codean_loss(net, x, 2.0 * x)
+    loss = codean_loss(net, x, Mat(2.0 * x.a))
     assert loss.euc == pytest.approx(0.25 + 0.16 + 0.09)
 
 
@@ -175,7 +193,7 @@ def test_backward_perfect_reconstruction_zero_euclidean_gradient():
     # reconstruction to equal x by zeroing everything and feeding zero
     net = build_rcodean(4, 4, CodeanParams(alpha=1.0, beta=0.0, lam=0.0),
                         seed=15, skip_layout=())
-    x = Mat.zeros(4, 1) + 0.0
+    x = Mat.zeros(4, 1)
     for name, arr in net.parameters():
         arr[:] = 0.0
     out = net_forward(net, x)

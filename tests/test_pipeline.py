@@ -5,15 +5,14 @@ import pytest
 
 from rcodean.classifiers import zero_mlp_head
 from rcodean.data import gen_synthetic, split_by_counts
-from rcodean.errors import ConfigError, InputError, ShapeError, UsageError
+from rcodean.errors import ConfigError, InputError, ShapeError
 from rcodean.network import build_rcodean
 from rcodean.pipeline import (IMAGE_SIZE, N_SOURCES, PATCH_OFFSETS, PATCH_SIZE,
                               PatchWeights, PipelineConfig,
                               build_stage2_features, evaluate,
                               learn_patch_weights, predict, predict_batch,
-                              preprocess, score_sample, tessellate,
-                              tessellate_batch, train_full, train_stage1)
-from rcodean.tensor import Mat
+                              preprocess, score_images, tessellate_batch,
+                              train_full, train_stage1)
 
 
 def _tiny_cfg(seed=0, jobs=1):
@@ -105,44 +104,47 @@ def test_preprocess_upsamples_small_crops():
 # tessellation
 
 
+def _sources(img):
+    """The ten source columns of one 64x64 image, via the batch path."""
+    return [m[:, 0] for m in tessellate_batch(np.asarray(img)[None])]
+
+
 def test_tessellate_constant_image():
-    grid = tessellate(Mat(np.full((64, 64), 0.25)))
-    assert len(grid.vectors) == N_SOURCES
-    for v in grid.vectors[:9]:
-        assert v.shape == (1024, 1)
-        assert np.allclose(v.a, 0.25)
-    assert grid.vectors[9].shape == (4096, 1)
+    sources = _sources(np.full((64, 64), 0.25))
+    assert len(sources) == N_SOURCES
+    for v in sources[:9]:
+        assert v.shape == (1024,)
+        assert np.allclose(v, 0.25)
+    assert sources[9].shape == (4096,)
 
 
 def test_tessellate_single_bright_pixel_origin():
     img = np.zeros((64, 64))
     img[0, 0] = 1.0
-    grid = tessellate(Mat(img))
-    nonzero = [s for s, v in enumerate(grid.vectors) if np.count_nonzero(v.a)]
+    nonzero = [s for s, v in enumerate(_sources(img)) if np.count_nonzero(v)]
     assert nonzero == [0, 9]  # patch 1 and the full face
 
 
 def test_tessellate_overlap_membership_16_16():
     img = np.zeros((64, 64))
     img[16, 16] = 1.0
-    grid = tessellate(Mat(img))
-    nonzero = [s for s, v in enumerate(grid.vectors) if np.count_nonzero(v.a)]
+    nonzero = [s for s, v in enumerate(_sources(img)) if np.count_nonzero(v)]
     assert nonzero == [0, 1, 3, 4, 9]  # patches 1, 2, 4, 5 and the full face
 
 
 def test_tessellate_wrong_shape():
     with pytest.raises(ShapeError):
-        tessellate(Mat(np.zeros((32, 64))))
+        tessellate_batch(np.zeros((32, 64))[None])
 
 
 def test_tessellate_patch_contents_are_window_exact():
     rng = np.random.default_rng(11)
     img = rng.uniform(size=(64, 64))
-    grid = tessellate(Mat(img))
+    sources = _sources(img)
     for s, (r, c) in enumerate(PATCH_OFFSETS):
-        window = img[r:r + PATCH_SIZE, c:c + PATCH_SIZE].reshape(-1, 1)
-        assert np.array_equal(grid.vectors[s].a, window)
-    assert np.array_equal(grid.vectors[9].a, img.reshape(-1, 1))
+        window = img[r:r + PATCH_SIZE, c:c + PATCH_SIZE].reshape(-1)
+        assert np.array_equal(sources[s], window)
+    assert np.array_equal(sources[9], img.reshape(-1))
 
 
 def test_every_pixel_in_one_to_four_patches():
@@ -153,35 +155,17 @@ def test_every_pixel_in_one_to_four_patches():
     assert counts.max() <= 4
 
 
-def test_tessellate_batch_matches_single():
-    rng = np.random.default_rng(13)
-    images = rng.uniform(size=(3, 64, 64))
-    batch = tessellate_batch(images)
-    for i in range(3):
-        grid = tessellate(Mat(images[i]))
-        for s in range(N_SOURCES):
-            assert np.array_equal(batch[s][:, i:i + 1], grid.vectors[s].a)
-
-
 # ---------------------------------------------------------------------------
 # scoring and weights
 
 
-def test_score_sample_zero_heads_give_half():
+def test_score_images_zero_heads_give_half():
     models = [(build_rcodean(d, 6, seed=s), zero_mlp_head(6, 3))
               for s, d in enumerate([1024] * 9 + [4096])]
     img = preprocess(np.random.default_rng(17).integers(0, 256, size=(64, 64)))
-    scores = score_sample(models, img)
-    assert scores.shape == (10, 3)
-    assert np.array_equal(scores, np.full((10, 3), 0.5))
-
-
-def test_score_sample_requires_models():
-    img = Mat(np.zeros((64, 64)) + 0.5)
-    with pytest.raises(UsageError):
-        score_sample([], img)
-    with pytest.raises(UsageError):
-        score_sample([(None, None)] * 10, img)
+    scores = score_images(models, img.a[None])
+    assert scores.shape == (1, 10, 3)
+    assert np.array_equal(scores, np.full((1, 10, 3), 0.5))
 
 
 def test_learn_patch_weights_identical_sources_stay_uniform():
