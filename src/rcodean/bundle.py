@@ -6,6 +6,10 @@ in manifest order as a u64 entry count plus little-endian payload, and a
 trailing CRC-32 of all preceding bytes. Forest trees ride along as
 (n_nodes, 5) arrays of [feature, threshold, left, right, prob]; integer
 fields round-trip exactly through float64.
+
+A passing checksum does not make a file trusted: a non-finite array or a
+malformed tree is a ``FormatError``. That is the only check the loaded
+values get; the nets and heads use the arrays as they are.
 """
 
 from __future__ import annotations
@@ -37,6 +41,34 @@ def _tree_from_array(arr: np.ndarray) -> Tree:
     return Tree(feature=arr[:, 0].astype(np.int64), threshold=arr[:, 1].copy(),
                 left=arr[:, 2].astype(np.int64), right=arr[:, 3].astype(np.int64),
                 prob=arr[:, 4].copy())
+
+
+def _check_trees(arrays: dict[str, np.ndarray], names: list[str], n_features: int) -> None:
+    """Raise ``FormatError`` unless every named tree is in preorder, so a
+    sample walked down it always reaches a leaf: an internal node has a
+    feature in [0, n_features) and two children after it within its tree,
+    a leaf has feature and children -1, and every probability lies in
+    [0, 1]. All trees are checked in one pass over their stacked nodes."""
+    for name in names:
+        shape = arrays[name].shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != 5:
+            raise FormatError(f"{name}: shape {shape} is not (n_nodes, 5)")
+    sizes = np.array([arrays[name].shape[0] for name in names])
+    ends = np.cumsum(sizes)
+    nodes = np.concatenate([arrays[name] for name in names])
+    index = np.arange(len(nodes)) - np.repeat(ends - sizes, sizes)
+    n_nodes = np.repeat(sizes, sizes)
+    feature, left, right, prob = nodes[:, 0], nodes[:, 2], nodes[:, 3], nodes[:, 4]
+    internal = ((feature >= 0) & (feature < n_features)
+                & (left > index) & (left < n_nodes) & (right > index) & (right < n_nodes))
+    leaf = (feature == -1) & (left == -1) & (right == -1)
+    whole = (nodes[:, [0, 2, 3]] == np.floor(nodes[:, [0, 2, 3]])).all(axis=1)
+    ok = (internal | leaf) & whole & (prob >= 0.0) & (prob <= 1.0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        tree = int(np.searchsorted(ends, bad, side="right"))
+        raise FormatError(f"{names[tree]}: node {int(index[bad])} is not a leaf "
+                          f"or an internal node of a preorder tree")
 
 
 def _enumerate_arrays(bundle: ModelBundle) -> list[tuple[str, np.ndarray | Tree]]:
@@ -115,7 +147,8 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
 
 
 def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.ndarray]:
-    """Every manifest array, each copied out of the file's bytes."""
+    """Every manifest array, each copied out of the file's bytes and
+    checked once for finiteness."""
     end = len(data) - 4
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest:
@@ -137,6 +170,8 @@ def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.nd
         if name in arrays:
             raise FormatError(f"{path}: array {name} appears twice")
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
+        if not np.isfinite(flat).all():
+            raise FormatError(f"{path}: array {name} has non-finite entries")
         arrays[name] = flat.reshape(shape).copy()
         pos += count * 8
     return arrays
@@ -152,16 +187,17 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     nets = [assemble_rcodean(groups[f"net{s}"], config["skip_layout"], params)
             for s in range(N_SOURCES)]
     heads = [assemble_mlp_head(groups[f"head{s}"]) for s in range(N_SOURCES)]
-    forest = groups["forest"]
-    trees = [[_tree_from_array(forest[f"attr{a}.tree{t}"])
-              for t in range(int(config["forest_trees"]))]
-             for a in range(int(config["k"]))]
     svm_weights = arrays["svm.weights"]
+    n_features = int(svm_weights.shape[1])
+    tree_names = [[f"forest.attr{a}.tree{t}" for t in range(int(config["forest_trees"]))]
+                  for a in range(int(config["k"]))]
+    _check_trees(arrays, [name for row in tree_names for name in row], n_features)
+    trees = [[_tree_from_array(arrays[name]) for name in row] for row in tree_names]
     return ModelBundle(
         config=config, nets=nets, heads=heads,
         patch_weights=PatchWeights(arrays["patch_weights"]),
         stage2_mlp=assemble_mlp_head(groups["stage2_mlp"]),
-        forest=Forest(trees=trees, n_features=int(svm_weights.shape[1])),
+        forest=Forest(trees=trees, n_features=n_features),
         svm=LinearSvm(weights=svm_weights, biases=arrays["svm.biases"].reshape(-1),
                       reg=float(config["svm_reg"])))
 
@@ -174,6 +210,8 @@ def load_bundle(path) -> ModelBundle:
         bundle = _assemble(header["config"], arrays)
     except KeyError as exc:
         raise FormatError(f"{path}: missing array {exc}") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     except (IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: inconsistent arrays or config: {exc}") from None
     expected = {name for name, _ in _enumerate_arrays(bundle)}

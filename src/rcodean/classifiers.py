@@ -2,7 +2,8 @@
 linear SVM, and the per-attribute majority vote that fuses them.
 
 Conventions differ by family on purpose. Heads follow the network code
-and take column-sample matrices (dim, n); the forest and SVM follow the
+and take column-sample matrices (dim, n): a ``Mat`` at ``head_score`` and
+``head_train``, plain ndarrays inside. The forest and SVM follow the
 usual classifier convention of row-sample matrices (n, dim). Labels are
 always (n, k) arrays over {0, 1}, one column per attribute.
 """
@@ -50,16 +51,15 @@ class MlpHead:
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for i, layer in enumerate(self.layers):
-            out.append((f"layer{i}.weight", layer.weight.a))
-            out.append((f"layer{i}.bias", layer.bias.a))
+            out.append((f"layer{i}.weight", layer.weight))
+            out.append((f"layer{i}.bias", layer.bias))
         return out
 
 
 def assemble_mlp_head(arrays) -> MlpHead:
     """Build a head around the arrays named as ``MlpHead.parameters()``
     names them; the arrays are used as they are, not copied."""
-    return MlpHead([DenseLayer(Mat(arrays[f"layer{i}.weight"], copy=False),
-                               Mat(arrays[f"layer{i}.bias"], copy=False),
+    return MlpHead([DenseLayer(arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"],
                                act, name=f"head{i}")
                     for i, act in enumerate(HEAD_ACTS)])
 
@@ -85,7 +85,7 @@ def zero_mlp_head(in_dim: int, k: int) -> MlpHead:
     return head
 
 
-def _head_forward(head: MlpHead, x: Mat) -> list[LayerCache]:
+def _head_forward(head: MlpHead, x: np.ndarray) -> list[LayerCache]:
     caches = []
     current = x
     for layer in head.layers:
@@ -99,7 +99,7 @@ def head_score(head: MlpHead, code: Mat) -> Mat:
     """Per-attribute probabilities for one or more code columns."""
     if code.rows != head.in_dim:
         raise ShapeError(f"code has {code.rows} rows, head expects {head.in_dim}")
-    return _head_forward(head, code)[-1].output
+    return Mat(_head_forward(head, code.a)[-1].output, copy=False)
 
 
 def _bce(probs: np.ndarray, y: np.ndarray) -> float:
@@ -107,7 +107,7 @@ def _bce(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p), axis=0)))
 
 
-def head_loss_and_grads(head: MlpHead, x: Mat, y: np.ndarray):
+def head_loss_and_grads(head: MlpHead, x: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy summed over attributes, with gradients.
 
     The output layer is differentiated at its pre-activation, where the
@@ -115,18 +115,14 @@ def head_loss_and_grads(head: MlpHead, x: Mat, y: np.ndarray):
     finite even at saturated probabilities.
     """
     caches = _head_forward(head, x)
-    probs = caches[-1].output.a
-    n = x.cols
+    probs = caches[-1].output
     loss = _bce(probs, y)
     grads: dict[str, np.ndarray] = {}
-    delta = Mat((probs - y) / n, copy=False)
-    grad_in, gw, gb, _ = dense_backward_preact(head.layers[2], caches[2], delta)
-    grads["layer2.weight"], grads["layer2.bias"] = gw.a, gb.a
-    upstream = grad_in
+    upstream, grads["layer2.weight"], grads["layer2.bias"], _ = dense_backward_preact(
+        head.layers[2], caches[2], (probs - y) / x.shape[1])
     for i in (1, 0):
-        grad_in, gw, gb, _ = dense_backward(head.layers[i], caches[i], upstream)
-        grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = gw.a, gb.a
-        upstream = grad_in
+        upstream, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"], _ = dense_backward(
+            head.layers[i], caches[i], upstream)
     return loss, grads
 
 
@@ -149,7 +145,7 @@ def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
     y = labels.T
     state = AdamState(lr=lr)
     for _ in range(epochs):
-        _, grads = head_loss_and_grads(head, features, y)
+        _, grads = head_loss_and_grads(head, features.a, y)
         adam_step(state, head.parameters(), grads)
     return head
 

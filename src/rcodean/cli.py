@@ -101,7 +101,14 @@ def _resolve_run_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        settings.update(json.loads(path.read_text()))
+        try:
+            loaded = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"config file {path} is not readable JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {path} holds a JSON "
+                             f"{type(loaded).__name__}, not an object")
+        settings.update(loaded)
     pipe_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     pipe_kwargs = {k: v for k, v in settings.items() if k in pipe_fields}
     run_kwargs = {k: v for k, v in settings.items()

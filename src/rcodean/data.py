@@ -118,7 +118,9 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
     try:
         count = int(lines[0].strip())
     except ValueError:
-        raise ParseError(f"expected a record count, got {lines[0]!r}", line=1) from None
+        count = -1
+    if count < 0:
+        raise ParseError(f"expected a record count, got {lines[0]!r}", line=1)
     if len(lines) < 2:
         raise ParseError("missing attribute-name header", line=2)
     names = lines[1].split()

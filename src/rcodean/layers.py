@@ -3,7 +3,8 @@
 Layers consume and produce column-sample matrices: an input of shape
 (in_dim, n) holds n samples side by side. The bias column is added to
 every sample column; with n == 1 all gradient formulas reduce to the
-single-sample chain rule exactly.
+single-sample chain rule exactly. Everything here is a plain float64
+ndarray; shapes are checked, never broadcast.
 """
 
 from __future__ import annotations
@@ -13,40 +14,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import ACTIVATION_KINDS, Mat, activation
+from .tensor import ACTIVATION_KINDS, activation
 
 
 @dataclass
 class DenseLayer:
-    weight: Mat  # (out_dim, in_dim)
-    bias: Mat    # (out_dim, 1)
+    weight: np.ndarray  # (out_dim, in_dim)
+    bias: np.ndarray    # (out_dim, 1)
     act: str
     name: str = "dense"
 
     def __post_init__(self):
-        if self.bias.rows != self.weight.rows or self.bias.cols != 1:
-            raise ShapeError(
-                f"layer {self.name}: bias shape {self.bias.shape} does not match "
-                f"weight rows {self.weight.rows}"
-            )
+        w, b = self.weight.shape, self.bias.shape
+        if len(w) != 2 or min(w) < 1 or b != (w[0], 1):
+            raise ShapeError(f"layer {self.name}: weight {w} and bias {b} are not "
+                             f"(out_dim, in_dim) and (out_dim, 1)")
         if self.act not in ACTIVATION_KINDS:
             raise ValueError(f"layer {self.name}: unknown activation {self.act!r}")
 
     @property
     def in_dim(self) -> int:
-        return self.weight.cols
+        return self.weight.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.rows
+        return self.weight.shape[0]
 
 
 @dataclass
 class LayerCache:
     """Forward-pass bookkeeping needed by the backward pass."""
-    input: Mat
-    pre_activation: Mat
-    output: Mat
+    input: np.ndarray
+    pre_activation: np.ndarray
+    output: np.ndarray
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -58,30 +58,31 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 def init_dense(in_dim: int, out_dim: int, act: str, rng: np.random.Generator,
                name: str = "dense") -> DenseLayer:
     """Glorot-uniform weights, zero bias."""
-    return DenseLayer(Mat(glorot_uniform(rng, out_dim, in_dim), copy=False),
-                      Mat.zeros(out_dim, 1), act, name)
+    return DenseLayer(glorot_uniform(rng, out_dim, in_dim), np.zeros((out_dim, 1)),
+                      act, name)
 
 
-def dense_forward(layer: DenseLayer, x: Mat, skip_in: Mat | None = None) -> LayerCache:
+def dense_forward(layer: DenseLayer, x: np.ndarray,
+                  skip_in: np.ndarray | None = None) -> LayerCache:
     """z = W x + b + skip_in (skip added pre-activation); output = act(z)."""
-    if x.rows != layer.in_dim:
+    if x.ndim != 2 or x.shape[0] != layer.in_dim:
         raise ShapeError(
-            f"layer {layer.name}: input has {x.rows} rows, expected {layer.in_dim}"
+            f"layer {layer.name}: input shape {x.shape} does not have "
+            f"{layer.in_dim} rows"
         )
-    z = layer.weight.a @ x.a + layer.bias.a
+    z = layer.weight @ x + layer.bias
     if skip_in is not None:
         if skip_in.shape != z.shape:
             raise ShapeError(
                 f"layer {layer.name}: skip input shape {skip_in.shape} does not "
                 f"match pre-activation shape {z.shape}"
             )
-        z = z + skip_in.a
-    zm = Mat(z, copy=False)
-    return LayerCache(input=x, pre_activation=zm, output=activation(zm, layer.act))
+        z = z + skip_in
+    return LayerCache(input=x, pre_activation=z, output=activation(z, layer.act))
 
 
 def dense_backward(layer: DenseLayer, cache: LayerCache,
-                   grad_out: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+                   grad_out: np.ndarray) -> tuple[np.ndarray, ...]:
     """Chain rule through one layer.
 
     delta = grad_out * act'(z). Returns (grad_in, grad_weight, grad_bias,
@@ -93,12 +94,12 @@ def dense_backward(layer: DenseLayer, cache: LayerCache,
             f"layer {layer.name}: grad_out shape {grad_out.shape} does not match "
             f"output shape {cache.output.shape}"
         )
-    delta = grad_out.a * activation(cache.pre_activation, layer.act, "derivative").a
+    delta = grad_out * activation(cache.pre_activation, layer.act, "derivative")
     return _grads_from_delta(layer, cache, delta)
 
 
 def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
-                          delta: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+                          delta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Backward step given the gradient at the pre-activation directly.
 
     Used where the loss-activation pair has a simplified combined gradient
@@ -109,12 +110,11 @@ def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
             f"layer {layer.name}: delta shape {delta.shape} does not match "
             f"pre-activation shape {cache.pre_activation.shape}"
         )
-    return _grads_from_delta(layer, cache, delta.a)
+    return _grads_from_delta(layer, cache, delta)
 
 
 def _grads_from_delta(layer, cache, delta):
-    grad_weight = delta @ cache.input.a.T
+    grad_weight = delta @ cache.input.T
     grad_bias = delta.sum(axis=1, keepdims=True)
-    grad_in = layer.weight.a.T @ delta
-    return (Mat(grad_in, copy=False), Mat(grad_weight, copy=False),
-            Mat(grad_bias, copy=False), Mat(delta))
+    grad_in = layer.weight.T @ delta
+    return grad_in, grad_weight, grad_bias, delta

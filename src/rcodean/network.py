@@ -17,7 +17,8 @@ The cosine term uses true (unsquared) L2 norms, so it is the cosine of
 the angle between input and reconstruction and is invariant to positive
 rescaling of either vector; the Euclidean term is not. Everything here
 supports column-batched inputs: the two data terms are means over the
-sample columns, the regularizer is per-network.
+sample columns, the regularizer is per-network. The input, the
+reconstruction and the code are ``Mat``s; everything else is an ndarray.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SkipSpec:
     src: str
     dst: str
     kind: str  # "cross" or "symmetric"
-    projection: Mat | None = None
+    projection: np.ndarray | None = None
 
     @property
     def name(self) -> str:
@@ -153,11 +154,11 @@ class RCodeanNet:
         out = []
         for lid in LAYER_ORDER:
             layer = self.layer(lid)
-            out.append((f"{lid}.weight", layer.weight.a))
-            out.append((f"{lid}.bias", layer.bias.a))
+            out.append((f"{lid}.weight", layer.weight))
+            out.append((f"{lid}.bias", layer.bias))
         for spec in self.skips:
             if spec.projection is not None:
-                out.append((f"skip.{spec.name}.projection", spec.projection.a))
+                out.append((f"skip.{spec.name}.projection", spec.projection))
         return out
 
 
@@ -165,14 +166,11 @@ def assemble_rcodean(arrays, skip_layout, params: CodeanParams) -> RCodeanNet:
     """Build a net around the arrays named as ``RCodeanNet.parameters()``
     names them. The arrays are used as they are, not copied; a shortcut
     gets a projection exactly when its array is present."""
-    layers = [DenseLayer(Mat(arrays[f"{lid}.weight"], copy=False),
-                         Mat(arrays[f"{lid}.bias"], copy=False), LAYER_ACTS[lid], name=lid)
+    layers = [DenseLayer(arrays[f"{lid}.weight"], arrays[f"{lid}.bias"], LAYER_ACTS[lid],
+                         name=lid)
               for lid in LAYER_ORDER]
-    skips = []
-    for src, dst, kind in skip_layout:
-        proj = arrays.get(f"skip.{src}->{dst}.projection")
-        skips.append(SkipSpec(src, dst, kind,
-                              None if proj is None else Mat(proj, copy=False)))
+    skips = [SkipSpec(src, dst, kind, arrays.get(f"skip.{src}->{dst}.projection"))
+             for src, dst, kind in skip_layout]
     return RCodeanNet(encoder=layers[:3], decoder=layers[3:], skips=skips, params=params)
 
 
@@ -205,12 +203,9 @@ class NetForward:
     caches: dict[str, LayerCache]
 
 
-def _skip_contribution(spec: SkipSpec, src_out: Mat,
+def _skip_contribution(spec: SkipSpec, src_out: np.ndarray,
                        dst_shape: tuple[int, int]) -> np.ndarray:
-    if spec.projection is not None:
-        contrib = spec.projection.a @ src_out.a
-    else:
-        contrib = src_out.a
+    contrib = src_out if spec.projection is None else spec.projection @ src_out
     if contrib.shape != dst_shape:
         raise ConfigError(
             f"skip {spec.name}: contribution shape {contrib.shape} does not match "
@@ -219,21 +214,20 @@ def _skip_contribution(spec: SkipSpec, src_out: Mat,
     return contrib
 
 
-def _forward_caches(net: RCodeanNet, x: Mat, last: str) -> dict[str, LayerCache]:
+def _forward_caches(net: RCodeanNet, x: np.ndarray, last: str) -> dict[str, LayerCache]:
     """Run the stack from enc1 through layer ``last``."""
-    if x.rows != net.input_dim:
-        raise ShapeError(f"input has {x.rows} rows, expected {net.input_dim}")
+    if x.shape[0] != net.input_dim:
+        raise ShapeError(f"input has {x.shape[0]} rows, expected {net.input_dim}")
     caches: dict[str, LayerCache] = {}
     current = x
     for lid in LAYER_ORDER[:LAYER_ORDER.index(last) + 1]:
         layer = net.layer(lid)
         skip_in = None
         if net.incoming[lid]:
-            total = np.zeros((layer.out_dim, current.cols))
+            skip_in = np.zeros((layer.out_dim, current.shape[1]))
             for spec in net.incoming[lid]:
-                total += _skip_contribution(spec, caches[spec.src].output,
-                                            total.shape)
-            skip_in = Mat(total, copy=False)
+                skip_in += _skip_contribution(spec, caches[spec.src].output,
+                                              skip_in.shape)
         cache = dense_forward(layer, current, skip_in)
         caches[lid] = cache
         current = cache.output
@@ -242,19 +236,19 @@ def _forward_caches(net: RCodeanNet, x: Mat, last: str) -> dict[str, LayerCache]
 
 def net_forward(net: RCodeanNet, x: Mat) -> NetForward:
     """Run the full stack; x columns are samples of normalized pixels."""
-    caches = _forward_caches(net, x, "dec3")
-    return NetForward(reconstruction=caches["dec3"].output,
-                      code=caches["enc3"].output, caches=caches)
+    caches = _forward_caches(net, x.a, "dec3")
+    return NetForward(reconstruction=Mat(caches["dec3"].output, copy=False),
+                      code=Mat(caches["enc3"].output, copy=False), caches=caches)
 
 
 def encode(net: RCodeanNet, x: Mat) -> Mat:
     """Learned representation: the third encoder layer's output, including
     any incoming shortcut contributions."""
-    return _forward_caches(net, x, "enc3")["enc3"].output
+    return Mat(_forward_caches(net, x.a, "enc3")["enc3"].output, copy=False)
 
 
 def _encoder_l1(net: RCodeanNet) -> float:
-    return float(sum(np.sum(np.abs(net.layer(lid).weight.a)) for lid in ENCODER_IDS))
+    return float(sum(np.sum(np.abs(net.layer(lid).weight)) for lid in ENCODER_IDS))
 
 
 def codean_loss(net: RCodeanNet, x: Mat, reconstruction: Mat) -> CodeanLoss:
@@ -318,26 +312,21 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict
     # sources always precede destinations, so by the time a layer is processed
     # every shortcut leaving it has already deposited its contribution
     out_grad: dict[str, np.ndarray | None] = {lid: None for lid in LAYER_ORDER}
-    out_grad["dec3"] = _reconstruction_grad(net, x.a, recon.a)
+    out_grad["dec3"] = _reconstruction_grad(net, x.a, recon)
 
     for pos in range(len(LAYER_ORDER) - 1, -1, -1):
         lid = LAYER_ORDER[pos]
         layer = net.layer(lid)
-        g_out = out_grad[lid]
-        if g_out is None:  # defensive; the fixed chain topology always feeds every layer
-            g_out = np.zeros_like(caches[lid].output.a)
-        grad_in, grad_w, grad_b, grad_skip = dense_backward(
-            layer, caches[lid], Mat(g_out, copy=False))
-        grads[f"{lid}.weight"] = grad_w.a
-        grads[f"{lid}.bias"] = grad_b.a
-        # grad_skip is the gradient at this layer's pre-activation, which is
-        # exactly what each incoming shortcut contributed to
-        delta = grad_skip.a
+        # delta is the gradient at this layer's pre-activation, which is
+        # exactly what each incoming shortcut contributed to; the chain
+        # feeds every layer's output gradient before its turn
+        grad_in, grads[f"{lid}.weight"], grads[f"{lid}.bias"], delta = dense_backward(
+            layer, caches[lid], out_grad[lid])
         for spec in net.incoming[lid]:
-            src_out = caches[spec.src].output.a
+            src_out = caches[spec.src].output
             if spec.projection is not None:
                 grads[f"skip.{spec.name}.projection"] = delta @ src_out.T
-                extra = spec.projection.a.T @ delta
+                extra = spec.projection.T @ delta
             else:
                 extra = delta
             if out_grad[spec.src] is None:
@@ -347,15 +336,15 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict
         if pos > 0:
             prev = LAYER_ORDER[pos - 1]
             if out_grad[prev] is None:
-                out_grad[prev] = grad_in.a.copy()
+                out_grad[prev] = grad_in.copy()
             else:
-                out_grad[prev] += grad_in.a
+                out_grad[prev] += grad_in
 
     # L1 penalty on encoder weights
     lam = net.params.lam
     if lam != 0.0:
         for lid in ENCODER_IDS:
-            grads[f"{lid}.weight"] += lam * np.sign(net.layer(lid).weight.a)
+            grads[f"{lid}.weight"] += lam * np.sign(net.layer(lid).weight)
     return grads
 
 
@@ -402,11 +391,11 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
         fwd = net_forward(net, x)
         near_kink = any(
             net.layer(lid).act == "relu"
-            and np.abs(fwd.caches[lid].pre_activation.a).min() < 1e-3
+            and np.abs(fwd.caches[lid].pre_activation).min() < 1e-3
             for lid in LAYER_ORDER
         )
         near_crease = any(
-            np.abs(net.layer(lid).weight.a).min() < 1e-4 for lid in ENCODER_IDS
+            np.abs(net.layer(lid).weight).min() < 1e-4 for lid in ENCODER_IDS
         )
         r_norm = float(np.linalg.norm(fwd.reconstruction.a))
         if not near_kink and not near_crease and r_norm > 1e-6:

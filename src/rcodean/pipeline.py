@@ -12,8 +12,10 @@ that the MLP, forest, and SVM consume before the final majority vote.
 from __future__ import annotations
 
 import logging
+import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -110,6 +112,23 @@ class PipelineConfig:
     svm_reg: float = 1e-4
     jobs: int = 1
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if isinstance(f.default, int) else numbers.Real
+            if not (isinstance(value, kind) and abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{f.name} must be a finite {type(f.default).__name__}, "
+                                  f"got {value!r}")
+        # below these a run crashes, or the forest has no trees to average
+        for name, low in (("l", 1), ("batch_size", 1), ("patience", 1), ("seed", 0),
+                          ("forest_trees", 1), ("jobs", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "svm_reg"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        self.codean_params()  # checks alpha, beta and lam
+
     def codean_params(self) -> CodeanParams:
         return CodeanParams(alpha=self.alpha, beta=self.beta, lam=self.lam)
 
@@ -135,10 +154,10 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
     state = AdamState(lr=cfg.lr)
     sched = PlateauScheduler(lr=cfg.lr, patience=cfg.patience, min_lr=cfg.min_lr)
     params = net.parameters()
+    x_all = Mat(X, copy=False)
 
     def full_batch_stats(epoch: int) -> EpochStats:
-        xm = Mat(X)
-        loss = codean_loss(net, xm, net_forward(net, xm).reconstruction)
+        loss = codean_loss(net, x_all, net_forward(net, x_all).reconstruction)
         return EpochStats(epoch, loss.total, loss.euc, loss.cos, loss.reg, state.lr)
 
     history = [full_batch_stats(0)]
@@ -147,7 +166,7 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
         sums = np.zeros(4)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = Mat(X[:, idx])
+            batch = Mat(X[:, idx], copy=False)
             loss, grads = loss_and_grads(net, batch)
             adam_step(state, params, grads)
             sums += np.array([loss.total, loss.euc, loss.cos, loss.reg]) * len(idx)
@@ -169,7 +188,7 @@ def _train_one_source(source: int, X_ae: np.ndarray, labels_ae: np.ndarray,
     net = build_rcodean(SOURCE_DIMS[source], cfg.l, cfg.codean_params(),
                         seed=[cfg.seed, source])
     history = train_autoencoder(net, X_ae, cfg, seed=[cfg.seed, 1000 + source])
-    codes = encode(net, Mat(X_ae))
+    codes = encode(net, Mat(X_ae, copy=False))
     head = head_train(codes, labels_ae, epochs=cfg.head_epochs,
                       seed=[cfg.seed, 2000 + source], lr=cfg.head_lr)
     log.info("source %d trained: loss %.5f -> %.5f", source,
@@ -217,7 +236,7 @@ def score_images(models, images: np.ndarray) -> np.ndarray:
     n = images.shape[0]
     out = np.empty((n, N_SOURCES, k))
     for s, (net, head) in enumerate(models):
-        probs = head_score(head, encode(net, Mat(sources[s])))
+        probs = head_score(head, encode(net, Mat(sources[s], copy=False)))
         out[:, s, :] = probs.a.T
     return out
 
@@ -348,7 +367,7 @@ def train_full(dataset: AttributeDataset,
     weights = learn_patch_weights(scores, labels_clf,
                                   steps=cfg.weight_steps, lr=cfg.weight_lr)
     feats = build_stage2_features(scores, weights)
-    stage2_mlp = head_train(Mat(feats.T), labels_clf, epochs=cfg.head_epochs,
+    stage2_mlp = head_train(Mat(feats.T, copy=False), labels_clf, epochs=cfg.head_epochs,
                             seed=[cfg.seed, 3000], lr=cfg.head_lr)
     forest = forest_train(feats, labels_clf, trees_per_attr=cfg.forest_trees,
                           max_depth=cfg.forest_depth, seed=cfg.seed)
@@ -366,7 +385,7 @@ def train_full(dataset: AttributeDataset,
 
 def _classifier_probs(bundle: ModelBundle, feats: np.ndarray):
     """(mlp, forest, svm) probability-like outputs for (n, 10k) features."""
-    mlp = head_score(bundle.stage2_mlp, Mat(feats.T)).a.T
+    mlp = head_score(bundle.stage2_mlp, Mat(feats.T, copy=False)).a.T
     forest = forest_predict_proba(bundle.forest, feats)
     svm = _sigmoid(svm_decision(bundle.svm, feats))
     return mlp, forest, svm

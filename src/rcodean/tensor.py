@@ -1,9 +1,12 @@
 """Dense float64 matrix type and the entrywise activations.
 
-``Mat`` is the validated 2-D value the layers pass around: construction
-checks dimensionality and finiteness. The only sanctioned in-place
-mutation anywhere in the package is the optimizer's documented parameter
-update.
+``Mat`` is the validated 2-D value entering or leaving a model;
+construction checks dimensionality and finiteness. Everything computed
+inside a model is a plain float64 ndarray and is not re-checked: a NaN
+made there is caught when the model's result becomes a ``Mat``, or by
+the optimizer's gradient and epoch-loss checks. The only sanctioned
+in-place mutation anywhere in the package is the optimizer's documented
+parameter update.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ class Mat:
     """2-D row-major matrix of 64-bit reals.
 
     Wraps a C-contiguous ``np.ndarray`` exposed as ``.a``. Construction
-    validates dimensionality and finiteness, so any NaN/Inf produced by
-    an operation surfaces immediately instead of propagating.
+    validates dimensionality and finiteness, so a NaN/Inf is refused where
+    a value enters or leaves a model.
     """
 
     __slots__ = ("a",)
@@ -73,7 +76,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def activation(z: Mat, kind: str, mode: str = "value") -> Mat:
+def activation(z: np.ndarray, kind: str, mode: str = "value") -> np.ndarray:
     """Entrywise activation value or derivative.
 
     relu derivative at exactly 0 is defined as 0 (subgradient choice,
@@ -83,15 +86,14 @@ def activation(z: Mat, kind: str, mode: str = "value") -> Mat:
         raise ValueError(f"unknown activation kind {kind!r}")
     if mode not in ("value", "derivative"):
         raise ValueError(f"unknown activation mode {mode!r}")
-    x = z.a
     if kind == "relu":
-        out = np.maximum(x, 0.0) if mode == "value" else (x > 0).astype(np.float64)
+        out = np.maximum(z, 0.0) if mode == "value" else (z > 0).astype(np.float64)
     elif kind == "sigmoid":
-        s = _sigmoid(x)
+        s = _sigmoid(z)
         out = s if mode == "value" else s * (1.0 - s)
     elif kind == "tanh":
-        t = np.tanh(x)
+        t = np.tanh(z)
         out = t if mode == "value" else 1.0 - t * t
     else:  # linear
-        out = x.copy() if mode == "value" else np.ones_like(x)
-    return Mat(out, copy=False)
+        out = z.copy() if mode == "value" else np.ones_like(z)
+    return out

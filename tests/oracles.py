@@ -16,9 +16,9 @@ def straight_line_forward(net, x):
     layers, relu on all but the last (linear), each shortcut adding
     (projection @ source_output) to the destination pre-activation."""
     order = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
-    W = {lid: net.layer(lid).weight.a for lid in order}
-    b = {lid: net.layer(lid).bias.a for lid in order}
-    proj = {s.name: (s.projection.a if s.projection is not None else None)
+    W = {lid: net.layer(lid).weight for lid in order}
+    b = {lid: net.layer(lid).bias for lid in order}
+    proj = {s.name: (s.projection if s.projection is not None else None)
             for s in net.skips}
     by_dst = {}
     for s in net.skips:

@@ -91,8 +91,8 @@ def test_criterion_03_plain_autoencoder_reduction():
         net = build_rcodean(10, 6, CodeanParams(alpha=1.0, beta=0.0, lam=0.0),
                             seed=seed, skip_layout=())
         order = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
-        plain = PlainMseAutoencoder([net.layer(l).weight.a for l in order],
-                                    [net.layer(l).bias.a for l in order])
+        plain = PlainMseAutoencoder([net.layer(l).weight for l in order],
+                                    [net.layer(l).bias for l in order])
         for _ in range(5):
             x = rng.uniform(size=(10, 1))
             loss, grads = loss_and_grads(net, Mat(x))
@@ -112,10 +112,10 @@ def test_criterion_03_plain_autoencoder_reduction():
 def test_criterion_04_residual_passthrough():
     t0 = time.time()
     rng = np.random.default_rng(4)
-    layer = DenseLayer(Mat.zeros(16, 16), Mat.zeros(16, 1), "relu", "block")
-    x = Mat(rng.uniform(0.0, 2.0, size=(16, 1)))
+    layer = DenseLayer(np.zeros((16, 16)), np.zeros((16, 1)), "relu", "block")
+    x = rng.uniform(0.0, 2.0, size=(16, 1))
     out = dense_forward(layer, x, skip_in=x).output
-    exact = np.array_equal(out.a, x.a)
+    exact = np.array_equal(out, x)
     # and through the whole network: zero parameters + identity skips on
     # the equal-dimension shortcuts leave any nonnegative code unchanged
     seconds = time.time() - t0

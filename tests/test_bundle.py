@@ -124,6 +124,64 @@ def test_tree_count_comes_from_config(trained, tmp_path):
         load_bundle(p)
 
 
+def _replace_tree(rows):
+    """Swap forest.attr0.tree0 for a tree of the given [feature, threshold,
+    left, right, prob] rows; ``N`` in a row stands for the feature count."""
+    def mutate(header, chunks):
+        entries = {e["name"]: e for e in header["arrays"]}
+        n_features = entries["svm.weights"]["shape"][1]
+        arr = np.array([[n_features if v == "N" else v for v in row] for row in rows],
+                       dtype="<f8")
+        entries["forest.attr0.tree0"]["shape"] = list(arr.shape)
+        chunks["forest.attr0.tree0"] = struct.pack("<Q", arr.size) + arr.tobytes()
+    return mutate
+
+
+_LEAF0, _LEAF1 = [-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 1.0]
+
+
+def test_well_formed_replacement_tree_loads(trained, tmp_path):
+    _, _, path = trained
+    p = rewrite_bundle(path, tmp_path / "ok.rcbn",
+                       _replace_tree([[0, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1]))
+    tree = load_bundle(p).forest.trees[0][0]
+    assert tree.left.tolist() == [1, -1, -1] and tree.right.tolist() == [2, -1, -1]
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0.5, 0, 0, 0.5], _LEAF0, _LEAF1],
+    [[0, 0.5, 1, 3, 0.5], _LEAF0, _LEAF1],
+    [["N", 0.5, 1, 2, 0.5], _LEAF0, _LEAF1],
+    [[-2, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1],
+    [[0, 0.5, 1, 2, 0.5], [-1, 0.0, 2, -1, 0.0], _LEAF1],
+    [[0, 0.5, 1.5, 2, 0.5], _LEAF0, _LEAF1],
+    [[0, 0.5, 1, 2, 0.5], _LEAF0, [-1, 0.0, -1, -1, 1.5]],
+    [[0, 0.5, 1, 2, 0.5, 0.0]],
+], ids=["self-loop", "child-past-end", "feature-too-large", "feature-below-leaf",
+        "leaf-with-child", "fractional-child", "prob-above-one", "six-columns"])
+def test_malformed_tree_is_format_error(trained, tmp_path, rows):
+    # load only: at the parent a self-loop loads and then hangs in predict
+    _, _, path = trained
+    p = rewrite_bundle(path, tmp_path / "bad.rcbn", _replace_tree(rows))
+    with pytest.raises(FormatError, match="forest.attr0.tree0"):
+        load_bundle(p)
+
+
+@pytest.mark.parametrize("name", ["svm.weights", "forest.attr0.tree0", "net0.enc1.weight",
+                                  "head2.layer0.bias"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_array_is_format_error(trained, tmp_path, name, value):
+    def mutate(header, chunks):
+        chunk = bytearray(chunks[name])
+        chunk[8:16] = struct.pack("<d", value)
+        chunks[name] = bytes(chunk)
+
+    _, _, path = trained
+    p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)
+    with pytest.raises(FormatError, match=f"{name} has non-finite"):
+        load_bundle(p)
+
+
 def test_loaded_arrays_are_private_and_writeable(trained):
     _, _, path = trained
     loaded = load_bundle(path)

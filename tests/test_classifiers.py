@@ -92,7 +92,7 @@ def test_assemble_from_named_parameters_rebuilds_the_head():
 def test_head_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
     head = build_mlp_head(5, 2, seed=14)
-    x = Mat(rng.normal(size=(5, 4)))
+    x = rng.normal(size=(5, 4))
     y = rng.integers(0, 2, size=(2, 4)).astype(np.float64)
     h = 1e-6
     while True:  # keep relu pre-activations away from kinks
@@ -101,7 +101,7 @@ def test_head_gradients_match_finite_differences():
         from rcodean.layers import dense_forward
         for layer in head.layers:
             c = dense_forward(layer, cur)
-            zs.append(np.abs(c.pre_activation.a).min())
+            zs.append(np.abs(c.pre_activation).min())
             cur = c.output
         if min(zs[:2]) > 1e-3:
             break

@@ -70,6 +70,21 @@ def test_train_missing_dataset(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "dataset not found" in capsys.readouterr().err
+    # bad settings and config files are refused the same way, before training
+    (tmp_path / "truncated.json").write_text('{"l": 8, "epochs"')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    synthetic = ["--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
+                 "--out", str(tmp_path / "o"), *TRAIN_FLAGS]
+    for extra, message in [(["--batch-size", "0"], "batch_size"),
+                           (["--l", "0"], "l must be"),
+                           (["--svm-reg", "0"], "svm_reg"),
+                           (["--config", str(tmp_path / "truncated.json")], "JSON"),
+                           (["--config", str(tmp_path / "list.json")], "not an object")]:
+        rc = main(["train", *synthetic, *extra])
+        assert rc == 2, extra
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:") and message in err, err
+        assert "Traceback" not in err
 
 
 def test_eval_outputs(run_dir, synth_dir, tmp_path):

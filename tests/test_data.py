@@ -41,10 +41,11 @@ def test_attr_list_declared_count_too_large(tmp_path):
 
 
 def test_attr_list_bad_count_line(tmp_path):
-    path = _write_list(tmp_path, "x\nA\na.pgm 1\n")
-    with pytest.raises(ParseError) as err:
-        load_attr_list(path, tmp_path)
-    assert err.value.line == 1
+    for count in ("x", "-3"):
+        path = _write_list(tmp_path, f"{count}\nA\na.pgm 1\n")
+        with pytest.raises(ParseError) as err:
+            load_attr_list(path, tmp_path)
+        assert err.value.line == 1
 
 
 def test_attr_list_proportional_split(tmp_path):

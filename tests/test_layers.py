@@ -4,24 +4,28 @@ import pytest
 from rcodean.errors import ShapeError
 from rcodean.layers import (DenseLayer, dense_backward, dense_forward,
                             dense_backward_preact, init_dense)
-from rcodean.tensor import Mat, activation
+from rcodean.tensor import activation
 
 
 def _layer(w, b, act, name="test"):
-    return DenseLayer(Mat(w), Mat(b), act, name)
+    return DenseLayer(np.array(w, dtype=np.float64), np.array(b, dtype=np.float64), act, name)
+
+
+def _column(values):
+    return np.array(values, dtype=np.float64).reshape(-1, 1)
 
 
 def test_forward_residual_passthrough_at_zero_weights():
     layer = _layer(np.zeros((3, 3)), np.zeros((3, 1)), "relu")
-    s = Mat.column([0.5, 0.0, 2.0])
-    cache = dense_forward(layer, Mat.column([9.0, 9.0, 9.0]), skip_in=s)
-    assert np.array_equal(cache.output.a, s.a)
+    s = _column([0.5, 0.0, 2.0])
+    cache = dense_forward(layer, _column([9.0, 9.0, 9.0]), skip_in=s)
+    assert np.array_equal(cache.output, s)
 
 
 def test_forward_identity_relu():
     layer = _layer(np.eye(2), np.zeros((2, 1)), "relu")
-    cache = dense_forward(layer, Mat.column([1.0, -1.0]))
-    assert cache.output.a.ravel().tolist() == [1.0, 0.0]
+    cache = dense_forward(layer, _column([1.0, -1.0]))
+    assert cache.output.ravel().tolist() == [1.0, 0.0]
 
 
 def test_forward_matches_recomputation_oracle():
@@ -32,60 +36,60 @@ def test_forward_matches_recomputation_oracle():
         x = rng.normal(size=(6, 3))
         skip = rng.normal(size=(4, 3))
         layer = _layer(w, b, act)
-        cache = dense_forward(layer, Mat(x), skip_in=Mat(skip))
+        cache = dense_forward(layer, x, skip_in=skip)
         z = w @ x + b + skip
-        assert np.allclose(cache.pre_activation.a, z, atol=0, rtol=1e-15)
-        assert np.allclose(cache.output.a, activation(Mat(z), act).a, atol=0, rtol=1e-15)
+        assert np.allclose(cache.pre_activation, z, atol=0, rtol=1e-15)
+        assert np.allclose(cache.output, activation(z, act), atol=0, rtol=1e-15)
 
 
 def test_forward_shape_error_names_layer():
     layer = init_dense(4, 3, "relu", np.random.default_rng(0), name="enc2")
     with pytest.raises(ShapeError, match="enc2"):
-        dense_forward(layer, Mat.zeros(5, 1))
+        dense_forward(layer, np.zeros((5, 1)))
     with pytest.raises(ShapeError, match="enc2"):
-        dense_forward(layer, Mat.zeros(4, 1), skip_in=Mat.zeros(2, 1))
+        dense_forward(layer, np.zeros((4, 1)), skip_in=np.zeros((2, 1)))
 
 
 def test_backward_zero_upstream_gradient():
     rng = np.random.default_rng(43)
     layer = init_dense(5, 4, "tanh", rng)
-    cache = dense_forward(layer, Mat(rng.normal(size=(5, 1))))
-    grad_in, gw, gb, gs = dense_backward(layer, cache, Mat.zeros(4, 1))
+    cache = dense_forward(layer, rng.normal(size=(5, 1)))
+    grad_in, gw, gb, gs = dense_backward(layer, cache, np.zeros((4, 1)))
     for g in (grad_in, gw, gb, gs):
-        assert np.count_nonzero(g.a) == 0
+        assert np.count_nonzero(g) == 0
 
 
 def test_backward_hand_computed_sigmoid():
     layer = _layer([[1.0]], [[0.0]], "sigmoid")
-    cache = dense_forward(layer, Mat([[0.0]]))
-    grad_in, gw, gb, gs = dense_backward(layer, cache, Mat([[1.0]]))
-    assert gw.a[0, 0] == 0.0       # delta * input = 0.25 * 0
-    assert gb.a[0, 0] == 0.25      # sigmoid'(0)
-    assert grad_in.a[0, 0] == 0.25
-    assert gs.a[0, 0] == 0.25
+    cache = dense_forward(layer, np.array([[0.0]]))
+    grad_in, gw, gb, gs = dense_backward(layer, cache, np.array([[1.0]]))
+    assert gw[0, 0] == 0.0       # delta * input = 0.25 * 0
+    assert gb[0, 0] == 0.25      # sigmoid'(0)
+    assert grad_in[0, 0] == 0.25
+    assert gs[0, 0] == 0.25
 
 
 def test_backward_grad_skip_equals_grad_bias():
     rng = np.random.default_rng(47)
     for _ in range(10):
         layer = init_dense(6, 3, "sigmoid", rng)
-        cache = dense_forward(layer, Mat(rng.normal(size=(6, 1))),
-                              skip_in=Mat(rng.normal(size=(3, 1))))
-        _, _, gb, gs = dense_backward(layer, cache, Mat(rng.normal(size=(3, 1))))
-        assert np.array_equal(gb.a, gs.a)
+        cache = dense_forward(layer, rng.normal(size=(6, 1)),
+                              skip_in=rng.normal(size=(3, 1)))
+        _, _, gb, gs = dense_backward(layer, cache, rng.normal(size=(3, 1)))
+        assert np.array_equal(gb, gs)
 
 
 def _fd_check(layer, x, skip, h=1e-6):
     """L = sum(output); finite differences over every parameter entry."""
     def loss():
-        return float(dense_forward(layer, x, skip_in=skip).output.a.sum())
+        return float(dense_forward(layer, x, skip_in=skip).output.sum())
 
     cache = dense_forward(layer, x, skip_in=skip)
-    ones = Mat(np.ones_like(cache.output.a))
+    ones = np.ones_like(cache.output)
     grad_in, gw, gb, gs = dense_backward(layer, cache, ones)
-    checks = [(layer.weight.a, gw.a), (layer.bias.a, gb.a), (x.a, grad_in.a)]
+    checks = [(layer.weight, gw), (layer.bias, gb), (x, grad_in)]
     if skip is not None:
-        checks.append((skip.a, gs.a))
+        checks.append((skip, gs))
     for arr, analytic in checks:
         flat = arr.reshape(-1)
         aflat = analytic.reshape(-1)
@@ -107,10 +111,10 @@ def test_backward_matches_finite_differences_random_layers():
     while done < 100:
         act = acts[done % len(acts)]
         layer = init_dense(5, 4, act, rng)
-        x = Mat(rng.normal(size=(5, 1)))
-        skip = Mat(rng.normal(size=(4, 1))) if done % 2 else None
+        x = rng.normal(size=(5, 1))
+        skip = rng.normal(size=(4, 1)) if done % 2 else None
         cache = dense_forward(layer, x, skip_in=skip)
-        if act == "relu" and np.abs(cache.pre_activation.a).min() < 1e-3:
+        if act == "relu" and np.abs(cache.pre_activation).min() < 1e-3:
             continue  # reject draws near the kink
         _fd_check(layer, x, skip)
         done += 1
@@ -119,29 +123,29 @@ def test_backward_matches_finite_differences_random_layers():
 def test_backward_batch_bias_sums_columns():
     rng = np.random.default_rng(59)
     layer = init_dense(3, 2, "linear", rng)
-    x = Mat(rng.normal(size=(3, 4)))
+    x = rng.normal(size=(3, 4))
     cache = dense_forward(layer, x)
-    g = Mat(rng.normal(size=(2, 4)))
+    g = rng.normal(size=(2, 4))
     _, _, gb, gs = dense_backward(layer, cache, g)
-    assert np.allclose(gb.a, gs.a.sum(axis=1, keepdims=True), rtol=1e-15)
+    assert np.allclose(gb, gs.sum(axis=1, keepdims=True), rtol=1e-15)
 
 
 def test_backward_preact_bypasses_activation_derivative():
     rng = np.random.default_rng(61)
     layer = init_dense(4, 2, "sigmoid", rng)
-    x = Mat(rng.normal(size=(4, 1)))
+    x = rng.normal(size=(4, 1))
     cache = dense_forward(layer, x)
-    delta = Mat(rng.normal(size=(2, 1)))
+    delta = rng.normal(size=(2, 1))
     grad_in, gw, gb, gs = dense_backward_preact(layer, cache, delta)
-    assert np.allclose(gw.a, delta.a @ x.a.T, rtol=1e-15)
-    assert np.allclose(grad_in.a, layer.weight.a.T @ delta.a, rtol=1e-15)
-    assert np.array_equal(gb.a, delta.a)
-    assert np.array_equal(gs.a, delta.a)
+    assert np.allclose(gw, delta @ x.T, rtol=1e-15)
+    assert np.allclose(grad_in, layer.weight.T @ delta, rtol=1e-15)
+    assert np.array_equal(gb, delta)
+    assert np.array_equal(gs, delta)
 
 
 def test_init_dense_bounds_and_zero_bias():
     rng = np.random.default_rng(67)
     layer = init_dense(30, 20, "relu", rng)
     bound = np.sqrt(6.0 / 50)
-    assert np.abs(layer.weight.a).max() <= bound
-    assert np.count_nonzero(layer.bias.a) == 0
+    assert np.abs(layer.weight).max() <= bound
+    assert np.count_nonzero(layer.bias) == 0

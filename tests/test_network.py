@@ -17,7 +17,7 @@ def test_forward_zero_parameters_give_zero_reconstruction():
         arr[:] = 0.0
     for spec in net.skips:
         if spec.projection is not None:
-            spec.projection.a[:] = 0.0
+            spec.projection[:] = 0.0
     out = net_forward(net, Mat(np.random.default_rng(0).uniform(size=(6, 1))))
     assert np.count_nonzero(out.reconstruction.a) == 0
     assert np.count_nonzero(out.code.a) == 0
@@ -30,8 +30,8 @@ def test_forward_without_skips_is_plain_stack():
     out = net_forward(net, Mat(x))
     a = x
     for lid in ("enc1", "enc2", "enc3", "dec1", "dec2"):
-        a = _relu(net.layer(lid).weight.a @ a + net.layer(lid).bias.a)
-    a = net.layer("dec3").weight.a @ a + net.layer("dec3").bias.a
+        a = _relu(net.layer(lid).weight @ a + net.layer(lid).bias)
+    a = net.layer("dec3").weight @ a + net.layer("dec3").bias
     assert np.allclose(out.reconstruction.a, a, rtol=1e-15, atol=0)
 
 
@@ -61,7 +61,7 @@ def test_skip_validation_errors():
     with pytest.raises(ConfigError, match="precede"):
         SkipSpec("dec1", "enc3", "cross")
     net = build_rcodean(6, 4, seed=4)
-    bad = SkipSpec("enc1", "enc3", "cross", projection=Mat.zeros(4, 4))
+    bad = SkipSpec("enc1", "enc3", "cross", projection=np.zeros((4, 4)))
     with pytest.raises(ConfigError, match="enc1->enc3"):
         RCodeanNet(net.encoder, net.decoder, [bad], net.params)
 
@@ -101,7 +101,7 @@ def test_input_dimension_check():
 def test_loss_perfect_reconstruction():
     net = build_rcodean(4, 3, CodeanParams(alpha=1.0, beta=1.0, lam=0.0), seed=7)
     for lid in ("enc1", "enc2", "enc3"):
-        net.layer(lid).weight.a[:] = 0.0
+        net.layer(lid).weight[:] = 0.0
     x = Mat.column([0.2, 0.5, 0.1, 0.9])
     loss = codean_loss(net, x, x)
     assert loss.euc == 0.0
@@ -173,9 +173,9 @@ def test_backward_mse_mode_matches_plain_autoencoder_oracle():
     net = build_rcodean(8, 5, CodeanParams(alpha=1.0, beta=0.0, lam=0.0),
                         seed=14, skip_layout=())
     plain = PlainMseAutoencoder(
-        [net.layer(lid).weight.a for lid in
+        [net.layer(lid).weight for lid in
          ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")],
-        [net.layer(lid).bias.a for lid in
+        [net.layer(lid).bias for lid in
          ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")])
     for _ in range(10):
         x = rng.uniform(size=(8, 1))

@@ -6,22 +6,22 @@ from rcodean.tensor import Mat, activation
 
 
 def test_activation_relu_definition():
-    out = activation(Mat([[-1.0, 0.0, 2.0]]), "relu")
-    assert out.a.tolist() == [[0.0, 0.0, 2.0]]
-    deriv = activation(Mat([[-1.0, 0.0, 2.0]]), "relu", "derivative")
-    assert deriv.a.tolist() == [[0.0, 0.0, 1.0]]
+    out = activation(np.array([[-1.0, 0.0, 2.0]]), "relu")
+    assert out.tolist() == [[0.0, 0.0, 2.0]]
+    deriv = activation(np.array([[-1.0, 0.0, 2.0]]), "relu", "derivative")
+    assert deriv.tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_activation_sigmoid_analytic_values():
-    z = Mat([[0.0]])
-    assert activation(z, "sigmoid").a[0, 0] == 0.5
-    assert activation(z, "sigmoid", "derivative").a[0, 0] == 0.25
+    z = np.array([[0.0]])
+    assert activation(z, "sigmoid")[0, 0] == 0.5
+    assert activation(z, "sigmoid", "derivative")[0, 0] == 0.25
 
 
 def test_activation_sigmoid_stable_at_extremes():
-    out = activation(Mat([[-800.0, 800.0]]), "sigmoid")
-    assert out.a[0, 0] == 0.0
-    assert out.a[0, 1] == 1.0
+    out = activation(np.array([[-800.0, 800.0]]), "sigmoid")
+    assert out[0, 0] == 0.0
+    assert out[0, 1] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh", "linear"])
@@ -31,10 +31,10 @@ def test_activation_derivative_matches_finite_differences(kind):
     if kind == "relu":
         z = z[np.abs(z) > 1e-3]  # fd straddles the kink otherwise
     h = 1e-5
-    up = activation(Mat(z.reshape(1, -1) + h), kind).a
-    down = activation(Mat(z.reshape(1, -1) - h), kind).a
+    up = activation(z.reshape(1, -1) + h, kind)
+    down = activation(z.reshape(1, -1) - h, kind)
     numeric = (up - down) / (2 * h)
-    analytic = activation(Mat(z.reshape(1, -1)), kind, "derivative").a
+    analytic = activation(z.reshape(1, -1), kind, "derivative")
     assert np.abs(analytic - numeric).max() < 1e-6
 
 
@@ -43,7 +43,7 @@ def test_tanh_derivative_tight_tolerance():
     z = rng.uniform(-3.0, 3.0, size=200)
     h = 1e-5
     numeric = (np.tanh(z + h) - np.tanh(z - h)) / (2 * h)
-    analytic = activation(Mat(z.reshape(1, -1)), "tanh", "derivative").a.ravel()
+    analytic = activation(z.reshape(1, -1), "tanh", "derivative").ravel()
     assert np.abs(analytic - numeric).max() < 1e-7
 
 
