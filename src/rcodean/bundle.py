@@ -140,9 +140,20 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     for key, kind in (("config", dict), ("arrays", list)):
         if not isinstance(header.get(key), kind):
             raise FormatError(f"{path}: header has no {key} {kind.__name__}")
-    missing = [f for f in _CONFIG_FIELDS if f not in header["config"]]
+    config = header["config"]
+    missing = [f for f in _CONFIG_FIELDS if f not in config]
     if missing:
         raise FormatError(f"{path}: config lacks {', '.join(missing)}")
+    # the counts that size the forest cannot exceed the arrays stored
+    for name in ("k", "forest_trees"):
+        value = config[name]
+        if not (type(value) is int and 1 <= value <= len(header["arrays"])):
+            raise FormatError(f"{path}: config {name} {value!r} is not a count "
+                              f"within the {len(header['arrays'])} stored arrays")
+    names = config["attribute_names"]
+    if not (isinstance(names, list) and len(names) == config["k"]
+            and all(isinstance(n, str) for n in names)):
+        raise FormatError(f"{path}: attribute_names is not a list of k names")
     return header, 8 + header_len
 
 
@@ -154,7 +165,7 @@ def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.nd
     for entry in manifest:
         try:
             name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             name = None
         if not isinstance(name, str):
             raise FormatError(f"{path}: malformed array entry {entry!r}")

@@ -107,23 +107,27 @@ def _bce(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p), axis=0)))
 
 
-def head_loss_and_grads(head: MlpHead, x: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy summed over attributes, with gradients.
+def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray):
+    """Gradients of the mean binary cross-entropy, from a forward pass.
 
     The output layer is differentiated at its pre-activation, where the
     sigmoid + cross-entropy gradient collapses to (p - y) / n and stays
     finite even at saturated probabilities.
     """
-    caches = _head_forward(head, x)
     probs = caches[-1].output
-    loss = _bce(probs, y)
     grads: dict[str, np.ndarray] = {}
     upstream, grads["layer2.weight"], grads["layer2.bias"], _ = dense_backward_preact(
-        head.layers[2], caches[2], (probs - y) / x.shape[1])
+        head.layers[2], caches[2], (probs - y) / probs.shape[1])
     for i in (1, 0):
         upstream, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"], _ = dense_backward(
-            head.layers[i], caches[i], upstream)
-    return loss, grads
+            head.layers[i], caches[i], upstream, input_grad=i > 0)
+    return grads
+
+
+def head_loss_and_grads(head: MlpHead, x: np.ndarray, y: np.ndarray):
+    """Mean binary cross-entropy summed over attributes, with gradients."""
+    caches = _head_forward(head, x)
+    return _bce(caches[-1].output, y), _head_grads(head, caches, y)
 
 
 def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
@@ -145,7 +149,7 @@ def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
     y = labels.T
     state = AdamState(lr=lr)
     for _ in range(epochs):
-        _, grads = head_loss_and_grads(head, features.a, y)
+        grads = _head_grads(head, _head_forward(head, features.a), y)
         adam_step(state, head.parameters(), grads)
     return head
 

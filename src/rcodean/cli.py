@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .bundle import load_bundle, save_bundle
 from .data import (AttributeDataset, DEFAULT_SPLIT_FRACTIONS, gen_synthetic,
                    load_attr_list, save_gray_image, load_gray_image,
                    split_by_counts)
-from .errors import RCodeanError, UsageError
+from .errors import ConfigError, RCodeanError, UsageError
 from .network import gradient_check
 from .pipeline import (EpochStats, PipelineConfig, evaluate, predict,
                        train_full)
@@ -44,12 +45,45 @@ class RunConfig:
     out: str = "run"
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
+    def __post_init__(self):
+        # the fields come from --config JSON as well as from flags
+        for name in ("data", "images"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string, got {value!r}")
+        if not isinstance(self.out, str) or not self.out:
+            raise ConfigError(f"out must be a non-empty path string, got {self.out!r}")
+        if self.synthetic_n is not None and not _is_count(self.synthetic_n, 1):
+            raise ConfigError(f"synthetic_n must be an integer >= 1, got {self.synthetic_n!r}")
+        if not _is_count(self.k, 1):
+            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
+        self.split_fractions = _checked_triple("split_fractions", self.split_fractions,
+                                               numbers.Real)
+        if self.split_counts is not None:
+            self.split_counts = _checked_triple("split_counts", self.split_counts,
+                                                numbers.Integral)
+
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["split_fractions"] = list(self.split_fractions)
         if self.split_counts is not None:
             d["split_counts"] = list(self.split_counts)
         return d
+
+
+def _is_count(value, low: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low)
+
+
+def _checked_triple(name: str, value, kind) -> tuple:
+    """Three finite nonnegative numbers of ``kind``, as a tuple."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(isinstance(v, kind) and not isinstance(v, bool)
+                    and 0 <= v <= sys.float_info.max for v in value)):
+        raise ConfigError(f"{name} must be three finite nonnegative numbers, "
+                          f"got {value!r}")
+    return tuple(value)
 
 
 def _setup_logging() -> None:
@@ -91,7 +125,10 @@ def _parse_triple(text: str, caster):
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"expected three comma-separated values, got {text!r}")
-    return tuple(caster(p) for p in parts)
+    try:
+        return tuple(caster(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"expected three comma-separated numbers, got {text!r}") from None
 
 
 def _resolve_run_config(args) -> RunConfig:
@@ -110,31 +147,27 @@ def _resolve_run_config(args) -> RunConfig:
                              f"{type(loaded).__name__}, not an object")
         settings.update(loaded)
     pipe_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)} - {"pipeline"}
     pipe_kwargs = {k: v for k, v in settings.items() if k in pipe_fields}
-    run_kwargs = {k: v for k, v in settings.items()
-                  if k not in pipe_fields and k in
-                  {f.name for f in dataclasses.fields(RunConfig)}}
+    run_kwargs = {k: v for k, v in settings.items() if k in run_fields}
     for name, _ in _PIPELINE_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             pipe_kwargs[name] = value
-    cfg = RunConfig(**run_kwargs)
-    cfg.pipeline = PipelineConfig(**pipe_kwargs)
-    if args.data is not None:
-        cfg.data = args.data
-    if getattr(args, "images", None) is not None:
-        cfg.images = args.images
-    if getattr(args, "synthetic", None) is not None:
-        cfg.synthetic_n = args.synthetic
-    if getattr(args, "k", None) is not None:
-        cfg.k = args.k
-    if getattr(args, "split_fractions", None) is not None:
-        cfg.split_fractions = _parse_triple(args.split_fractions, float)
-    if getattr(args, "split_counts", None) is not None:
-        cfg.split_counts = _parse_triple(args.split_counts, int)
-    if args.out is not None:
-        cfg.out = args.out
-    return cfg
+    split_fractions = getattr(args, "split_fractions", None)
+    split_counts = getattr(args, "split_counts", None)
+    for name, value in (
+            ("data", args.data), ("images", getattr(args, "images", None)),
+            ("synthetic_n", getattr(args, "synthetic", None)),
+            ("k", getattr(args, "k", None)),
+            ("split_fractions", None if split_fractions is None
+             else _parse_triple(split_fractions, float)),
+            ("split_counts", None if split_counts is None
+             else _parse_triple(split_counts, int)),
+            ("out", args.out)):
+        if value is not None:
+            run_kwargs[name] = value
+    return RunConfig(**run_kwargs, pipeline=PipelineConfig(**pipe_kwargs))
 
 
 def _load_dataset(cfg: RunConfig) -> AttributeDataset:

@@ -64,38 +64,51 @@ def init_dense(in_dim: int, out_dim: int, act: str, rng: np.random.Generator,
 
 def dense_forward(layer: DenseLayer, x: np.ndarray,
                   skip_in: np.ndarray | None = None) -> LayerCache:
-    """z = W x + b + skip_in (skip added pre-activation); output = act(z)."""
+    """z = W x + b + skip_in (skip added pre-activation); output = act(z).
+
+    The bias and the skip are added in place into the fresh W x; a linear
+    layer's output is z itself.
+    """
     if x.ndim != 2 or x.shape[0] != layer.in_dim:
         raise ShapeError(
             f"layer {layer.name}: input shape {x.shape} does not have "
             f"{layer.in_dim} rows"
         )
-    z = layer.weight @ x + layer.bias
+    z = layer.weight @ x
+    if skip_in is not None and skip_in.shape != z.shape:
+        raise ShapeError(
+            f"layer {layer.name}: skip input shape {skip_in.shape} does not "
+            f"match pre-activation shape {z.shape}"
+        )
+    z += layer.bias
     if skip_in is not None:
-        if skip_in.shape != z.shape:
-            raise ShapeError(
-                f"layer {layer.name}: skip input shape {skip_in.shape} does not "
-                f"match pre-activation shape {z.shape}"
-            )
-        z = z + skip_in
+        z += skip_in
     return LayerCache(input=x, pre_activation=z, output=activation(z, layer.act))
 
 
-def dense_backward(layer: DenseLayer, cache: LayerCache,
-                   grad_out: np.ndarray) -> tuple[np.ndarray, ...]:
+def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,
+                   input_grad: bool = True) -> tuple[np.ndarray | None, ...]:
     """Chain rule through one layer.
 
     delta = grad_out * act'(z). Returns (grad_in, grad_weight, grad_bias,
     grad_skip); grad_bias sums delta over sample columns, and grad_skip is
     delta itself since the skip enters the pre-activation additively.
+    grad_in is None when ``input_grad`` is false (a first layer, whose
+    input gradient nothing reads). A linear layer's delta is grad_out
+    itself.
     """
     if grad_out.shape != cache.output.shape:
         raise ShapeError(
             f"layer {layer.name}: grad_out shape {grad_out.shape} does not match "
             f"output shape {cache.output.shape}"
         )
-    delta = grad_out * activation(cache.pre_activation, layer.act, "derivative")
-    return _grads_from_delta(layer, cache, delta)
+    if layer.act == "linear":
+        delta = grad_out
+    elif layer.act == "relu":
+        delta = grad_out * (cache.pre_activation > 0)
+    else:
+        delta = grad_out * activation(cache.pre_activation, layer.act, "derivative")
+    return _grads_from_delta(layer, cache, delta, input_grad)
 
 
 def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
@@ -113,8 +126,8 @@ def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
     return _grads_from_delta(layer, cache, delta)
 
 
-def _grads_from_delta(layer, cache, delta):
+def _grads_from_delta(layer, cache, delta, input_grad=True):
     grad_weight = delta @ cache.input.T
     grad_bias = delta.sum(axis=1, keepdims=True)
-    grad_in = layer.weight.T @ delta
+    grad_in = layer.weight.T @ delta if input_grad else None
     return grad_in, grad_weight, grad_bias, delta

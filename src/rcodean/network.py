@@ -24,6 +24,7 @@ reconstruction and the code are ``Mat``s; everything else is an ndarray.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,20 @@ class CodeanLoss:
     cos: float
     reg: float
     degenerate: bool = False  # a near-zero-norm column had its cosine term skipped
+    # (diff, 2 alpha / n, r, c_r, x, c_x): what ``recon_grad`` is formed from
+    grad_terms: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def recon_grad(self) -> np.ndarray:
+        """d(total)/d(reconstruction) = diff * 2 alpha / n + r * c_r - x * c_x,
+        formed on first use in diff's buffer (a loss that is only reported,
+        such as the epoch's full-batch loss, never pays for it)."""
+        grad, diff_scale, r, c_r, x, c_x = self.grad_terms
+        grad *= diff_scale
+        scratch = np.multiply(r, c_r)
+        grad += scratch
+        grad -= np.multiply(x, c_x, out=scratch)
+        return grad
 
 
 @dataclass
@@ -223,11 +238,12 @@ def _forward_caches(net: RCodeanNet, x: np.ndarray, last: str) -> dict[str, Laye
     for lid in LAYER_ORDER[:LAYER_ORDER.index(last) + 1]:
         layer = net.layer(lid)
         skip_in = None
-        if net.incoming[lid]:
-            skip_in = np.zeros((layer.out_dim, current.shape[1]))
-            for spec in net.incoming[lid]:
-                skip_in += _skip_contribution(spec, caches[spec.src].output,
-                                              skip_in.shape)
+        for spec in net.incoming[lid]:
+            contrib = _skip_contribution(spec, caches[spec.src].output,
+                                         (layer.out_dim, current.shape[1]))
+            # dense_forward only reads skip_in, so a lone contribution is
+            # passed as it is, even where it is another layer's output
+            skip_in = contrib if skip_in is None else skip_in + contrib
         cache = dense_forward(layer, current, skip_in)
         caches[lid] = cache
         current = cache.output
@@ -252,53 +268,52 @@ def _encoder_l1(net: RCodeanNet) -> float:
 
 
 def codean_loss(net: RCodeanNet, x: Mat, reconstruction: Mat) -> CodeanLoss:
-    """Loss terms for a batch; euc and cos are means over sample columns.
+    """Loss terms for a batch and their gradient with respect to the
+    reconstruction; euc and cos are means over sample columns.
 
     Columns whose input or reconstruction norm is below 1e-12 have their
-    cosine term skipped (contributing 0) and set the degenerate flag, so
-    a collapsed reconstruction cannot blow up the loss.
+    cosine term skipped (contributing 0 to the loss and its gradient) and
+    set the degenerate flag, so a collapsed reconstruction cannot blow up
+    the loss. One pass over the batch gives four column sums, and the loss
+    and the gradient (``CodeanLoss.recon_grad``) both come from them:
+
+        d total / d r = diff * 2 alpha / n + r * c_r - x * c_x
+
+    with diff = r - x, c_r = beta cos / (n |r|^2) and
+    c_x = beta / (n |x| |r|) per column, both 0 on degenerate columns.
     """
     if x.shape != reconstruction.shape:
         raise ShapeError(f"input {x.shape} and reconstruction {reconstruction.shape} differ")
-    diff = x.a - reconstruction.a
-    euc_cols = np.sum(diff * diff, axis=0)
-    x_norm = np.sqrt(np.sum(x.a * x.a, axis=0))
-    r_norm = np.sqrt(np.sum(reconstruction.a * reconstruction.a, axis=0))
+    xa, r = x.a, reconstruction.a
+    n = xa.shape[1]
+    diff = r - xa
+    euc_cols = np.einsum("ij,ij->j", diff, diff)
+    xx = np.einsum("ij,ij->j", xa, xa)
+    rr = np.einsum("ij,ij->j", r, r)
+    xr = np.einsum("ij,ij->j", xa, r)
+    x_norm, r_norm = np.sqrt(xx), np.sqrt(rr)
     ok = (x_norm > NORM_EPS) & (r_norm > NORM_EPS)
-    cos_cols = np.zeros_like(euc_cols)
-    if ok.any():
-        dots = np.sum(x.a[:, ok] * reconstruction.a[:, ok], axis=0)
-        cos_cols[ok] = -dots / (x_norm[ok] * r_norm[ok])
+    # degenerate columns divide by 1 here and are zeroed below
+    norms = np.where(ok, x_norm * r_norm, 1.0)
+    cos_sim = xr / norms
+    cos_cols = np.where(ok, -cos_sim, 0.0)
+    p = net.params
+    scale = p.beta / n
+    c_x = np.where(ok, scale / norms, 0.0)
+    c_r = np.where(ok, scale * cos_sim / np.where(ok, rr, 1.0), 0.0)
     euc = float(np.mean(euc_cols))
     cos = float(np.mean(cos_cols))
     reg = _encoder_l1(net)
-    p = net.params
     total = p.alpha * euc + p.beta * cos + p.lam * reg
     return CodeanLoss(total=total, euc=euc, cos=cos, reg=reg,
-                      degenerate=bool((~ok).any()))
+                      degenerate=bool((~ok).any()),
+                      grad_terms=(diff, 2.0 * p.alpha / n, r, c_r, xa, c_x))
 
 
-def _reconstruction_grad(net: RCodeanNet, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """d(total)/d(reconstruction) for the batched mean loss."""
-    n = x.shape[1]
-    p = net.params
-    grad = p.alpha * 2.0 * (r - x) / n
-    if p.beta != 0.0:
-        x_norm = np.sqrt(np.sum(x * x, axis=0))
-        r_norm = np.sqrt(np.sum(r * r, axis=0))
-        ok = (x_norm > NORM_EPS) & (r_norm > NORM_EPS)
-        if ok.any():
-            xs, rs = x[:, ok], r[:, ok]
-            xn, rn = x_norm[ok], r_norm[ok]
-            s = np.sum(xs * rs, axis=0) / (xn * rn)
-            # d(-s)/dr = -(x/(|x||r|) - s r/|r|^2)
-            dcos = -(xs / (xn * rn) - s * rs / (rn * rn))
-            grad[:, ok] += p.beta * dcos / n
-    return grad
-
-
-def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict[str, np.ndarray]:
-    """Gradient of the total loss for every weight, bias, and projection.
+def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache],
+                 recon_grad: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of the total loss for every weight, bias, and projection,
+    given d(total)/d(reconstruction) (``CodeanLoss.recon_grad``).
 
     Skip sources accumulate gradient from the main path and from each
     outgoing shortcut; the L1 penalty contributes lam * sign(W) on the
@@ -307,21 +322,25 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict
     recon = caches["dec3"].output
     if x.shape != recon.shape:
         raise ShapeError(f"stale caches: input {x.shape} vs reconstruction {recon.shape}")
+    if recon_grad.shape != recon.shape:
+        raise ShapeError(f"reconstruction gradient {recon_grad.shape} vs "
+                         f"reconstruction {recon.shape}")
     grads: dict[str, np.ndarray] = {}
     # gradient w.r.t. each layer's output, accumulated as we sweep backwards;
     # sources always precede destinations, so by the time a layer is processed
     # every shortcut leaving it has already deposited its contribution
     out_grad: dict[str, np.ndarray | None] = {lid: None for lid in LAYER_ORDER}
-    out_grad["dec3"] = _reconstruction_grad(net, x.a, recon)
+    out_grad["dec3"] = recon_grad
 
     for pos in range(len(LAYER_ORDER) - 1, -1, -1):
         lid = LAYER_ORDER[pos]
         layer = net.layer(lid)
         # delta is the gradient at this layer's pre-activation, which is
         # exactly what each incoming shortcut contributed to; the chain
-        # feeds every layer's output gradient before its turn
+        # feeds every layer's output gradient before its turn. Nothing
+        # reads enc1's input gradient, so it is not computed.
         grad_in, grads[f"{lid}.weight"], grads[f"{lid}.bias"], delta = dense_backward(
-            layer, caches[lid], out_grad[lid])
+            layer, caches[lid], out_grad[lid], input_grad=pos > 0)
         for spec in net.incoming[lid]:
             src_out = caches[spec.src].output
             if spec.projection is not None:
@@ -336,7 +355,7 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict
         if pos > 0:
             prev = LAYER_ORDER[pos - 1]
             if out_grad[prev] is None:
-                out_grad[prev] = grad_in.copy()
+                out_grad[prev] = grad_in  # a fresh product, owned here
             else:
                 out_grad[prev] += grad_in
 
@@ -344,7 +363,9 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache]) -> dict
     lam = net.params.lam
     if lam != 0.0:
         for lid in ENCODER_IDS:
-            grads[f"{lid}.weight"] += lam * np.sign(net.layer(lid).weight)
+            penalty = np.sign(net.layer(lid).weight)
+            penalty *= lam
+            grads[f"{lid}.weight"] += penalty
     return grads
 
 
@@ -352,7 +373,7 @@ def loss_and_grads(net: RCodeanNet, x: Mat) -> tuple[CodeanLoss, dict[str, np.nd
     """Forward pass, loss terms, and full parameter gradient in one call."""
     fwd = net_forward(net, x)
     loss = codean_loss(net, x, fwd.reconstruction)
-    return loss, net_backward(net, x, fwd.caches)
+    return loss, net_backward(net, x, fwd.caches, loss.recon_grad)
 
 
 @dataclass

@@ -166,7 +166,7 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
         sums = np.zeros(4)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = Mat(X[:, idx], copy=False)
+            batch = Mat(np.take(X, idx, axis=1), copy=False)
             loss, grads = loss_and_grads(net, batch)
             adam_step(state, params, grads)
             sums += np.array([loss.total, loss.euc, loss.cos, loss.reg]) * len(idx)

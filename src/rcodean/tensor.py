@@ -4,9 +4,10 @@
 construction checks dimensionality and finiteness. Everything computed
 inside a model is a plain float64 ndarray and is not re-checked: a NaN
 made there is caught when the model's result becomes a ``Mat``, or by
-the optimizer's gradient and epoch-loss checks. The only sanctioned
-in-place mutation anywhere in the package is the optimizer's documented
-parameter update.
+the optimizer's gradient and epoch-loss checks. In-place arithmetic
+writes only into fresh intermediates that nothing else holds; the only
+sanctioned in-place mutation of a value a caller holds is the
+optimizer's documented parameter update.
 """
 
 from __future__ import annotations
@@ -67,20 +68,18 @@ class Mat:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # numerically stable split form; naive 1/(1+exp(-z)) overflows for z << 0
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # numerically stable split form; naive 1/(1+exp(-z)) overflows for z << 0.
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, never above 1
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def activation(z: np.ndarray, kind: str, mode: str = "value") -> np.ndarray:
     """Entrywise activation value or derivative.
 
     relu derivative at exactly 0 is defined as 0 (subgradient choice,
-    keeps gradients sparse).
+    keeps gradients sparse). The linear value is ``z`` itself, not a copy.
     """
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation kind {kind!r}")
@@ -95,5 +94,5 @@ def activation(z: np.ndarray, kind: str, mode: str = "value") -> np.ndarray:
         t = np.tanh(z)
         out = t if mode == "value" else 1.0 - t * t
     else:  # linear
-        out = z.copy() if mode == "value" else np.ones_like(z)
+        out = z if mode == "value" else np.ones_like(z)
     return out

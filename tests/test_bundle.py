@@ -1,7 +1,12 @@
+import json
+import signal
 import struct
+import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundle_rewrite import rewrite_bundle
 from rcodean.bundle import load_bundle, save_bundle
@@ -96,9 +101,13 @@ def _add_array(header, chunks):
     _drop_array("forest.attr1.tree2"),
     _drop_array("svm.biases"),
     _add_array,
+    lambda header, chunks: header["config"].update(k=float("inf")),
+    lambda header, chunks: header["config"].update(forest_trees=1.5),
+    lambda header, chunks: header["config"].update(attribute_names=["a"]),
+    lambda header, chunks: header["arrays"][0].update(shape=[float("inf"), 1]),
 ], ids=["no-config", "no-arrays", "arrays-not-list", "entry-no-shape",
         "no-net-bias", "no-projection", "no-head-weight", "no-tree", "no-svm-bias",
-        "extra-array"])
+        "extra-array", "k-inf", "trees-fractional", "names-short", "shape-inf"])
 def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)
@@ -202,3 +211,126 @@ def test_config_guard_on_mismatched_dataset(trained):
     other = gen_synthetic(30, 2, seed=9, splits=split_by_counts((10, 10, 10)))
     with pytest.raises(ConfigError, match="k="):
         evaluate(loaded, other, "test")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: damaged files must raise FormatError, and only that, in bounded time
+
+FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+LOAD_SECONDS = 5.0
+LOADED_CONFIG_FIELDS = ["alpha", "beta", "lam", "k", "attribute_names", "skip_layout",
+                        "forest_trees", "svm_reg"]
+
+# boundary values first, then arbitrary JSON; integers stay small enough
+# that a loader sizing something by one cannot exhaust memory in the bound
+JSON_VALUES = st.sampled_from(
+    [float("inf"), float("nan"), -1, 0, True, 10**6, -1e300, "", [], {}]
+) | st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@contextmanager
+def _time_bound(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"load_bundle ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _load_or_format_error(path):
+    """Load within the time bound; FormatError is the only refusal allowed."""
+    with _time_bound(LOAD_SECONDS):
+        try:
+            return load_bundle(path)
+        except FormatError:
+            return None
+
+
+@FUZZ
+@given(data=st.data())
+def test_truncated_bundle_is_format_error(trained, data):
+    _, _, path = trained
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    bad = path.parent / "fuzz-truncated.rcbn"
+    bad.write_bytes(raw[:cut])
+    with _time_bound(LOAD_SECONDS), pytest.raises(FormatError):
+        load_bundle(bad)
+
+
+@FUZZ
+@given(data=st.data())
+def test_byte_mutated_bundle_is_format_error(trained, data):
+    _, _, path = trained
+    raw = bytearray(path.read_bytes())
+    for pos in data.draw(st.sets(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
+        raw[pos] ^= data.draw(st.integers(1, 255))
+    bad = path.parent / "fuzz-mutated.rcbn"
+    bad.write_bytes(bytes(raw))
+    with _time_bound(LOAD_SECONDS), pytest.raises(FormatError):
+        load_bundle(bad)
+
+
+@FUZZ
+@given(data=st.data())
+def test_recrc_byte_mutated_bundle_loads_or_is_format_error(trained, data):
+    # edits behind a fresh checksum, mostly in the header, where the bytes
+    # are structure rather than weights
+    _, _, path = trained
+    raw = path.read_bytes()
+    body = bytearray(raw[:-4])
+    header_end = 8 + struct.unpack("<I", raw[4:8])[0]
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.integers(0, header_end + 64) | st.integers(0, len(body) - 1))
+        body[pos] = data.draw(st.integers(0, 255))
+    bad = path.parent / "fuzz-recrc.rcbn"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    _load_or_format_error(bad)
+
+
+@FUZZ
+@given(data=st.data())
+@pytest.mark.parametrize("target", ["top", "config", "entry-name", "entry-shape", "count"])
+def test_recrc_header_edit_loads_or_is_format_error(trained, target, data):
+    # one header value replaced by arbitrary JSON, or one array's count
+    # prefix replaced, re-written with a fresh checksum
+    _, _, path = trained
+    raw = path.read_bytes()
+    original = json.loads(raw[8:8 + struct.unpack("<I", raw[4:8])[0]])
+    index = data.draw(st.integers(0, len(original["arrays"]) - 1))
+    if target == "count":
+        count = data.draw(st.integers(0, 2**64 - 1))
+    else:
+        value = data.draw(JSON_VALUES)
+        # config edits go to the fields that loading reads
+        key = data.draw(st.sampled_from(sorted(original) if target == "top"
+                                        else LOADED_CONFIG_FIELDS))
+
+    def mutate(header, chunks):
+        entry = header["arrays"][index]
+        if target == "top":
+            header[key] = value
+        elif target == "config":
+            header["config"][key] = value
+        elif target == "entry-name":
+            entry["name"] = value
+        elif target == "entry-shape":
+            entry["shape"] = value
+        else:
+            chunks[entry["name"]] = struct.pack("<Q", count) + chunks[entry["name"]][8:]
+
+    try:
+        bad = rewrite_bundle(path, path.parent / "fuzz-header.rcbn", mutate)
+    except (KeyError, TypeError, AttributeError):
+        return  # the edit left no manifest the helper can lay chunks out by
+    _load_or_format_error(bad)

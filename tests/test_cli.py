@@ -73,15 +73,25 @@ def test_train_missing_dataset(tmp_path, capsys):
     # bad settings and config files are refused the same way, before training
     (tmp_path / "truncated.json").write_text('{"l": 8, "epochs"')
     (tmp_path / "list.json").write_text("[1, 2]")
-    synthetic = ["--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
-                 "--out", str(tmp_path / "o"), *TRAIN_FLAGS]
-    for extra, message in [(["--batch-size", "0"], "batch_size"),
-                           (["--l", "0"], "l must be"),
-                           (["--svm-reg", "0"], "svm_reg"),
-                           (["--config", str(tmp_path / "truncated.json")], "JSON"),
-                           (["--config", str(tmp_path / "list.json")], "not an object")]:
-        rc = main(["train", *synthetic, *extra])
-        assert rc == 2, extra
+    (tmp_path / "fractions.json").write_text('{"split_fractions": 5}')
+    (tmp_path / "k.json").write_text('{"k": "x"}')
+    (tmp_path / "n.json").write_text('{"synthetic_n": -5}')
+    base = ["--split-counts", "40,20,10", "--out", str(tmp_path / "o"), *TRAIN_FLAGS]
+    synthetic = ["--synthetic", "70", "--k", "2", *base]
+    for args, message in [([*synthetic, "--batch-size", "0"], "batch_size"),
+                          ([*synthetic, "--l", "0"], "l must be"),
+                          ([*synthetic, "--svm-reg", "0"], "svm_reg"),
+                          ([*synthetic, "--config", str(tmp_path / "truncated.json")], "JSON"),
+                          ([*synthetic, "--config", str(tmp_path / "list.json")],
+                           "not an object"),
+                          ([*synthetic, "--config", str(tmp_path / "fractions.json")],
+                           "split_fractions must be"),
+                          # without the flags that would override the file's value
+                          ([*base, "--config", str(tmp_path / "k.json")], "k must be"),
+                          ([*base, "--config", str(tmp_path / "n.json")],
+                           "synthetic_n must be")]:
+        rc = main(["train", *args])
+        assert rc == 2, args
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error:") and message in err, err
         assert "Traceback" not in err

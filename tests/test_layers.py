@@ -143,6 +143,35 @@ def test_backward_preact_bypasses_activation_derivative():
     assert np.array_equal(gs, delta)
 
 
+def test_relu_and_linear_paths_match_reference_formulas():
+    # the in-place bias and skip adds, the linear output and delta, and the
+    # relu mask give exactly the arrays of the straightforward formulas
+    rng = np.random.default_rng(71)
+    for act, out_dim in (("relu", 8), ("linear", 12)):
+        layer = init_dense(8, out_dim, act, rng)
+        layer.bias[:] = rng.normal(size=(out_dim, 1))
+        x = rng.normal(size=(8, 6))
+        skip = rng.normal(size=(out_dim, 6))
+        g = rng.normal(size=(out_dim, 6))
+        cache = dense_forward(layer, x, skip_in=skip)
+        z = layer.weight @ x + layer.bias + skip
+        assert np.array_equal(cache.pre_activation, z)
+        if act == "relu":
+            assert np.array_equal(cache.output, np.maximum(z, 0.0))
+            delta = g * (z > 0).astype(np.float64)
+        else:
+            assert np.array_equal(cache.output, z.copy())
+            delta = g * np.ones_like(z)
+        grad_in, gw, gb, gs = dense_backward(layer, cache, g)
+        assert np.array_equal(gs, delta)
+        assert np.array_equal(gw, delta @ x.T)
+        assert np.array_equal(gb, delta.sum(axis=1, keepdims=True))
+        assert np.array_equal(grad_in, layer.weight.T @ delta)
+        none_in, *rest = dense_backward(layer, cache, g, input_grad=False)
+        assert none_in is None
+        assert all(np.array_equal(a, b) for a, b in zip(rest, (gw, gb, gs)))
+
+
 def test_init_dense_bounds_and_zero_bias():
     rng = np.random.default_rng(67)
     layer = init_dense(30, 20, "relu", rng)

@@ -198,8 +198,27 @@ def test_backward_perfect_reconstruction_zero_euclidean_gradient():
         arr[:] = 0.0
     out = net_forward(net, x)
     assert np.array_equal(out.reconstruction.a, x.a)
-    grads = net_backward(net, x, out.caches)
+    loss = codean_loss(net, x, out.reconstruction)
+    assert np.count_nonzero(loss.recon_grad) == 0
+    grads = net_backward(net, x, out.caches, loss.recon_grad)
     assert all(np.count_nonzero(g) == 0 for g in grads.values())
+
+
+def test_batch_gradient_is_mean_of_column_gradients():
+    # the fused loss gradient on a batch whose second column is all zero
+    # (a degenerate cosine column) against one column at a time
+    rng = np.random.default_rng(17)
+    net = build_rcodean(12, 8, CodeanParams(alpha=1.0, beta=0.7, lam=0.01), seed=17)
+    for lid in ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3"):
+        net.layer(lid).bias[:] = rng.uniform(0.05, 0.2, size=net.layer(lid).bias.shape)
+    x = rng.uniform(0.05, 1.0, size=(12, 5))
+    x[:, 1] = 0.0
+    loss, grads = loss_and_grads(net, Mat(x))
+    assert loss.degenerate
+    columns = [loss_and_grads(net, Mat(x[:, j:j + 1]))[1] for j in range(5)]
+    for name, g in grads.items():
+        mean = sum(col[name] for col in columns) / 5
+        assert np.abs(g - mean).max() < 1e-12, name
 
 
 def test_gradient_check_full_default_skips():

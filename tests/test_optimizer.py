@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rcodean.errors import ShapeError, TrainingError
-from rcodean.optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
+from rcodean.optimizer import (ADAM_BLOCK, AdamState, PlateauScheduler, adam_step,
+                               scheduler_update)
 
 
 def test_zero_gradients_are_a_fixed_point():
@@ -62,6 +63,9 @@ def test_gradient_shape_mismatch():
     state = AdamState()
     with pytest.raises(ShapeError):
         adam_step(state, [("w", np.zeros((2, 2)))], {"w": np.zeros((2, 3))})
+    # the update goes through a flat view, which a transposed array has not
+    with pytest.raises(ShapeError, match="C-contiguous"):
+        adam_step(state, [("w", np.zeros((3, 2)).T)], {"w": np.zeros((2, 3))})
 
 
 def test_determinism_bit_identical_trajectories():
@@ -75,6 +79,31 @@ def test_determinism_bit_identical_trajectories():
         return w
 
     assert np.array_equal(run(), run())
+
+
+def test_blocked_update_matches_textbook_expression():
+    # a parameter spanning two full blocks and a partial third, plus a
+    # small one, against the whole-array formula, bit for bit
+    rng = np.random.default_rng(83)
+    shapes = {"big": (2 * ADAM_BLOCK // 64 + 3, 64), "small": (5, 1)}
+    assert ADAM_BLOCK * 2 < np.prod(shapes["big"]) < ADAM_BLOCK * 3
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    ref = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    state = AdamState(lr=0.02)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    for t in range(1, 6):
+        grads = {name: rng.normal(scale=t, size=shape) for name, shape in shapes.items()}
+        adam_step(state, list(params.items()), grads)
+        for name, g in grads.items():
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            ref[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        for name in shapes:
+            assert np.array_equal(params[name], ref[name]), (t, name)
+            assert np.array_equal(state.m[name], m[name]) and np.array_equal(state.v[name], v[name])
 
 
 def test_scheduler_no_plateau_keeps_lr():

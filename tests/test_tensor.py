@@ -24,6 +24,18 @@ def test_activation_sigmoid_stable_at_extremes():
     assert out[0, 1] == 1.0
 
 
+def test_activation_sigmoid_matches_split_form_bitwise():
+    # the textbook stable form: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below
+    rng = np.random.default_rng(31)
+    z = np.concatenate([rng.normal(scale=20.0, size=504),
+                        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -745.2]])
+    ref = np.empty_like(z)
+    pos = z >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ref[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    assert np.array_equal(activation(z.reshape(-1, 8), "sigmoid").ravel(), ref)
+
+
 @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh", "linear"])
 def test_activation_derivative_matches_finite_differences(kind):
     rng = np.random.default_rng(29)
