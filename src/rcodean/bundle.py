@@ -26,7 +26,7 @@ from .classifiers import Forest, LinearSvm, Tree, assemble_mlp_head
 from .errors import CorruptionError, FormatError, VersionError
 from .network import CodeanParams, assemble_rcodean
 from .pipeline import (BUNDLE_FORMAT_VERSION, ModelBundle, N_SOURCES,
-                       PatchWeights)
+                       PatchWeights, is_number)
 
 BUNDLE_MAGIC = b"RCBN"
 
@@ -147,9 +147,12 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     # the counts that size the forest cannot exceed the arrays stored
     for name in ("k", "forest_trees"):
         value = config[name]
-        if not (type(value) is int and 1 <= value <= len(header["arrays"])):
+        if not (is_number(value, integral=True) and 1 <= value <= len(header["arrays"])):
             raise FormatError(f"{path}: config {name} {value!r} is not a count "
                               f"within the {len(header['arrays'])} stored arrays")
+    for name in ("alpha", "beta", "lam", "svm_reg"):
+        if not is_number(config[name]):
+            raise FormatError(f"{path}: config {name} {config[name]!r} is not a finite number")
     names = config["attribute_names"]
     if not (isinstance(names, list) and len(names) == config["k"]
             and all(isinstance(n, str) for n in names)):

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from .data import (AttributeDataset, DEFAULT_SPLIT_FRACTIONS, gen_synthetic,
                    split_by_counts)
 from .errors import ConfigError, RCodeanError, UsageError
 from .network import gradient_check
-from .pipeline import (EpochStats, PipelineConfig, evaluate, predict,
+from .pipeline import (EpochStats, PipelineConfig, evaluate, is_number, predict,
                        train_full)
 
 log = logging.getLogger("rcodean")
@@ -53,15 +52,15 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a path string, got {value!r}")
         if not isinstance(self.out, str) or not self.out:
             raise ConfigError(f"out must be a non-empty path string, got {self.out!r}")
-        if self.synthetic_n is not None and not _is_count(self.synthetic_n, 1):
+        if self.synthetic_n is not None and not (
+                is_number(self.synthetic_n, integral=True) and self.synthetic_n >= 1):
             raise ConfigError(f"synthetic_n must be an integer >= 1, got {self.synthetic_n!r}")
-        if not _is_count(self.k, 1):
+        if not (is_number(self.k, integral=True) and self.k >= 1):
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        self.split_fractions = _checked_triple("split_fractions", self.split_fractions,
-                                               numbers.Real)
+        self.split_fractions = _nonnegative_triple("split_fractions", self.split_fractions)
         if self.split_counts is not None:
-            self.split_counts = _checked_triple("split_counts", self.split_counts,
-                                                numbers.Integral)
+            self.split_counts = _nonnegative_triple("split_counts", self.split_counts,
+                                                    integral=True)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -71,18 +70,11 @@ class RunConfig:
         return d
 
 
-def _is_count(value, low: int) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= low)
-
-
-def _checked_triple(name: str, value, kind) -> tuple:
-    """Three finite nonnegative numbers of ``kind``, as a tuple."""
+def _nonnegative_triple(name: str, value, integral: bool = False) -> tuple:
     if not (isinstance(value, (list, tuple)) and len(value) == 3
-            and all(isinstance(v, kind) and not isinstance(v, bool)
-                    and 0 <= v <= sys.float_info.max for v in value)):
-        raise ConfigError(f"{name} must be three finite nonnegative numbers, "
-                          f"got {value!r}")
+            and all(is_number(v, integral) and v >= 0 for v in value)):
+        raise ConfigError(f"{name} must be three nonnegative "
+                          f"{'integers' if integral else 'numbers'}, got {value!r}")
     return tuple(value)
 
 

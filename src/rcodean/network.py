@@ -24,7 +24,6 @@ reconstruction and the code are ``Mat``s; everything else is an ndarray.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -94,21 +93,9 @@ class CodeanLoss:
     euc: float
     cos: float
     reg: float
+    # d(total)/d(reconstruction), the input to ``net_backward``
+    recon_grad: np.ndarray = field(compare=False, repr=False)
     degenerate: bool = False  # a near-zero-norm column had its cosine term skipped
-    # (diff, 2 alpha / n, r, c_r, x, c_x): what ``recon_grad`` is formed from
-    grad_terms: tuple = field(default=(), compare=False, repr=False)
-
-    @cached_property
-    def recon_grad(self) -> np.ndarray:
-        """d(total)/d(reconstruction) = diff * 2 alpha / n + r * c_r - x * c_x,
-        formed on first use in diff's buffer (a loss that is only reported,
-        such as the epoch's full-batch loss, never pays for it)."""
-        grad, diff_scale, r, c_r, x, c_x = self.grad_terms
-        grad *= diff_scale
-        scratch = np.multiply(r, c_r)
-        grad += scratch
-        grad -= np.multiply(x, c_x, out=scratch)
-        return grad
 
 
 @dataclass
@@ -301,13 +288,18 @@ def codean_loss(net: RCodeanNet, x: Mat, reconstruction: Mat) -> CodeanLoss:
     scale = p.beta / n
     c_x = np.where(ok, scale / norms, 0.0)
     c_r = np.where(ok, scale * cos_sim / np.where(ok, rr, 1.0), 0.0)
+    # the gradient is built in diff's buffer
+    grad = diff
+    grad *= 2.0 * p.alpha / n
+    scratch = np.multiply(r, c_r)
+    grad += scratch
+    grad -= np.multiply(xa, c_x, out=scratch)
     euc = float(np.mean(euc_cols))
     cos = float(np.mean(cos_cols))
     reg = _encoder_l1(net)
     total = p.alpha * euc + p.beta * cos + p.lam * reg
-    return CodeanLoss(total=total, euc=euc, cos=cos, reg=reg,
-                      degenerate=bool((~ok).any()),
-                      grad_terms=(diff, 2.0 * p.alpha / n, r, c_r, xa, c_x))
+    return CodeanLoss(total=total, euc=euc, cos=cos, reg=reg, recon_grad=grad,
+                      degenerate=bool((~ok).any()))
 
 
 def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache],

@@ -25,11 +25,6 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-# elements per block of the in-place update: the block's slices of the
-# parameter, gradient, moments and two scratch buffers stay in cache
-ADAM_BLOCK = 1 << 14
-
-
 def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
               grads: dict[str, np.ndarray]) -> None:
     """One bias-corrected Adam update, applied to the arrays in place.
@@ -41,9 +36,9 @@ def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
         p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
 
-    runs over flat views of each array in blocks of ``ADAM_BLOCK``
-    elements, through two scratch buffers made per call, so concurrent
-    steps on separate states share nothing.
+    updates each array and its moments in place through two scratch
+    buffers made per call, so concurrent steps on separate states share
+    nothing.
     """
     for name, p in params:
         g = grads.get(name)
@@ -54,8 +49,6 @@ def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
                 f"gradient shape {g.shape} does not match parameter {name!r} "
                 f"shape {p.shape}"
             )
-        if not p.flags.c_contiguous:
-            raise ShapeError(f"parameter {name!r} is not C-contiguous")
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
 
@@ -63,33 +56,27 @@ def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    size = min(ADAM_BLOCK, max((p.size for _, p in params), default=0))
+    size = max((p.size for _, p in params), default=0)
     s1, s2 = np.empty(size), np.empty(size)
     for name, p in params:
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = grads[name].reshape(-1)
-        flat_m = state.m[name].reshape(-1)
-        flat_v = state.v[name].reshape(-1)
-        for start in range(0, flat_p.size, ADAM_BLOCK):
-            blk = slice(start, start + ADAM_BLOCK)
-            g, m, v, pb = flat_g[blk], flat_m[blk], flat_v[blk], flat_p[blk]
-            t1, t2 = s1[:g.size], s2[:g.size]
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=t1)
-            v *= b2
-            np.multiply(g, g, out=t1)
-            t1 *= 1.0 - b2
-            v += t1
-            np.divide(v, bc2, out=t1)
-            np.sqrt(t1, out=t1)
-            t1 += eps
-            np.divide(m, bc1, out=t2)
-            t2 *= lr
-            t2 /= t1
-            pb -= t2
+        g, m, v = grads[name], state.m[name], state.v[name]
+        t1, t2 = s1[:p.size].reshape(p.shape), s2[:p.size].reshape(p.shape)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=t1)
+        v *= b2
+        np.multiply(g, g, out=t1)
+        t1 *= 1.0 - b2
+        v += t1
+        np.divide(v, bc2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += eps
+        np.divide(m, bc1, out=t2)
+        t2 *= lr
+        t2 /= t1
+        p -= t2
 
 
 @dataclass

@@ -90,6 +90,15 @@ def tessellate_batch(images: np.ndarray) -> list[np.ndarray]:
 # configuration and stage-1 training
 
 
+def is_number(value, integral: bool = False) -> bool:
+    """Whether a configuration value is a finite real number, or with
+    ``integral`` an integer; a bool is neither. The run and pipeline
+    configs and a bundle header's numbers are all checked with this."""
+    kind = numbers.Integral if integral else numbers.Real
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass
 class PipelineConfig:
     l: int = 512
@@ -115,8 +124,7 @@ class PipelineConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = numbers.Integral if isinstance(f.default, int) else numbers.Real
-            if not (isinstance(value, kind) and abs(value) <= sys.float_info.max):
+            if not is_number(value, integral=isinstance(f.default, int)):
                 raise ConfigError(f"{f.name} must be a finite {type(f.default).__name__}, "
                                   f"got {value!r}")
         # below these a run crashes, or the forest has no trees to average

@@ -105,9 +105,13 @@ def _add_array(header, chunks):
     lambda header, chunks: header["config"].update(forest_trees=1.5),
     lambda header, chunks: header["config"].update(attribute_names=["a"]),
     lambda header, chunks: header["arrays"][0].update(shape=[float("inf"), 1]),
+    lambda header, chunks: header["config"].update(forest_trees=True),
+    lambda header, chunks: header["config"].update(alpha=float("nan")),
+    lambda header, chunks: header["config"].update(svm_reg="1e-4"),
 ], ids=["no-config", "no-arrays", "arrays-not-list", "entry-no-shape",
         "no-net-bias", "no-projection", "no-head-weight", "no-tree", "no-svm-bias",
-        "extra-array", "k-inf", "trees-fractional", "names-short", "shape-inf"])
+        "extra-array", "k-inf", "trees-fractional", "names-short", "shape-inf",
+        "trees-bool", "alpha-nan", "svm-reg-string"])
 def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)

@@ -76,6 +76,7 @@ def test_train_missing_dataset(tmp_path, capsys):
     (tmp_path / "fractions.json").write_text('{"split_fractions": 5}')
     (tmp_path / "k.json").write_text('{"k": "x"}')
     (tmp_path / "n.json").write_text('{"synthetic_n": -5}')
+    (tmp_path / "bool.json").write_text('{"patience": true}')
     base = ["--split-counts", "40,20,10", "--out", str(tmp_path / "o"), *TRAIN_FLAGS]
     synthetic = ["--synthetic", "70", "--k", "2", *base]
     for args, message in [([*synthetic, "--batch-size", "0"], "batch_size"),
@@ -86,6 +87,8 @@ def test_train_missing_dataset(tmp_path, capsys):
                            "not an object"),
                           ([*synthetic, "--config", str(tmp_path / "fractions.json")],
                            "split_fractions must be"),
+                          ([*synthetic, "--config", str(tmp_path / "bool.json")],
+                           "patience must be"),
                           # without the flags that would override the file's value
                           ([*base, "--config", str(tmp_path / "k.json")], "k must be"),
                           ([*base, "--config", str(tmp_path / "n.json")],
