@@ -3,9 +3,8 @@ prediction pipeline built on it."""
 
 from .bundle import load_bundle, save_bundle
 from .classifiers import (Forest, LinearSvm, MlpHead, ensemble_vote,
-                          forest_predict, forest_predict_proba, forest_train,
-                          head_score, head_train, svm_decision, svm_predict,
-                          svm_train)
+                          forest_predict_proba, forest_train, head_score,
+                          head_train, svm_decision, svm_train)
 from .data import (AttributeDataset, gen_synthetic, load_attr_list,
                    load_gray_image, save_gray_image, split_by_counts,
                    split_by_fractions)

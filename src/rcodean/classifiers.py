@@ -160,8 +160,8 @@ def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
 
 @dataclass
 class Tree:
-    """Flat node arrays; feature == -1 marks a leaf. ``prob`` holds the
-    positive-label fraction of the node's training samples."""
+    """Flat node arrays in preorder; feature == -1 marks a leaf. ``prob``
+    holds the positive-label fraction of the node's training samples."""
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -170,9 +170,31 @@ class Tree:
 
 
 @dataclass
+class NodeTable:
+    """Every tree's nodes stacked in ``Forest.trees`` order, with children
+    as indices into the whole table; ``roots[a, t]`` is tree t's root."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
+    roots: np.ndarray  # (attributes, trees per attribute)
+
+
+def node_table(feature, threshold, left, right, prob, sizes, n_attributes) -> NodeTable:
+    """The table of stacked node fields, given each tree's node count; a
+    leaf's children (-1) are shifted too but never read."""
+    starts = np.cumsum(sizes) - sizes
+    offset = np.repeat(starts, sizes)
+    return NodeTable(feature, threshold, left + offset, right + offset, prob,
+                     starts.reshape(n_attributes, -1))
+
+
+@dataclass
 class Forest:
-    trees: list[list[Tree]]  # indexed [attribute][tree]
+    trees: list[list[Tree]]  # indexed [attribute][tree], same count per attribute
     n_features: int
+    table: NodeTable
 
     @property
     def n_attributes(self) -> int:
@@ -188,25 +210,10 @@ def _gini_pair(n_pos_left, n_left, n_pos_total, n_total):
             + n_right * 2 * p_right * (1 - p_right)) / n_total
 
 
-def _best_split(values: np.ndarray, y: np.ndarray):
-    """Best threshold for one feature, or None if it cannot split."""
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    ys = y[order]
-    cuts = np.nonzero(vs[:-1] < vs[1:])[0]
-    if cuts.size == 0:
-        return None
-    n = len(ys)
-    cum_pos = np.cumsum(ys)
-    impurity = _gini_pair(cum_pos[cuts], cuts + 1.0, cum_pos[-1], float(n))
-    best = int(np.argmin(impurity))
-    cut = cuts[best]
-    return (vs[cut] + vs[cut + 1]) / 2.0, float(impurity[best])
-
-
 class _TreeBuilder:
-    def __init__(self, X, y, rng, max_depth, n_candidates):
-        self.X, self.y, self.rng = X, y, rng
+    def __init__(self, XT, y, rng, max_depth, n_candidates):
+        # XT is (features, samples), so a node's candidates are gathered by rows
+        self.XT, self.y, self.rng = XT, y, rng
         self.max_depth, self.n_candidates = max_depth, n_candidates
         self.feature, self.threshold = [], []
         self.left, self.right, self.prob = [], [], []
@@ -225,18 +232,31 @@ class _TreeBuilder:
         self.prob[node] = float(ysub.mean())
         if depth >= self.max_depth or len(idx) < 2 or ysub.min() == ysub.max():
             return node
-        candidates = self.rng.choice(self.X.shape[1],
-                                     size=min(self.n_candidates, self.X.shape[1]),
+        n_feat = self.XT.shape[0]
+        candidates = self.rng.choice(n_feat, size=min(self.n_candidates, n_feat),
                                      replace=False)
-        best = None
-        for f in candidates:
-            split = _best_split(self.X[idx, f], ysub)
-            if split is not None and (best is None or split[1] < best[2]):
-                best = (int(f), split[0], split[1])
-        if best is None:
+        # Every candidate's cuts in one (candidates, n_node) block. The
+        # sort need not be stable: a valid cut ends a run of equal values,
+        # so its positive count, impurity and threshold do not depend on
+        # how ties are ordered, and other positions are set to +inf.
+        values = self.XT[candidates[:, None], idx]
+        order = np.argsort(values, axis=1)
+        vs = np.take_along_axis(values, order, axis=1)
+        cum_pos = np.cumsum(ysub[order], axis=1)
+        n = len(idx)
+        impurity = np.where(vs[:, :-1] < vs[:, 1:],
+                            _gini_pair(cum_pos[:, :-1], np.arange(1.0, n),
+                                       cum_pos[:, -1:], float(n)),
+                            np.inf)
+        # first minimum per candidate, then over candidates in draw order
+        cuts = np.argmin(impurity, axis=1)
+        c = int(np.argmin(impurity[np.arange(len(candidates)), cuts]))
+        cut = cuts[c]
+        if impurity[c, cut] == np.inf:
             return node
-        f, thr, _ = best
-        go_left = self.X[idx, f] <= thr
+        f = int(candidates[c])
+        thr = (vs[c, cut] + vs[c, cut + 1]) / 2.0
+        go_left = self.XT[f, idx] <= thr
         self.feature[node] = f
         self.threshold[node] = thr
         self.left[node] = self.grow(idx[go_left], depth + 1)
@@ -265,27 +285,21 @@ def forest_train(features: np.ndarray, labels: np.ndarray,
     if n < 2:
         raise TrainingError("forest training requires at least 2 samples")
     n_candidates = max(1, int(np.sqrt(n_feat)))
+    XT = np.ascontiguousarray(X.T)
     trees = []
     for a in range(Y.shape[1]):
         per_attr = []
         for t in range(trees_per_attr):
             rng = np.random.default_rng([seed, a, t])
             boot = rng.integers(0, n, size=n)
-            builder = _TreeBuilder(X[boot], Y[boot, a], rng, max_depth, n_candidates)
+            builder = _TreeBuilder(XT[:, boot], Y[boot, a], rng, max_depth, n_candidates)
             per_attr.append(builder.build())
         trees.append(per_attr)
-    return Forest(trees=trees, n_features=n_feat)
-
-
-def _tree_leaf_probs(tree: Tree, X: np.ndarray) -> np.ndarray:
-    idx = np.zeros(X.shape[0], dtype=np.int64)
-    active = np.nonzero(tree.feature[idx] >= 0)[0]
-    while active.size:
-        nodes = idx[active]
-        go_left = X[active, tree.feature[nodes]] <= tree.threshold[nodes]
-        idx[active] = np.where(go_left, tree.left[nodes], tree.right[nodes])
-        active = active[tree.feature[idx[active]] >= 0]
-    return tree.prob[idx]
+    flat = [tree for per_attr in trees for tree in per_attr]
+    fields = [np.concatenate([getattr(tree, name) for tree in flat])
+              for name in ("feature", "threshold", "left", "right", "prob")]
+    table = node_table(*fields, [len(tree.feature) for tree in flat], len(trees))
+    return Forest(trees=trees, n_features=n_feat, table=table)
 
 
 def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:
@@ -293,14 +307,26 @@ def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ShapeError(f"features {X.shape} do not match {forest.n_features} columns")
-    out = np.empty((X.shape[0], forest.n_attributes))
-    for a, per_attr in enumerate(forest.trees):
-        out[:, a] = np.mean([_tree_leaf_probs(t, X) for t in per_attr], axis=0)
+    tab = forest.table
+    n = X.shape[0]
+    # one (tree, row) pair per entry, all trees stepped together; children
+    # lie after their parent, so every pair reaches a leaf
+    node = np.repeat(tab.roots.reshape(-1), n)
+    flat_x = X.reshape(-1)
+    row_start = np.tile(np.arange(n) * X.shape[1], tab.roots.size)
+    active = np.flatnonzero(tab.feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = flat_x[row_start[active] + tab.feature[at]] <= tab.threshold[at]
+        node[active] = np.where(go_left, tab.left[at], tab.right[at])
+        active = active[tab.feature[node[active]] >= 0]
+    leaf_probs = tab.prob[node].reshape(*tab.roots.shape, n)
+    out = np.empty((n, forest.n_attributes))
+    for a in range(forest.n_attributes):
+        # np.mean over one contiguous (trees, n) block, as over a list of
+        # per-tree results: the same sums in the same order at any n
+        out[:, a] = np.mean(leaf_probs[a], axis=0)
     return out
-
-
-def forest_predict(forest: Forest, features: np.ndarray) -> np.ndarray:
-    return (forest_predict_proba(forest, features) > PROB_THRESHOLD).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +379,6 @@ def svm_decision(svm: LinearSvm, features: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != svm.weights.shape[1]:
         raise ShapeError(f"features {X.shape} do not match {svm.weights.shape[1]} columns")
     return X @ svm.weights.T + svm.biases
-
-
-def svm_predict(svm: LinearSvm, features: np.ndarray) -> np.ndarray:
-    return (svm_decision(svm, features) > 0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,11 @@ def cmd_eval(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
+    # the model's settings are the bundle's; of the eval's own pipeline
+    # settings only the seed is used, to generate a synthetic dataset
     resolved.update({"command": "eval", "bundle": str(args.bundle),
-                     "split": args.split})
+                     "split": args.split, "pipeline": bundle.config,
+                     "data_seed": cfg.pipeline.seed})
     (out / "eval_config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     print(json.dumps(resolved, sort_keys=True))
@@ -378,7 +381,9 @@ def main(argv=None) -> int:
     except RCodeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a path argument that cannot be read or written: missing, a
+        # directory, not permitted
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,7 +112,12 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
     """
     path = Path(path)
     images_dir = Path(images_dir)
-    lines = path.read_text().splitlines()
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+                         line=raw.count(b"\n", 0, exc.start) + 1) from None
     if not lines:
         raise ParseError("empty attribute list", line=1)
     try:
@@ -181,22 +186,25 @@ def _read_pgm(data: bytes, path) -> np.ndarray:
         raise FormatError(f"{path}: non-numeric header fields") from None
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pos += 1  # single whitespace byte separates header from pixels
-    pixels = data[pos:pos + width * height]
-    if len(pixels) != width * height:
-        raise FormatError(f"{path}: truncated pixel data, "
-                          f"{len(pixels)} of {width * height} bytes")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).astype(np.float64)
+    # single whitespace byte separates header from pixels
+    return _pixels(data, pos + 1, height, width, path)
 
 
 def _read_packed(data: bytes, path) -> np.ndarray:
     if len(data) < 8:
         raise FormatError(f"{path}: truncated header")
     height, width = struct.unpack("<HH", data[4:8])
-    pixels = data[8:8 + height * width]
-    if len(pixels) != height * width:
+    return _pixels(data, 8, height, width, path)
+
+
+def _pixels(data: bytes, pos: int, height: int, width: int, path) -> np.ndarray:
+    """The height x width u8 image whose rows start at ``pos``."""
+    if height < 1 or width < 1:
+        raise FormatError(f"{path}: image size {width}x{height} is not positive")
+    pixels = data[pos:pos + width * height]
+    if len(pixels) != width * height:
         raise FormatError(f"{path}: truncated pixel data, "
-                          f"{len(pixels)} of {height * width} bytes")
+                          f"{len(pixels)} of {width * height} bytes")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).astype(np.float64)
 
 
@@ -219,8 +227,9 @@ def save_gray_image(path, image: np.ndarray) -> None:
     if img.ndim != 2:
         raise FormatError(f"expected a 2-D image, got shape {img.shape}")
     h, w = img.shape
-    if h > 0xFFFF or w > 0xFFFF:
-        raise FormatError(f"image {img.shape} exceeds the u16 size fields")
+    if not (1 <= h <= 0xFFFF and 1 <= w <= 0xFFFF):
+        raise FormatError(f"image {img.shape} needs 1 to 65535 rows and columns "
+                          f"to fit the u16 size fields")
     payload = np.clip(np.rint(img), 0, 255).astype(np.uint8).tobytes()
     Path(path).write_bytes(PACKED_MAGIC + struct.pack("<HH", h, w) + payload)
 

@@ -68,3 +68,89 @@ class PlainMseAutoencoder:
             gbs.append(delta.sum(axis=1, keepdims=True))
             grad = self.weights[i].T @ delta
         return loss, gws[::-1], gbs[::-1]
+
+
+def _gini_pair(n_pos_left, n_left, n_pos_total, n_total):
+    n_right = n_total - n_left
+    p_left = n_pos_left / n_left
+    p_right = (n_pos_total - n_pos_left) / n_right
+    return (n_left * 2 * p_left * (1 - p_left)
+            + n_right * 2 * p_right * (1 - p_right)) / n_total
+
+
+def _best_split(values, y):
+    """Best threshold for one feature, or None if it cannot split."""
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    ys = y[order]
+    cuts = np.nonzero(vs[:-1] < vs[1:])[0]
+    if cuts.size == 0:
+        return None
+    n = len(ys)
+    cum_pos = np.cumsum(ys)
+    impurity = _gini_pair(cum_pos[cuts], cuts + 1.0, cum_pos[-1], float(n))
+    best = int(np.argmin(impurity))
+    cut = cuts[best]
+    return (vs[cut] + vs[cut + 1]) / 2.0, float(impurity[best])
+
+
+class ReferenceTreeGrower:
+    """One decision tree grown in preorder, splitting each node on the best
+    Gini cut of each candidate feature in turn (a stable sort per feature,
+    the first strictly better candidate kept). Draws candidates from
+    ``rng`` in the same order as ``rcodean.classifiers.forest_train``."""
+
+    def __init__(self, X, y, rng, max_depth, n_candidates):
+        self.X, self.y, self.rng = X, y, rng
+        self.max_depth, self.n_candidates = max_depth, n_candidates
+        self.nodes = []  # [feature, threshold, left, right, prob]
+
+    def grow(self, idx, depth):
+        node = len(self.nodes)
+        ysub = self.y[idx]
+        self.nodes.append([-1, 0.0, -1, -1, float(ysub.mean())])
+        if depth >= self.max_depth or len(idx) < 2 or ysub.min() == ysub.max():
+            return node
+        candidates = self.rng.choice(self.X.shape[1],
+                                     size=min(self.n_candidates, self.X.shape[1]),
+                                     replace=False)
+        best = None
+        for f in candidates:
+            split = _best_split(self.X[idx, f], ysub)
+            if split is not None and (best is None or split[1] < best[2]):
+                best = (int(f), split[0], split[1])
+        if best is None:
+            return node
+        f, thr, _ = best
+        go_left = self.X[idx, f] <= thr
+        self.nodes[node][:2] = [f, thr]
+        self.nodes[node][2] = self.grow(idx[go_left], depth + 1)
+        self.nodes[node][3] = self.grow(idx[~go_left], depth + 1)
+        return node
+
+
+def reference_forest(features, labels, trees_per_attr, max_depth, seed):
+    """Per attribute, each tree's node fields as a dict of arrays: the
+    bootstrap and candidate draws of ``forest_train``, grown by
+    ``ReferenceTreeGrower``."""
+    X = np.asarray(features, dtype=np.float64)
+    Y = np.asarray(labels, dtype=np.float64)
+    n, n_feat = X.shape
+    n_candidates = max(1, int(np.sqrt(n_feat)))
+    forest = []
+    for a in range(Y.shape[1]):
+        per_attr = []
+        for t in range(trees_per_attr):
+            rng = np.random.default_rng([seed, a, t])
+            boot = rng.integers(0, n, size=n)
+            grower = ReferenceTreeGrower(X[boot], Y[boot, a], rng, max_depth, n_candidates)
+            grower.grow(np.arange(n), 0)
+            cols = list(zip(*grower.nodes))
+            per_attr.append({
+                "feature": np.array(cols[0], dtype=np.int64),
+                "threshold": np.array(cols[1], dtype=np.float64),
+                "left": np.array(cols[2], dtype=np.int64),
+                "right": np.array(cols[3], dtype=np.int64),
+                "prob": np.array(cols[4], dtype=np.float64)})
+        forest.append(per_attr)
+    return forest

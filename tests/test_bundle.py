@@ -1,14 +1,13 @@
 import json
-import signal
 import struct
 import zlib
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from bundle_rewrite import rewrite_bundle
+from fuzzing import FUZZ, time_bound
 from rcodean.bundle import load_bundle, save_bundle
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import ConfigError, CorruptionError, FormatError, VersionError
@@ -220,7 +219,6 @@ def test_config_guard_on_mismatched_dataset(trained):
 # ---------------------------------------------------------------------------
 # fuzzing: damaged files must raise FormatError, and only that, in bounded time
 
-FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 LOAD_SECONDS = 5.0
 LOADED_CONFIG_FIELDS = ["alpha", "beta", "lam", "k", "attribute_names", "skip_layout",
                         "forest_trees", "svm_reg"]
@@ -237,23 +235,9 @@ JSON_VALUES = st.sampled_from(
     max_leaves=6)
 
 
-@contextmanager
-def _time_bound(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"load_bundle ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _load_or_format_error(path):
     """Load within the time bound; FormatError is the only refusal allowed."""
-    with _time_bound(LOAD_SECONDS):
+    with time_bound(LOAD_SECONDS):
         try:
             return load_bundle(path)
         except FormatError:
@@ -268,7 +252,7 @@ def test_truncated_bundle_is_format_error(trained, data):
     cut = data.draw(st.integers(0, len(raw) - 1))
     bad = path.parent / "fuzz-truncated.rcbn"
     bad.write_bytes(raw[:cut])
-    with _time_bound(LOAD_SECONDS), pytest.raises(FormatError):
+    with time_bound(LOAD_SECONDS), pytest.raises(FormatError):
         load_bundle(bad)
 
 
@@ -281,7 +265,7 @@ def test_byte_mutated_bundle_is_format_error(trained, data):
         raw[pos] ^= data.draw(st.integers(1, 255))
     bad = path.parent / "fuzz-mutated.rcbn"
     bad.write_bytes(bytes(raw))
-    with _time_bound(LOAD_SECONDS), pytest.raises(FormatError):
+    with time_bound(LOAD_SECONDS), pytest.raises(FormatError):
         load_bundle(bad)
 
 

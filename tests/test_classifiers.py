@@ -3,12 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from rcodean.classifiers import (assemble_mlp_head, build_mlp_head,
-                                 ensemble_vote, forest_predict,
-                                 forest_predict_proba, forest_train,
+from oracles import reference_forest
+from rcodean.classifiers import (PROB_THRESHOLD, assemble_mlp_head, build_mlp_head,
+                                 ensemble_vote, forest_predict_proba, forest_train,
                                  head_loss_and_grads, head_score, head_train,
-                                 svm_decision, svm_predict, svm_train,
-                                 zero_mlp_head)
+                                 svm_decision, svm_train, zero_mlp_head)
 from rcodean.errors import ShapeError, TrainingError
 from rcodean.tensor import Mat
 
@@ -202,13 +201,45 @@ def test_forest_prediction_matches_tree_walk_oracle():
     y = np.hstack([y, rng.integers(0, 2, size=(150, 1))])
     forest = forest_train(x, y, trees_per_attr=8, max_depth=5, seed=24)
     probes = rng.uniform(size=(100, 5))
-    probs = forest_predict_proba(forest, probes)
-    for i in range(100):
-        for a in range(2):
-            expected = np.mean([_walk_tree(t, probes[i]) for t in forest.trees[a]])
-            assert probs[i, a] == pytest.approx(expected, abs=1e-12)
-    preds = forest_predict(forest, probes)
-    assert np.array_equal(preds, (probs > 0.5).astype(np.int64))
+    # leaf probabilities averaged as a (trees, n) array, one walk per
+    # (tree, row): numpy sums a (trees, 1) block in another order than a
+    # (trees, 100) one, and both must be matched bit for bit
+    for batch in [*np.split(probes, len(probes)), probes]:
+        walked = np.array([[[_walk_tree(t, row) for row in batch] for t in per_attr]
+                           for per_attr in forest.trees])
+        expected = np.stack([np.mean(w, axis=0) for w in walked], axis=1)
+        assert np.array_equal(forest_predict_proba(forest, batch), expected)
+
+
+def _tie_heavy(n, n_feat, seed):
+    """Features rounded to 2 decimals beside a constant column."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(size=(n, n_feat)), 2)
+    x[:, 1] = 0.25
+    y = rng.integers(0, 2, size=(n, 2))
+    return x, y
+
+
+@pytest.mark.parametrize("x,y", [
+    _tie_heavy(300, 9, 40),
+    _tie_heavy(60, 4, 41),
+    # rounded to one decimal: many nodes of two or three samples whose
+    # candidates all tie, so they stay leaves with mixed labels
+    (np.round(np.random.default_rng(42).uniform(size=(120, 3)), 1),
+     np.random.default_rng(43).integers(0, 2, size=(120, 1))),
+    (np.array([[0.5, 1.0], [0.5, 2.0]]), np.array([[0], [1]])),
+    (np.array([[0.5, 1.0], [0.5, 1.0], [0.7, 1.0]]), np.array([[0], [1], [1]])),
+    (np.ones((10, 4)), np.array([[0], [1]] * 5)),
+], ids=["rounded-2dp", "rounded-small", "rounded-1dp", "n2", "n3", "no-split"])
+def test_forest_trees_match_per_feature_oracle(x, y):
+    forest = forest_train(x, y, trees_per_attr=6, max_depth=6, seed=44)
+    oracle = reference_forest(x, y, trees_per_attr=6, max_depth=6, seed=44)
+    for per_attr, ref_per_attr in zip(forest.trees, oracle, strict=True):
+        for tree, ref in zip(per_attr, ref_per_attr, strict=True):
+            for name, ref_values in ref.items():
+                values = getattr(tree, name)
+                assert values.dtype == ref_values.dtype
+                assert np.array_equal(values, ref_values), name
 
 
 def test_forest_learns_separable_rule():
@@ -218,7 +249,7 @@ def test_forest_learns_separable_rule():
     forest = forest_train(x, y, trees_per_attr=16, max_depth=6, seed=26)
     test_x = rng.uniform(size=(200, 8))
     test_y = (test_x[:, 3] > 0.5).astype(np.int64)
-    acc = (forest_predict(forest, test_x)[:, 0] == test_y).mean()
+    acc = ((forest_predict_proba(forest, test_x)[:, 0] > PROB_THRESHOLD) == test_y).mean()
     assert acc >= 0.95
 
 
@@ -253,7 +284,7 @@ def test_svm_separable_blobs():
     x, y = _blobs(400, seed=29)
     svm = svm_train(x, y, epochs=30, reg=1e-3, seed=30)
     tx, ty = _blobs(300, seed=31)
-    acc = (svm_predict(svm, tx)[:, 0] == ty[:, 0]).mean()
+    acc = ((svm_decision(svm, tx)[:, 0] > 0) == ty[:, 0]).mean()
     assert acc >= 0.99
 
 
@@ -262,15 +293,15 @@ def test_svm_one_class_degenerate():
     x = rng.normal(size=(50, 3))
     y = np.ones((50, 1), dtype=np.int64)
     svm = svm_train(x, y, epochs=30, reg=1e-3, seed=33)
-    assert (svm_predict(svm, x)[:, 0] == 1).all()
+    assert (svm_decision(svm, x)[:, 0] > 0).all()
 
 
 def test_svm_feature_scaling_preserves_signs_at_tiny_reg():
     x, y = _blobs(200, seed=34)
     a = svm_train(x, y, epochs=40, reg=1e-6, seed=35)
     b = svm_train(10.0 * x, y, epochs=40, reg=1e-6, seed=35)
-    signs_a = svm_predict(a, x)[:, 0]
-    signs_b = svm_predict(b, 10.0 * x)[:, 0]
+    signs_a = svm_decision(a, x)[:, 0] > 0
+    signs_b = svm_decision(b, 10.0 * x)[:, 0] > 0
     assert np.array_equal(signs_a, signs_b)
 
 

@@ -117,6 +117,22 @@ def test_eval_outputs(run_dir, synth_dir, tmp_path):
     assert {r.split(",")[0] for r in ablation[1:]} == {"mlp", "forest", "svm"}
 
 
+def test_eval_records_the_bundle_config(run_dir, synth_dir, tmp_path, capsys):
+    # the bundle was trained with --l 8; eval's own --l default is 512
+    out = tmp_path / "eval"
+    rc = main(["eval", "--bundle", str(run_dir / "model.rcbn"),
+               "--data", str(synth_dir / "list_attr.txt"),
+               "--images", str(synth_dir / "images"),
+               "--split-fractions", "0.5,0.3,0.2", "--out", str(out)])
+    assert rc == 0
+    recorded = json.loads((out / "eval_config.json").read_text())
+    echoed = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert recorded == echoed
+    trained = json.loads((run_dir / "config.json").read_text())["pipeline"]
+    assert recorded["pipeline"]["l"] == 8
+    assert {name: recorded["pipeline"][name] for name in trained} == trained
+
+
 def test_predict_output(run_dir, synth_dir, capsys):
     rc = main(["predict", "--bundle", str(run_dir / "model.rcbn"),
                "--image", str(synth_dir / "images" / "img_000003.rcim")])
@@ -139,6 +155,27 @@ def test_predict_on_malformed_bundle_is_usage_error(run_dir, synth_dir, tmp_path
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error:")
     assert "Traceback" not in err
+
+
+def _assert_usage_error(rc, capsys, message):
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error:") and message in err, err
+    assert "Traceback" not in err
+
+
+def test_predict_with_directory_as_bundle_is_usage_error(synth_dir, tmp_path, capsys):
+    rc = main(["predict", "--bundle", str(tmp_path),
+               "--image", str(synth_dir / "images" / "img_000003.rcim")])
+    _assert_usage_error(rc, capsys, "Is a directory")
+
+
+def test_train_on_non_utf8_attribute_list_is_usage_error(tmp_path, capsys):
+    attr_list = tmp_path / "list_attr.txt"
+    attr_list.write_bytes(b"1\nA\nimg\xe9.rcim 1\n")
+    rc = main(["train", "--data", str(attr_list), "--images", str(tmp_path),
+               "--out", str(tmp_path / "o"), *TRAIN_FLAGS])
+    _assert_usage_error(rc, capsys, "line 3: ")
 
 
 def test_report_weights(run_dir, capsys):

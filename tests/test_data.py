@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from fuzzing import FUZZ, time_bound
 from rcodean.data import (AttributeDataset, gen_synthetic, load_attr_list,
                           load_gray_image, save_gray_image, split_by_counts,
                           split_by_fractions, SYNTHETIC_ATTRIBUTES)
@@ -46,6 +50,14 @@ def test_attr_list_bad_count_line(tmp_path):
         with pytest.raises(ParseError) as err:
             load_attr_list(path, tmp_path)
         assert err.value.line == 1
+
+
+def test_attr_list_not_utf8(tmp_path):
+    path = tmp_path / "list_attr.txt"
+    path.write_bytes(b"1\nA B\na.pgm \xff1 -1\n")
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        load_attr_list(path, tmp_path)
+    assert err.value.line == 3
 
 
 def test_attr_list_proportional_split(tmp_path):
@@ -127,6 +139,16 @@ def test_pgm_truncated(tmp_path):
         load_gray_image(p)
 
 
+@pytest.mark.parametrize("header", [b"P5 -4 -4 255\n", b"P5 0 4 255\n", b"P5 4 0 255\n",
+                                    b"P5 -4 4 255\n", b"RCIM\x00\x00\x04\x00",
+                                    b"RCIM\x04\x00\x00\x00"])
+def test_image_size_not_positive(tmp_path, header):
+    p = tmp_path / "a.img"
+    p.write_bytes(header + bytes(16))
+    with pytest.raises(FormatError, match="not positive"):
+        load_gray_image(p)
+
+
 def test_unknown_magic(tmp_path):
     p = tmp_path / "a.img"
     p.write_bytes(b"WHAT even is this")
@@ -147,6 +169,84 @@ def test_packed_truncated(tmp_path):
     p.write_bytes(b"RCIM" + bytes([4, 0, 4, 0]) + bytes(5))
     with pytest.raises(FormatError, match="truncated"):
         load_gray_image(p)
+
+
+def test_packed_empty_image_not_written(tmp_path):
+    with pytest.raises(FormatError, match="1 to 65535"):
+        save_gray_image(tmp_path / "a.rcim", np.zeros((0, 4)))
+
+
+# Arbitrary image and attribute-list bytes must decode or raise
+# FormatError (ParseError for lists), within a time bound. The files stay
+# around a hundred bytes: a declared size never allocates more than
+# the pixels present.
+
+DECODE_SECONDS = 5.0
+_SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# note\n", b" # 1 2\n"])
+_HEADER_JUNK = st.binary(max_size=3) | st.sampled_from(
+    [b"x", b"+2", b"-0", b"2_0", b"", b"2147483648", b"-9223372036854775808", b"1" + b"0" * 30])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _decode_or_format_error(path):
+    with time_bound(DECODE_SECONDS):
+        try:
+            img = load_gray_image(path)
+        except FormatError:
+            return
+    assert img.ndim == 2 and min(img.shape) >= 1
+    assert ((img >= 0) & (img <= 255)).all()
+
+
+@FUZZ
+@given(data=st.data())
+def test_pgm_bytes_decode_or_format_error(fuzz_dir, data):
+    width, height = (data.draw(st.sampled_from([-4, -1, 0, 1, 2, 3])) for _ in range(2))
+    maxval = data.draw(st.sampled_from([255, 255, 255, 65535, 0, -255]))
+    fields = [str(v).encode() for v in (width, height, maxval)]
+    if data.draw(st.booleans()):
+        fields[data.draw(st.integers(0, 2))] = data.draw(_HEADER_JUNK)
+    # often exactly as many pixel bytes as the declared size asks for
+    n_pixels = data.draw(st.integers(0, 40) | st.just(abs(width * height)))
+    header = b"P5" + b"".join(data.draw(_SEP) + f for f in fields)
+    p = fuzz_dir / "fuzz.pgm"
+    p.write_bytes(header + data.draw(st.sampled_from([b"\n", b" ", b""]))
+                  + data.draw(st.binary(min_size=n_pixels, max_size=n_pixels)))
+    _decode_or_format_error(p)
+
+
+@FUZZ
+@given(size=st.binary(max_size=4) | st.tuples(st.integers(0, 6) | st.just(65535),
+                                                st.integers(0, 6) | st.just(65535)
+                                                ).map(lambda hw: struct.pack("<HH", *hw)),
+       pixels=st.binary(max_size=40))
+def test_packed_bytes_decode_or_format_error(fuzz_dir, size, pixels):
+    p = fuzz_dir / "fuzz.rcim"
+    p.write_bytes(b"RCIM" + size + pixels)
+    _decode_or_format_error(p)
+
+
+_LIST_TOKEN = st.sampled_from([b"1", b"-1", b"0", b"2", b"a.pgm", b"A", b"", b"\xff", b"\xc3",
+                               b"\xc3\xa9", b"99999999999999999999"])
+_LIST_LINE = st.lists(_LIST_TOKEN, max_size=4).map(b" ".join)
+
+
+@FUZZ
+@given(lines=st.lists(_LIST_LINE, max_size=6),
+       newline=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+def test_attr_list_bytes_load_or_parse_error(fuzz_dir, lines, newline):
+    p = fuzz_dir / "list_attr.txt"
+    p.write_bytes(newline.join(lines))
+    with time_bound(DECODE_SECONDS):
+        try:
+            ds = load_attr_list(p, fuzz_dir)
+        except ParseError:
+            return
+    assert ds.labels.shape == (ds.n, len(ds.names))
 
 
 # ---------------------------------------------------------------------------
