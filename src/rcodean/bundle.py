@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .classifiers import Forest, LinearSvm, Tree, assemble_mlp_head, node_table
 from .errors import CorruptionError, FormatError, VersionError
 from .network import CodeanParams, assemble_rcodean
 from .pipeline import (BUNDLE_FORMAT_VERSION, ModelBundle, N_SOURCES,
-                       PatchWeights, is_number)
+                       PatchWeights, SourceModels, is_number)
 
 BUNDLE_MAGIC = b"RCBN"
 
@@ -164,8 +164,9 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
 
 
 def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.ndarray]:
-    """Every manifest array, each copied out of the file's bytes and
-    checked once for finiteness."""
+    """Every manifest array as a read-only view of the file's bytes,
+    checked once for finiteness; ``_assemble`` copies each once, into
+    the array the bundle keeps."""
     end = len(data) - 4
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest:
@@ -189,13 +190,23 @@ def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.nd
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
         if not np.isfinite(flat).all():
             raise FormatError(f"{path}: array {name} has non-finite entries")
-        arrays[name] = flat.reshape(shape).copy()
+        arrays[name] = flat.reshape(shape)
         pos += count * 8
     return arrays
 
 
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """``arr`` where it is already the bundle's own (a slice of a stack),
+    else a copy of the file's bytes it views."""
+    return arr if arr.flags.writeable else arr.copy()
+
+
 def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
-    """The bundle whose ``_enumerate_arrays`` names are the keys of ``arrays``."""
+    """The bundle whose ``_enumerate_arrays`` names are the keys of
+    ``arrays``, views of the file's bytes. The model set copies the
+    stacked arrays into its stacks, and every other array is copied on
+    its own, so each is copied once and the bundle shares nothing with
+    the file's bytes."""
     groups: dict[str, dict[str, np.ndarray]] = {}
     for name, arr in arrays.items():
         group, _, rest = name.partition(".")
@@ -204,7 +215,14 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     nets = [assemble_rcodean(groups[f"net{s}"], config["skip_layout"], params)
             for s in range(N_SOURCES)]
     heads = [assemble_mlp_head(groups[f"head{s}"]) for s in range(N_SOURCES)]
-    svm_weights = arrays["svm.weights"]
+    sources = SourceModels(nets, heads)
+    for layer in [*(layer for net in nets for layer in [*net.encoder, *net.decoder]),
+                  *(layer for head in heads for layer in head.layers)]:
+        layer.weight, layer.bias = _owned(layer.weight), _owned(layer.bias)
+    for spec in (spec for net in nets for spec in net.skips):
+        if spec.projection is not None:
+            spec.projection = _owned(spec.projection)
+    svm_weights = arrays["svm.weights"].copy()
     n_features = int(svm_weights.shape[1])
     tree_names = [[f"forest.attr{a}.tree{t}" for t in range(int(config["forest_trees"]))]
                   for a in range(int(config["k"]))]
@@ -214,17 +232,27 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     feature, threshold, left, right, prob = nodes.T.copy()
     table = node_table(feature.astype(np.int64), threshold, left.astype(np.int64),
                        right.astype(np.int64), prob, sizes, len(tree_names))
+    stage2 = {name: arr.copy() for name, arr in groups["stage2_mlp"].items()}
     return ModelBundle(
-        config=config, nets=nets, heads=heads,
-        patch_weights=PatchWeights(arrays["patch_weights"]),
-        stage2_mlp=assemble_mlp_head(groups["stage2_mlp"]),
+        config=config, sources=sources,
+        patch_weights=PatchWeights(arrays["patch_weights"].copy()),
+        stage2_mlp=assemble_mlp_head(stage2),
         forest=Forest(trees=trees, n_features=n_features, table=table),
-        svm=LinearSvm(weights=svm_weights, biases=arrays["svm.biases"].reshape(-1),
+        svm=LinearSvm(weights=svm_weights, biases=arrays["svm.biases"].reshape(-1).copy(),
                       reg=float(config["svm_reg"])))
 
 
 def load_bundle(path) -> ModelBundle:
-    data = Path(path).read_bytes()
+    """The bundle saved at ``path``. The file is mapped rather than read:
+    no buffer its size is allocated, and each array is copied once, from
+    the page cache into the bundle. As with any mapped file, truncating
+    it from another process during the load can end this process with
+    SIGBUS; replace a bundle by writing a new file and renaming it."""
+    with open(path, "rb") as fh:
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # empty, or not a mappable file
+            data = fh.read()
     header, pos = _read_header(path, data)
     arrays = _read_arrays(path, data, header["arrays"], pos)
     try:

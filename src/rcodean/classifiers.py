@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 from .layers import (DenseLayer, LayerCache, dense_backward, dense_backward_preact,
-                     dense_forward, glorot_uniform)
+                     dense_forward, glorot_uniform, stack_layers)
 from .optimizer import AdamState, adam_step
 from .tensor import Mat
 
@@ -85,11 +85,20 @@ def zero_mlp_head(in_dim: int, k: int) -> MlpHead:
     return head
 
 
-def _head_forward(head: MlpHead, x: np.ndarray) -> list[LayerCache]:
+def stack_heads(heads: list[MlpHead], share: bool) -> MlpHead:
+    """One head whose layers stack those of same-shaped ``heads``, for
+    ``stacked_head_score``; ``share`` as in ``stack_arrays``."""
+    return MlpHead([stack_layers([head.layers[i] for head in heads],
+                                 f"head{i}x{len(heads)}", share)
+                    for i in range(len(HEAD_ACTS))])
+
+
+def _head_forward(head: MlpHead, x: np.ndarray,
+                  keep_preact: bool = True) -> list[LayerCache]:
     caches = []
     current = x
     for layer in head.layers:
-        cache = dense_forward(layer, current)
+        cache = dense_forward(layer, current, keep_preact=keep_preact)
         caches.append(cache)
         current = cache.output
     return caches
@@ -100,6 +109,12 @@ def head_score(head: MlpHead, code: Mat) -> Mat:
     if code.rows != head.in_dim:
         raise ShapeError(f"code has {code.rows} rows, head expects {head.in_dim}")
     return Mat(_head_forward(head, code.a)[-1].output, copy=False)
+
+
+def stacked_head_score(heads: MlpHead, codes: np.ndarray) -> np.ndarray:
+    """(heads, k, n) probabilities from a ``stack_heads`` head and an
+    (heads, l, n) code stack: ``head_score`` for every head at once."""
+    return _head_forward(heads, codes, keep_preact=False)[-1].output
 
 
 def _bce(probs: np.ndarray, y: np.ndarray) -> float:

@@ -352,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-counts", default=None)
     p.add_argument("--split", default="test")
     p.add_argument("--out", default=None)
-    _add_pipeline_flags(p)
+    # the model's settings come from the bundle; the seed generates a
+    # --synthetic dataset
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict attributes for one image")

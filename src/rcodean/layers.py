@@ -3,8 +3,11 @@
 Layers consume and produce column-sample matrices: an input of shape
 (in_dim, n) holds n samples side by side. The bias column is added to
 every sample column; with n == 1 all gradient formulas reduce to the
-single-sample chain rule exactly. Everything here is a plain float64
-ndarray; shapes are checked, never broadcast.
+single-sample chain rule exactly. A layer may also be a stack of
+same-shaped layers, weight (m, out_dim, in_dim) and bias (m, out_dim, 1),
+run on an (m, in_dim, n) input in one matmul: slice i of the result is
+layer i on input i, bit for bit what the 2-D product gives. Everything
+here is a plain float64 ndarray; shapes are checked, never broadcast.
 """
 
 from __future__ import annotations
@@ -19,34 +22,64 @@ from .tensor import ACTIVATION_KINDS, activation
 
 @dataclass
 class DenseLayer:
-    weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray    # (out_dim, 1)
+    weight: np.ndarray  # (out_dim, in_dim), or (m, out_dim, in_dim) for a stack
+    bias: np.ndarray    # (out_dim, 1), or (m, out_dim, 1)
     act: str
     name: str = "dense"
 
     def __post_init__(self):
         w, b = self.weight.shape, self.bias.shape
-        if len(w) != 2 or min(w) < 1 or b != (w[0], 1):
+        if len(w) < 2 or min(w) < 1 or b != (*w[:-1], 1):
             raise ShapeError(f"layer {self.name}: weight {w} and bias {b} are not "
-                             f"(out_dim, in_dim) and (out_dim, 1)")
+                             f"(..., out_dim, in_dim) and (..., out_dim, 1)")
         if self.act not in ACTIVATION_KINDS:
             raise ValueError(f"layer {self.name}: unknown activation {self.act!r}")
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
 
 @dataclass
 class LayerCache:
-    """Forward-pass bookkeeping needed by the backward pass."""
+    """Forward-pass bookkeeping needed by the backward pass; an inference
+    pass keeps no pre-activation."""
     input: np.ndarray
-    pre_activation: np.ndarray
+    pre_activation: np.ndarray | None
     output: np.ndarray
+
+
+def stack_arrays(owners, attr: str, share: bool) -> np.ndarray:
+    """One (len(owners), ...) array of every owner's same-shaped ``attr``.
+
+    With ``share`` each owner is pointed at its slice as it is copied, so
+    every value is held once and an owner's own array is freed as soon as
+    nothing else holds it; otherwise the stack is a copy and the owners
+    are left as they are.
+    """
+    shapes = {getattr(owner, attr).shape for owner in owners}
+    if len(shapes) != 1:
+        raise ShapeError(f"cannot stack {attr} arrays of shapes {sorted(shapes)}")
+    stack = np.empty((len(owners), *shapes.pop()))
+    for i, owner in enumerate(owners):
+        stack[i] = getattr(owner, attr)
+        if share:
+            setattr(owner, attr, stack[i])
+    return stack
+
+
+def stack_layers(layers: list[DenseLayer], name: str, share: bool) -> DenseLayer:
+    """The stacked layer running ``layers`` (same shapes, same activation)
+    together; ``share`` as in ``stack_arrays``."""
+    acts = {layer.act for layer in layers}
+    if len(acts) != 1:
+        raise ShapeError(f"layer {name}: cannot stack activations {sorted(acts)}")
+    return DenseLayer(stack_arrays(layers, "weight", share),
+                      stack_arrays(layers, "bias", share), acts.pop(), name)
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -63,13 +96,16 @@ def init_dense(in_dim: int, out_dim: int, act: str, rng: np.random.Generator,
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray,
-                  skip_in: np.ndarray | None = None) -> LayerCache:
+                  skip_in: np.ndarray | None = None,
+                  keep_preact: bool = True) -> LayerCache:
     """z = W x + b + skip_in (skip added pre-activation); output = act(z).
 
     The bias and the skip are added in place into the fresh W x; a linear
-    layer's output is z itself.
+    layer's output is z itself. Without ``keep_preact`` (inference, where
+    no backward pass reads z) a relu is applied in place into z too, and
+    the cache holds no pre-activation.
     """
-    if x.ndim != 2 or x.shape[0] != layer.in_dim:
+    if x.shape[:-1] != (*layer.weight.shape[:-2], layer.in_dim):
         raise ShapeError(
             f"layer {layer.name}: input shape {x.shape} does not have "
             f"{layer.in_dim} rows"
@@ -83,7 +119,10 @@ def dense_forward(layer: DenseLayer, x: np.ndarray,
     z += layer.bias
     if skip_in is not None:
         z += skip_in
-    return LayerCache(input=x, pre_activation=z, output=activation(z, layer.act))
+    if keep_preact:
+        return LayerCache(input=x, pre_activation=z, output=activation(z, layer.act))
+    out = np.maximum(z, 0.0, out=z) if layer.act == "relu" else activation(z, layer.act)
+    return LayerCache(input=x, pre_activation=None, output=out)
 
 
 def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import (DenseLayer, LayerCache, dense_forward, dense_backward,
-                     glorot_uniform)
+                     glorot_uniform, stack_layers)
 from .tensor import Mat
 
 LAYER_ORDER = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
@@ -199,6 +199,37 @@ def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
 
 
 @dataclass
+class EncoderStack:
+    """The encoder layers of same-shaped nets, each array stacked as
+    (nets, out, in), with the shortcuts that end in the encoder; it runs
+    through the nets' own forward code, slice s as net s."""
+    encoder: list[DenseLayer]
+    incoming: dict[str, list[SkipSpec]]
+
+    @property
+    def input_dim(self) -> int:
+        return self.encoder[0].in_dim
+
+    def layer(self, layer_id: str) -> DenseLayer:
+        return self.encoder[ENCODER_IDS.index(layer_id)]
+
+
+def stack_encoders(nets: list[RCodeanNet], share: bool) -> EncoderStack:
+    """Stack the encoders of ``nets``, which must agree in shapes and in
+    the shortcuts into their encoder; ``share`` as in ``stack_arrays``.
+    Every encoder output has the code dimension, so no shortcut into the
+    encoder has a projection, and the first net's shortcuts serve all."""
+    incoming = {lid: nets[0].incoming[lid] for lid in ENCODER_IDS}
+    layout = lambda net: [(sp.src, sp.dst, sp.kind) for lid in ENCODER_IDS
+                          for sp in net.incoming[lid]]
+    if any(layout(net) != layout(nets[0]) for net in nets):
+        raise ConfigError("cannot stack nets whose shortcuts into the encoder differ")
+    encoder = [stack_layers([net.layer(lid) for net in nets], f"{lid}x{len(nets)}", share)
+               for lid in ENCODER_IDS]
+    return EncoderStack(encoder=encoder, incoming=incoming)
+
+
+@dataclass
 class NetForward:
     reconstruction: Mat
     code: Mat
@@ -206,7 +237,7 @@ class NetForward:
 
 
 def _skip_contribution(spec: SkipSpec, src_out: np.ndarray,
-                       dst_shape: tuple[int, int]) -> np.ndarray:
+                       dst_shape: tuple[int, ...]) -> np.ndarray:
     contrib = src_out if spec.projection is None else spec.projection @ src_out
     if contrib.shape != dst_shape:
         raise ConfigError(
@@ -216,10 +247,12 @@ def _skip_contribution(spec: SkipSpec, src_out: np.ndarray,
     return contrib
 
 
-def _forward_caches(net: RCodeanNet, x: np.ndarray, last: str) -> dict[str, LayerCache]:
-    """Run the stack from enc1 through layer ``last``."""
-    if x.shape[0] != net.input_dim:
-        raise ShapeError(f"input has {x.shape[0]} rows, expected {net.input_dim}")
+def _forward_caches(net: RCodeanNet | EncoderStack, x: np.ndarray, last: str,
+                    keep_preact: bool = True) -> dict[str, LayerCache]:
+    """Run the stack from enc1 through layer ``last``; ``keep_preact`` as
+    in ``dense_forward``."""
+    if x.ndim < 2 or x.shape[-2] != net.input_dim:
+        raise ShapeError(f"input shape {x.shape} does not have {net.input_dim} rows")
     caches: dict[str, LayerCache] = {}
     current = x
     for lid in LAYER_ORDER[:LAYER_ORDER.index(last) + 1]:
@@ -227,11 +260,12 @@ def _forward_caches(net: RCodeanNet, x: np.ndarray, last: str) -> dict[str, Laye
         skip_in = None
         for spec in net.incoming[lid]:
             contrib = _skip_contribution(spec, caches[spec.src].output,
-                                         (layer.out_dim, current.shape[1]))
+                                         (*current.shape[:-2], layer.out_dim,
+                                          current.shape[-1]))
             # dense_forward only reads skip_in, so a lone contribution is
             # passed as it is, even where it is another layer's output
             skip_in = contrib if skip_in is None else skip_in + contrib
-        cache = dense_forward(layer, current, skip_in)
+        cache = dense_forward(layer, current, skip_in, keep_preact)
         caches[lid] = cache
         current = cache.output
     return caches
@@ -248,6 +282,12 @@ def encode(net: RCodeanNet, x: Mat) -> Mat:
     """Learned representation: the third encoder layer's output, including
     any incoming shortcut contributions."""
     return Mat(_forward_caches(net, x.a, "enc3")["enc3"].output, copy=False)
+
+
+def stacked_encode(encoders: EncoderStack, x: np.ndarray) -> np.ndarray:
+    """Codes of an (nets, d, n) input stack, slice s through net s's
+    encoder: ``encode`` for every net at once, relus applied in place."""
+    return _forward_caches(encoders, x, "enc3", keep_preact=False)["enc3"].output
 
 
 def _encoder_l1(net: RCodeanNet) -> float:

@@ -1,10 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately written against the documented math, not the package code:
-plain arrays, explicit loops over the layer list, no shared helpers.
+plain arrays, explicit loops over the layer list, no shared helpers. The
+exceptions are kept copies of earlier package code that a faster version
+must match bit for bit; each says so.
 """
 
 import numpy as np
+
+from rcodean.classifiers import head_score
+from rcodean.network import encode
+from rcodean.tensor import Mat
 
 
 def _relu(z):
@@ -154,3 +160,52 @@ def reference_forest(features, labels, trees_per_attr, max_depth, seed):
                 "prob": np.array(cols[4], dtype=np.float64)})
         forest.append(per_attr)
     return forest
+
+
+# ---------------------------------------------------------------------------
+# preprocessing and stage-1 scoring as they were before the resize plan and
+# the stacked scoring pass, kept verbatim
+
+
+def reference_bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel-center bilinear resample with edge clamping."""
+    h, w = img.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    top = (1.0 - wx) * img[np.ix_(y0, x0)] + wx * img[np.ix_(y0, x1)]
+    bottom = (1.0 - wx) * img[np.ix_(y1, x0)] + wx * img[np.ix_(y1, x1)]
+    return (1.0 - wy) * top + wy * bottom
+
+
+PATCH_SIZE = 32
+PATCH_OFFSETS = tuple((r, c) for r in (0, 16, 32) for c in (0, 16, 32))
+N_SOURCES = len(PATCH_OFFSETS) + 1
+
+
+def reference_tessellate_batch(images: np.ndarray) -> list[np.ndarray]:
+    """Source matrices for an (n, 64, 64) stack: ten (dim, n) arrays."""
+    n = images.shape[0]
+    out = [np.ascontiguousarray(
+        images[:, r:r + PATCH_SIZE, c:c + PATCH_SIZE].reshape(n, -1).T)
+        for r, c in PATCH_OFFSETS]
+    out.append(np.ascontiguousarray(images.reshape(n, -1).T))
+    return out
+
+
+def reference_score_images(models, images: np.ndarray) -> np.ndarray:
+    """Stage-1 scores for an (n, 64, 64) stack, (n, 10, k), one source at
+    a time through the package's 2-D ``encode`` and ``head_score``."""
+    sources = reference_tessellate_batch(images)
+    k = models[0][1].n_attributes
+    n = images.shape[0]
+    out = np.empty((n, N_SOURCES, k))
+    for s, (net, head) in enumerate(models):
+        probs = head_score(head, encode(net, Mat(sources[s], copy=False)))
+        out[:, s, :] = probs.a.T
+    return out

@@ -133,6 +133,22 @@ def test_eval_records_the_bundle_config(run_dir, synth_dir, tmp_path, capsys):
     assert {name: recorded["pipeline"][name] for name in trained} == trained
 
 
+def test_eval_refuses_training_flags(run_dir, synth_dir, tmp_path, capsys):
+    # eval takes the model's settings from the bundle; a training flag
+    # would be silently ignored, so it is refused
+    args = ["eval", "--bundle", str(run_dir / "model.rcbn"),
+            "--data", str(synth_dir / "list_attr.txt"),
+            "--images", str(synth_dir / "images"), "--out", str(tmp_path / "eval")]
+    for flag in (["--l", "999"], ["--epochs", "7"], ["--forest-trees", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag[0] in err
+    assert not (tmp_path / "eval").exists()
+    assert main([*args, "--seed", "5"]) == 0
+
+
 def test_predict_output(run_dir, synth_dir, capsys):
     rc = main(["predict", "--bundle", str(run_dir / "model.rcbn"),
                "--image", str(synth_dir / "images" / "img_000003.rcim")])

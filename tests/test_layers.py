@@ -3,7 +3,7 @@ import pytest
 
 from rcodean.errors import ShapeError
 from rcodean.layers import (DenseLayer, dense_backward, dense_forward,
-                            dense_backward_preact, init_dense)
+                            dense_backward_preact, init_dense, stack_layers)
 from rcodean.tensor import activation
 
 
@@ -170,6 +170,50 @@ def test_relu_and_linear_paths_match_reference_formulas():
         none_in, *rest = dense_backward(layer, cache, g, input_grad=False)
         assert none_in is None
         assert all(np.array_equal(a, b) for a, b in zip(rest, (gw, gb, gs)))
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "linear"])
+def test_stacked_layer_matches_each_layer_bitwise(act):
+    rng = np.random.default_rng(73)
+    layers = [init_dense(48, 16, act, rng) for _ in range(3)]
+    for layer in layers:
+        layer.bias[:] = rng.normal(size=(16, 1))
+    kept = [arr.copy() for layer in layers for arr in (layer.weight, layer.bias)]
+    stacked = stack_layers(layers, "stacked", share=True)
+    assert stacked.weight.shape == (3, 16, 48) and stacked.bias.shape == (3, 16, 1)
+    assert (stacked.in_dim, stacked.out_dim) == (48, 16)
+    for i, layer in enumerate(layers):
+        assert layer.weight.base is stacked.weight and layer.bias.base is stacked.bias
+        assert np.array_equal(layer.weight, kept[2 * i])
+        assert np.array_equal(layer.bias, kept[2 * i + 1])
+    for n in (1, 5, 64):
+        x = rng.normal(size=(3, 48, n))
+        skip = rng.normal(size=(3, 16, n))
+        for keep_preact in (True, False):
+            out = dense_forward(stacked, x, skip, keep_preact=keep_preact).output
+            for i, layer in enumerate(layers):
+                assert np.array_equal(out[i], dense_forward(layer, x[i], skip[i]).output)
+    inference = dense_forward(stacked, x, keep_preact=False)
+    assert inference.pre_activation is None
+
+
+def test_stacked_layer_shape_checks():
+    rng = np.random.default_rng(79)
+    stacked = stack_layers([init_dense(6, 4, "relu", rng) for _ in range(2)], "s",
+                           share=False)
+    for bad in (np.zeros((3, 6, 1)), np.zeros((6, 1)), np.zeros((2, 5, 1))):
+        with pytest.raises(ShapeError, match="s: input"):
+            dense_forward(stacked, bad)
+    with pytest.raises(ShapeError):
+        dense_forward(stacked, np.zeros((2, 6, 1)), skip_in=np.zeros((4, 1)))
+    with pytest.raises(ShapeError):
+        DenseLayer(np.zeros((2, 4, 6)), np.zeros((4, 1)), "relu")
+    with pytest.raises(ShapeError):
+        stack_layers([init_dense(6, 4, "relu", rng), init_dense(6, 3, "relu", rng)],
+                     "s", share=False)
+    with pytest.raises(ShapeError):
+        stack_layers([init_dense(6, 4, "relu", rng), init_dense(6, 4, "linear", rng)],
+                     "s", share=False)
 
 
 def test_init_dense_bounds_and_zero_bias():

@@ -3,16 +3,20 @@ import logging
 import numpy as np
 import pytest
 
-from rcodean.classifiers import zero_mlp_head
+from oracles import (reference_bilinear_resize, reference_score_images,
+                     reference_tessellate_batch)
+from rcodean.bundle import load_bundle, save_bundle
+from rcodean.classifiers import build_mlp_head, zero_mlp_head
 from rcodean.data import gen_synthetic, split_by_counts
-from rcodean.errors import ConfigError, InputError, ShapeError
+from rcodean.errors import ConfigError, InputError, NumericError, ShapeError
 from rcodean.network import build_rcodean
 from rcodean.pipeline import (IMAGE_SIZE, N_SOURCES, PATCH_OFFSETS, PATCH_SIZE,
-                              PatchWeights, PipelineConfig,
+                              PatchWeights, PipelineConfig, SourceModels,
                               build_stage2_features, evaluate,
                               learn_patch_weights, predict, predict_batch,
                               preprocess, score_images, tessellate_batch,
-                              train_full, train_stage1)
+                              train_full, train_stage1, _bilinear_resize,
+                              _resize_plan)
 
 
 def _tiny_cfg(seed=0, jobs=1):
@@ -82,6 +86,24 @@ def test_preprocess_matches_bilinear_oracle():
     assert np.abs(out.a - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(218, 178), (128, 128), (100, 80), (64, 90),
+                                   (20, 30), (8, 8), (8, 200)],
+                         ids=["down-bench", "down-square", "down-non-square",
+                              "mixed", "up-non-square", "up-minimum", "minimum-side"])
+def test_resize_plan_matches_per_image_resize_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    img = rng.integers(0, 256, size=shape).astype(np.float64)
+    for _ in range(2):  # a fresh plan, then the cached one
+        assert np.array_equal(_bilinear_resize(img, 64, 64),
+                              reference_bilinear_resize(img, 64, 64))
+    assert np.array_equal(preprocess(img).a, reference_bilinear_resize(img, 64, 64) / 255.0)
+
+
+def test_resize_plan_is_read_only():
+    for arr in _resize_plan(218, 178, 64, 64):
+        assert not arr.flags.writeable
+
+
 def test_preprocess_rejects_tiny_images():
     with pytest.raises(InputError):
         preprocess(np.zeros((7, 64)))
@@ -106,7 +128,8 @@ def test_preprocess_upsamples_small_crops():
 
 def _sources(img):
     """The ten source columns of one 64x64 image, via the batch path."""
-    return [m[:, 0] for m in tessellate_batch(np.asarray(img)[None])]
+    patches, face = tessellate_batch(np.asarray(img)[None])
+    return [*(m[:, 0] for m in patches), face[:, 0]]
 
 
 def test_tessellate_constant_image():
@@ -147,6 +170,16 @@ def test_tessellate_patch_contents_are_window_exact():
     assert np.array_equal(sources[9], img.reshape(-1))
 
 
+@pytest.mark.parametrize("n", [1, 5, 130])  # 130 spans three transpose blocks
+def test_tessellate_batch_matches_per_source_copies(n):
+    images = np.random.default_rng(13).uniform(size=(n, 64, 64))
+    patches, face = tessellate_batch(images)
+    assert patches.shape == (9, 1024, n) and face.shape == (4096, n)
+    assert patches.flags.c_contiguous and face.flags.c_contiguous
+    expected = reference_tessellate_batch(images)
+    assert all(np.array_equal(m, e) for m, e in zip([*patches, face], expected))
+
+
 def test_every_pixel_in_one_to_four_patches():
     counts = np.zeros((IMAGE_SIZE, IMAGE_SIZE), dtype=int)
     for r, c in PATCH_OFFSETS:
@@ -166,6 +199,91 @@ def test_score_images_zero_heads_give_half():
     scores = score_images(models, img.a[None])
     assert scores.shape == (1, 10, 3)
     assert np.array_equal(scores, np.full((1, 10, 3), 0.5))
+
+
+# n = 1..16 reach OpenBLAS's small-n and matrix-vector kernels, 64 and 200
+# its blocked ones
+SCORE_SIZES = (1, 2, 5, 7, 15, 16, 64, 200)
+
+
+def _probe_stack(n):
+    ds = gen_synthetic(n, 3, seed=19, splits=split_by_counts((n, 0, 0)))
+    return np.stack([preprocess(ds.image(i)).a for i in range(n)])
+
+
+def test_stacked_scores_equal_per_source_loop_bitwise(tiny_bundle, tmp_path):
+    _, bundle, _ = tiny_bundle
+    save_bundle(bundle, tmp_path / "model.rcbn")
+    loaded = load_bundle(tmp_path / "model.rcbn")
+    probes = _probe_stack(max(SCORE_SIZES))
+    pairs = list(zip(bundle.nets, bundle.heads))
+    for n in SCORE_SIZES:
+        expected = reference_score_images(pairs, probes[:n])
+        for models in (bundle.models(), loaded.models(), pairs):
+            assert np.array_equal(score_images(models, probes[:n]), expected), n
+
+
+def test_stacked_scores_equal_per_source_loop_bitwise_at_l64():
+    # untrained nets and heads at the benchmark's code size, as a plain list
+    pairs = [(build_rcodean(d, 64, seed=s), build_mlp_head(64, 4, seed=100 + s))
+             for s, d in enumerate([1024] * 9 + [4096])]
+    probes = _probe_stack(max(SCORE_SIZES))
+    for n in SCORE_SIZES:
+        assert np.array_equal(score_images(pairs, probes[:n]),
+                              reference_score_images(pairs, probes[:n])), n
+
+
+def test_plain_list_is_scored_without_touching_its_models():
+    pairs = [(build_rcodean(d, 6, seed=s), build_mlp_head(6, 2, seed=s))
+             for s, d in enumerate([1024] * 9 + [4096])]
+    before = [arr for net, head in pairs for model in (net, head)
+              for _, arr in model.parameters()]
+    score_images(pairs, _probe_stack(3))
+    after = [arr for net, head in pairs for model in (net, head)
+             for _, arr in model.parameters()]
+    assert all(a is b for a, b in zip(before, after))
+
+
+def test_model_set_holds_each_weight_once(tiny_bundle, tmp_path):
+    _, bundle, _ = tiny_bundle
+    save_bundle(bundle, tmp_path / "model.rcbn")
+    for models in (bundle.models(), load_bundle(tmp_path / "model.rcbn").models()):
+        assert isinstance(models, SourceModels) and len(models) == N_SOURCES
+        encoders, heads = models.patch_encoders, models.stacked_heads
+        for s, (net, head) in enumerate(models):
+            assert net is models.nets[s] and head is models.heads[s]
+            for i, lid in enumerate(("enc1", "enc2", "enc3")):
+                if s < 9:
+                    assert net.layer(lid).weight.base is encoders.encoder[i].weight
+                    assert net.layer(lid).bias.base is encoders.encoder[i].bias
+                else:
+                    assert not np.shares_memory(net.layer(lid).weight,
+                                                encoders.encoder[i].weight)
+            for layer, stacked in zip(head.layers, heads.layers):
+                assert layer.weight.base is stacked.weight
+                assert layer.bias.base is stacked.bias
+
+
+def test_stacking_refuses_mismatched_models():
+    pairs = [(build_rcodean(d, 6, seed=s), build_mlp_head(6, 2, seed=s))
+             for s, d in enumerate([1024] * 9 + [4096])]
+    pairs[3] = (build_rcodean(1024, 7, seed=3), pairs[3][1])
+    with pytest.raises(ShapeError):
+        score_images(pairs, _probe_stack(1))
+    with pytest.raises(ShapeError):
+        score_images(pairs[:9], _probe_stack(1))
+    pairs[3] = (build_rcodean(1024, 6, seed=3, skip_layout=()), pairs[3][1])
+    with pytest.raises(ConfigError, match="shortcuts"):
+        score_images(pairs, _probe_stack(1))
+
+
+def test_non_finite_pixel_in_batch_is_numeric_error(tiny_bundle):
+    _, bundle, _ = tiny_bundle
+    for value in (np.nan, np.inf):
+        stack = _probe_stack(4)
+        stack[2, 40, 7] = value
+        with pytest.raises(NumericError):
+            predict_batch(bundle, stack)
 
 
 def test_learn_patch_weights_identical_sources_stay_uniform():
