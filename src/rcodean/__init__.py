@@ -11,7 +11,7 @@ from .data import (AttributeDataset, gen_synthetic, load_attr_list,
 from .errors import (ConfigError, CorruptionError, FormatError, InputError,
                      NumericError, ParseError, RCodeanError, ShapeError,
                      TrainingError, UsageError, VersionError)
-from .layers import DenseLayer, LayerCache, dense_backward, dense_forward, init_dense
+from .layers import DenseLayer, LayerCache, dense_backward, dense_forward
 from .network import (CodeanParams, RCodeanNet, SkipSpec, build_rcodean,
                       codean_loss, encode, gradient_check, loss_and_grads,
                       net_backward, net_forward)

@@ -22,7 +22,7 @@ import zlib
 
 import numpy as np
 
-from .classifiers import Forest, LinearSvm, Tree, assemble_mlp_head, node_table
+from .classifiers import Forest, LinearSvm, Tree, assemble_mlp_head
 from .errors import CorruptionError, FormatError, VersionError
 from .network import CodeanParams, assemble_rcodean
 from .pipeline import (BUNDLE_FORMAT_VERSION, ModelBundle, N_SOURCES,
@@ -44,13 +44,12 @@ def _tree_from_array(arr: np.ndarray) -> Tree:
 
 
 def _check_trees(arrays: dict[str, np.ndarray], names: list[str],
-                 n_features: int) -> tuple[np.ndarray, np.ndarray]:
+                 n_features: int) -> None:
     """Raise ``FormatError`` unless every named tree is in preorder, so a
     sample walked down it always reaches a leaf: an internal node has a
     feature in [0, n_features) and two children after it within its tree,
     a leaf has feature and children -1, and every probability lies in
-    [0, 1]. All trees are checked in one pass over their stacked nodes,
-    which are returned with each tree's node count."""
+    [0, 1]. All trees are checked in one pass over their stacked nodes."""
     for name in names:
         shape = arrays[name].shape
         if len(shape) != 2 or shape[0] < 1 or shape[1] != 5:
@@ -71,7 +70,6 @@ def _check_trees(arrays: dict[str, np.ndarray], names: list[str],
         tree = int(np.searchsorted(ends, bad, side="right"))
         raise FormatError(f"{names[tree]}: node {int(index[bad])} is not a leaf "
                           f"or an internal node of a preorder tree")
-    return nodes, sizes
 
 
 def _enumerate_arrays(bundle: ModelBundle) -> list[tuple[str, np.ndarray | Tree]]:
@@ -205,8 +203,8 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     """The bundle whose ``_enumerate_arrays`` names are the keys of
     ``arrays``, views of the file's bytes. The model set copies the
     stacked arrays into its stacks, and every other array is copied on
-    its own, so each is copied once and the bundle shares nothing with
-    the file's bytes."""
+    its own, so each is copied once and no bundle array views the
+    file's bytes."""
     groups: dict[str, dict[str, np.ndarray]] = {}
     for name, arr in arrays.items():
         group, _, rest = name.partition(".")
@@ -226,18 +224,14 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     n_features = int(svm_weights.shape[1])
     tree_names = [[f"forest.attr{a}.tree{t}" for t in range(int(config["forest_trees"]))]
                   for a in range(int(config["k"]))]
-    nodes, sizes = _check_trees(arrays, [name for row in tree_names for name in row],
-                                n_features)
+    _check_trees(arrays, [name for row in tree_names for name in row], n_features)
     trees = [[_tree_from_array(arrays[name]) for name in row] for row in tree_names]
-    feature, threshold, left, right, prob = nodes.T.copy()
-    table = node_table(feature.astype(np.int64), threshold, left.astype(np.int64),
-                       right.astype(np.int64), prob, sizes, len(tree_names))
     stage2 = {name: arr.copy() for name, arr in groups["stage2_mlp"].items()}
     return ModelBundle(
         config=config, sources=sources,
         patch_weights=PatchWeights(arrays["patch_weights"].copy()),
         stage2_mlp=assemble_mlp_head(stage2),
-        forest=Forest(trees=trees, n_features=n_features, table=table),
+        forest=Forest(trees=trees, n_features=n_features),
         svm=LinearSvm(weights=svm_weights, biases=arrays["svm.biases"].reshape(-1).copy(),
                       reg=float(config["svm_reg"])))
 

@@ -11,7 +11,7 @@ always (n, k) arrays over {0, 1}, one column per attribute.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,19 +77,11 @@ def build_mlp_head(in_dim: int, k: int, seed: int = 0,
     return assemble_mlp_head(arrays)
 
 
-def zero_mlp_head(in_dim: int, k: int) -> MlpHead:
-    """All-zero parameters; scores are 0.5 everywhere (sigmoid of 0)."""
-    head = build_mlp_head(in_dim, k, seed=0)
-    for _, arr in head.parameters():
-        arr[:] = 0.0
-    return head
-
-
-def stack_heads(heads: list[MlpHead], share: bool) -> MlpHead:
+def stack_heads(heads: list[MlpHead]) -> MlpHead:
     """One head whose layers stack those of same-shaped ``heads``, for
-    ``stacked_head_score``; ``share`` as in ``stack_arrays``."""
+    ``stacked_head_score``; each head is pointed at its slices."""
     return MlpHead([stack_layers([head.layers[i] for head in heads],
-                                 f"head{i}x{len(heads)}", share)
+                                 f"head{i}x{len(heads)}")
                     for i in range(len(HEAD_ACTS))])
 
 
@@ -117,11 +109,6 @@ def stacked_head_score(heads: MlpHead, codes: np.ndarray) -> np.ndarray:
     return _head_forward(heads, codes, keep_preact=False)[-1].output
 
 
-def _bce(probs: np.ndarray, y: np.ndarray) -> float:
-    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p), axis=0)))
-
-
 def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray):
     """Gradients of the mean binary cross-entropy, from a forward pass.
 
@@ -137,12 +124,6 @@ def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray):
         upstream, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"], _ = dense_backward(
             head.layers[i], caches[i], upstream, input_grad=i > 0)
     return grads
-
-
-def head_loss_and_grads(head: MlpHead, x: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy summed over attributes, with gradients."""
-    caches = _head_forward(head, x)
-    return _bce(caches[-1].output, y), _head_grads(head, caches, y)
 
 
 def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
@@ -196,20 +177,24 @@ class NodeTable:
     roots: np.ndarray  # (attributes, trees per attribute)
 
 
-def node_table(feature, threshold, left, right, prob, sizes, n_attributes) -> NodeTable:
-    """The table of stacked node fields, given each tree's node count; a
-    leaf's children (-1) are shifted too but never read."""
-    starts = np.cumsum(sizes) - sizes
-    offset = np.repeat(starts, sizes)
-    return NodeTable(feature, threshold, left + offset, right + offset, prob,
-                     starts.reshape(n_attributes, -1))
-
-
 @dataclass
 class Forest:
+    """The trees, and the node table ``forest_predict_proba`` walks, built
+    from them here and nowhere else."""
     trees: list[list[Tree]]  # indexed [attribute][tree], same count per attribute
     n_features: int
-    table: NodeTable
+    table: NodeTable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        flat = [tree for per_attr in self.trees for tree in per_attr]
+        sizes = np.array([len(tree.feature) for tree in flat])
+        starts = np.cumsum(sizes) - sizes
+        # a leaf's children (-1) are shifted too but never read
+        offset = np.repeat(starts, sizes)
+        stacked = lambda name: np.concatenate([getattr(tree, name) for tree in flat])
+        self.table = NodeTable(stacked("feature"), stacked("threshold"),
+                               stacked("left") + offset, stacked("right") + offset,
+                               stacked("prob"), starts.reshape(len(self.trees), -1))
 
     @property
     def n_attributes(self) -> int:
@@ -310,11 +295,7 @@ def forest_train(features: np.ndarray, labels: np.ndarray,
             builder = _TreeBuilder(XT[:, boot], Y[boot, a], rng, max_depth, n_candidates)
             per_attr.append(builder.build())
         trees.append(per_attr)
-    flat = [tree for per_attr in trees for tree in per_attr]
-    fields = [np.concatenate([getattr(tree, name) for tree in flat])
-              for name in ("feature", "threshold", "left", "right", "prob")]
-    table = node_table(*fields, [len(tree.feature) for tree in flat], len(trees))
-    return Forest(trees=trees, n_features=n_feat, table=table)
+    return Forest(trees=trees, n_features=n_feat)
 
 
 def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:

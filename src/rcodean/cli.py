@@ -141,6 +141,12 @@ def _resolve_run_config(args) -> RunConfig:
     pipe_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     run_fields = {f.name for f in dataclasses.fields(RunConfig)} - {"pipeline"}
     pipe_kwargs = {k: v for k, v in settings.items() if k in pipe_fields}
+    # eval takes the model's settings from the bundle; of the pipeline
+    # settings only the seed, which generates a --synthetic dataset, is its own
+    refused = sorted(set(pipe_kwargs) - {"seed"}) if args.command == "eval" else []
+    if refused:
+        raise UsageError(f"config file {args.config}: eval takes "
+                         f"{', '.join(refused)} from the bundle")
     run_kwargs = {k: v for k, v in settings.items() if k in run_fields}
     for name, _ in _PIPELINE_FLAGS:
         value = getattr(args, name, None)

@@ -53,13 +53,12 @@ class LayerCache:
     output: np.ndarray
 
 
-def stack_arrays(owners, attr: str, share: bool) -> np.ndarray:
+def stack_arrays(owners, attr: str) -> np.ndarray:
     """One (len(owners), ...) array of every owner's same-shaped ``attr``.
 
-    With ``share`` each owner is pointed at its slice as it is copied, so
-    every value is held once and an owner's own array is freed as soon as
-    nothing else holds it; otherwise the stack is a copy and the owners
-    are left as they are.
+    Each owner is pointed at its slice as it is copied, so every value is
+    held once and an owner's own array is freed as soon as nothing else
+    holds it.
     """
     shapes = {getattr(owner, attr).shape for owner in owners}
     if len(shapes) != 1:
@@ -67,32 +66,24 @@ def stack_arrays(owners, attr: str, share: bool) -> np.ndarray:
     stack = np.empty((len(owners), *shapes.pop()))
     for i, owner in enumerate(owners):
         stack[i] = getattr(owner, attr)
-        if share:
-            setattr(owner, attr, stack[i])
+        setattr(owner, attr, stack[i])
     return stack
 
 
-def stack_layers(layers: list[DenseLayer], name: str, share: bool) -> DenseLayer:
+def stack_layers(layers: list[DenseLayer], name: str) -> DenseLayer:
     """The stacked layer running ``layers`` (same shapes, same activation)
-    together; ``share`` as in ``stack_arrays``."""
+    together; each layer is pointed at its slice, as in ``stack_arrays``."""
     acts = {layer.act for layer in layers}
     if len(acts) != 1:
         raise ShapeError(f"layer {name}: cannot stack activations {sorted(acts)}")
-    return DenseLayer(stack_arrays(layers, "weight", share),
-                      stack_arrays(layers, "bias", share), acts.pop(), name)
+    return DenseLayer(stack_arrays(layers, "weight"), stack_arrays(layers, "bias"),
+                      acts.pop(), name)
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     """(out_dim, in_dim) weights drawn uniformly from +-sqrt(6/(in+out))."""
     bound = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-bound, bound, size=(out_dim, in_dim))
-
-
-def init_dense(in_dim: int, out_dim: int, act: str, rng: np.random.Generator,
-               name: str = "dense") -> DenseLayer:
-    """Glorot-uniform weights, zero bias."""
-    return DenseLayer(glorot_uniform(rng, out_dim, in_dim), np.zeros((out_dim, 1)),
-                      act, name)
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray,
@@ -127,14 +118,16 @@ def dense_forward(layer: DenseLayer, x: np.ndarray,
 
 def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,
                    input_grad: bool = True) -> tuple[np.ndarray | None, ...]:
-    """Chain rule through one layer.
+    """Chain rule through one relu or linear layer.
 
-    delta = grad_out * act'(z). Returns (grad_in, grad_weight, grad_bias,
-    grad_skip); grad_bias sums delta over sample columns, and grad_skip is
-    delta itself since the skip enters the pre-activation additively.
+    delta = grad_out * act'(z): grad_out itself for a linear layer, and
+    grad_out masked by z > 0 for a relu (relu'(0) is defined as 0, which
+    keeps gradients sparse). Returns (grad_in, grad_weight, grad_bias,
+    grad_skip); grad_bias sums delta over sample columns, and grad_skip
+    is delta itself since the skip enters the pre-activation additively.
     grad_in is None when ``input_grad`` is false (a first layer, whose
-    input gradient nothing reads). A linear layer's delta is grad_out
-    itself.
+    input gradient nothing reads). Any other layer is differentiated at
+    its pre-activation with ``dense_backward_preact``.
     """
     if grad_out.shape != cache.output.shape:
         raise ShapeError(
@@ -146,7 +139,9 @@ def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,
     elif layer.act == "relu":
         delta = grad_out * (cache.pre_activation > 0)
     else:
-        delta = grad_out * activation(cache.pre_activation, layer.act, "derivative")
+        raise ValueError(f"layer {layer.name}: dense_backward differentiates relu and "
+                         f"linear layers; pass the gradient at a {layer.act} layer's "
+                         f"pre-activation to dense_backward_preact")
     return _grads_from_delta(layer, cache, delta, input_grad)
 
 

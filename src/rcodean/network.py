@@ -115,7 +115,7 @@ class RCodeanNet:
         l = self.encoder[0].out_dim
         hidden = [self.encoder[1], self.encoder[2], self.decoder[0], self.decoder[1]]
         if any(layer.out_dim != l for layer in hidden):
-            raise ConfigError("hidden layers must share one dimension")
+            raise ConfigError("hidden layers must have one common dimension")
         if self.decoder[2].out_dim != self.encoder[0].in_dim:
             raise ConfigError("decoder output dimension must equal input dimension")
         for spec in self.skips:
@@ -214,9 +214,9 @@ class EncoderStack:
         return self.encoder[ENCODER_IDS.index(layer_id)]
 
 
-def stack_encoders(nets: list[RCodeanNet], share: bool) -> EncoderStack:
+def stack_encoders(nets: list[RCodeanNet]) -> EncoderStack:
     """Stack the encoders of ``nets``, which must agree in shapes and in
-    the shortcuts into their encoder; ``share`` as in ``stack_arrays``.
+    the shortcuts into their encoder; each net is pointed at its slices.
     Every encoder output has the code dimension, so no shortcut into the
     encoder has a projection, and the first net's shortcuts serve all."""
     incoming = {lid: nets[0].incoming[lid] for lid in ENCODER_IDS}
@@ -224,7 +224,7 @@ def stack_encoders(nets: list[RCodeanNet], share: bool) -> EncoderStack:
                           for sp in net.incoming[lid]]
     if any(layout(net) != layout(nets[0]) for net in nets):
         raise ConfigError("cannot stack nets whose shortcuts into the encoder differ")
-    encoder = [stack_layers([net.layer(lid) for net in nets], f"{lid}x{len(nets)}", share)
+    encoder = [stack_layers([net.layer(lid) for net in nets], f"{lid}x{len(nets)}")
                for lid in ENCODER_IDS]
     return EncoderStack(encoder=encoder, incoming=incoming)
 
@@ -234,17 +234,6 @@ class NetForward:
     reconstruction: Mat
     code: Mat
     caches: dict[str, LayerCache]
-
-
-def _skip_contribution(spec: SkipSpec, src_out: np.ndarray,
-                       dst_shape: tuple[int, ...]) -> np.ndarray:
-    contrib = src_out if spec.projection is None else spec.projection @ src_out
-    if contrib.shape != dst_shape:
-        raise ConfigError(
-            f"skip {spec.name}: contribution shape {contrib.shape} does not match "
-            f"destination pre-activation {dst_shape}"
-        )
-    return contrib
 
 
 def _forward_caches(net: RCodeanNet | EncoderStack, x: np.ndarray, last: str,
@@ -259,9 +248,8 @@ def _forward_caches(net: RCodeanNet | EncoderStack, x: np.ndarray, last: str,
         layer = net.layer(lid)
         skip_in = None
         for spec in net.incoming[lid]:
-            contrib = _skip_contribution(spec, caches[spec.src].output,
-                                         (*current.shape[:-2], layer.out_dim,
-                                          current.shape[-1]))
+            src_out = caches[spec.src].output
+            contrib = src_out if spec.projection is None else spec.projection @ src_out
             # dense_forward only reads skip_in, so a lone contribution is
             # passed as it is, even where it is another layer's output
             skip_in = contrib if skip_in is None else skip_in + contrib

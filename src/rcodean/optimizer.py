@@ -37,8 +37,8 @@ def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
         p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
 
     updates each array and its moments in place through two scratch
-    buffers made per call, so concurrent steps on separate states share
-    nothing.
+    buffers made per call, so concurrent steps on separate states have
+    nothing in common.
     """
     for name, p in params:
         g = grads.get(name)

@@ -276,19 +276,17 @@ class SourceModels(Sequence):
     at index s, that also holds them stacked for ``score_images``. The
     nine patch nets' encoder arrays are stacked as (9, out, in) and the
     ten heads' arrays as (10, out, in); the face net is used as it is.
-
-    With ``share`` (where a model set is made) every net and head is
-    pointed at its slice of the stacks, so no weight is held twice;
-    otherwise the stacks are copies and the models are left untouched.
+    Every net and head is pointed at its slice of the stacks, so no
+    weight is held twice.
     """
 
-    def __init__(self, nets: list[RCodeanNet], heads: list[MlpHead], share: bool = True):
+    def __init__(self, nets: list[RCodeanNet], heads: list[MlpHead]):
         if len(nets) != N_SOURCES or len(heads) != N_SOURCES:
             raise ShapeError(f"expected {N_SOURCES} nets and heads, "
                              f"got {len(nets)} and {len(heads)}")
         self.nets, self.heads = list(nets), list(heads)
-        self.patch_encoders = stack_encoders(self.nets[:-1], share)
-        self.stacked_heads = stack_heads(self.heads, share)
+        self.patch_encoders = stack_encoders(self.nets[:-1])
+        self.stacked_heads = stack_heads(self.heads)
 
     def __len__(self) -> int:
         return N_SOURCES
@@ -297,18 +295,13 @@ class SourceModels(Sequence):
         return self.nets[s], self.heads[s]
 
 
-def score_images(models, images: np.ndarray) -> np.ndarray:
+def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
     """Stage-1 scores for an (n, 64, 64) stack: (n, 10, k).
 
-    ``models`` is a ``SourceModels`` or ten (net, head) pairs, which are
-    stacked for this call. The face goes through its own encoder, the
-    nine patches through the stacked encoders, and all ten codes through
-    the stacked heads; each source's scores are bit for bit those of its
-    own net and head.
+    The face goes through its own encoder, the nine patches through the
+    stacked encoders, and all ten codes through the stacked heads; each
+    source's scores are bit for bit those of its own net and head.
     """
-    if not isinstance(models, SourceModels):
-        models = SourceModels([net for net, _ in models], [head for _, head in models],
-                              share=False)
     patches, face = tessellate_batch(images)
     # the face Mat holds every pixel: the batch's one finiteness check
     face_code = encode(models.nets[-1], Mat(face, copy=False)).a
@@ -439,9 +432,6 @@ class ModelBundle:
     def heads(self) -> list[MlpHead]:
         return self.sources.heads
 
-    def models(self) -> SourceModels:
-        return self.sources
-
 
 def train_full(dataset: AttributeDataset,
                cfg: PipelineConfig) -> tuple[ModelBundle, list[list[EpochStats]]]:
@@ -480,7 +470,7 @@ def _classifier_probs(bundle: ModelBundle, feats: np.ndarray):
 def predict_batch(bundle: ModelBundle, images: np.ndarray):
     """Predicted bits and confidences for an (n, 64, 64) preprocessed
     stack; also returns the three per-classifier bit arrays."""
-    scores = score_images(bundle.models(), images)
+    scores = score_images(bundle.sources, images)
     feats = build_stage2_features(scores, bundle.patch_weights)
     mlp_p, forest_p, svm_p = _classifier_probs(bundle, feats)
     mlp_bits = (mlp_p > PROB_THRESHOLD).astype(np.int64)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-ACTIVATION_KINDS = ("relu", "sigmoid", "tanh", "linear")
+ACTIVATION_KINDS = ("relu", "sigmoid", "linear")
 
 
 class Mat:
@@ -38,18 +38,6 @@ class Mat:
         if not np.isfinite(a).all():
             raise NumericError("Mat contains non-finite entries")
         self.a = np.ascontiguousarray(a)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(np.zeros((rows, cols)), copy=False)
-
-    @classmethod
-    def column(cls, values) -> "Mat":
-        """Build a single-column matrix from a 1-D sequence."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ShapeError(f"column expects a 1-D sequence, got ndim={v.ndim}")
-        return cls(v.reshape(-1, 1), copy=False)
 
     @property
     def rows(self) -> int:
@@ -75,24 +63,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def activation(z: np.ndarray, kind: str, mode: str = "value") -> np.ndarray:
-    """Entrywise activation value or derivative.
-
-    relu derivative at exactly 0 is defined as 0 (subgradient choice,
-    keeps gradients sparse). The linear value is ``z`` itself, not a copy.
-    """
+def activation(z: np.ndarray, kind: str) -> np.ndarray:
+    """Entrywise activation value; the linear value is ``z`` itself, not
+    a copy."""
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation kind {kind!r}")
-    if mode not in ("value", "derivative"):
-        raise ValueError(f"unknown activation mode {mode!r}")
     if kind == "relu":
-        out = np.maximum(z, 0.0) if mode == "value" else (z > 0).astype(np.float64)
-    elif kind == "sigmoid":
-        s = _sigmoid(z)
-        out = s if mode == "value" else s * (1.0 - s)
-    elif kind == "tanh":
-        t = np.tanh(z)
-        out = t if mode == "value" else 1.0 - t * t
-    else:  # linear
-        out = z if mode == "value" else np.ones_like(z)
-    return out
+        return np.maximum(z, 0.0)
+    if kind == "sigmoid":
+        return _sigmoid(z)
+    return z

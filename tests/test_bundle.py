@@ -53,6 +53,16 @@ def test_round_trip_preserves_config_and_weights(trained):
         assert np.array_equal(ta.threshold, tb.threshold)
 
 
+def test_reloaded_forest_has_the_trained_node_table(trained):
+    _, bundle, path = trained
+    trained_table, loaded_table = bundle.forest.table, load_bundle(path).forest.table
+    for name in ("feature", "threshold", "left", "right", "prob", "roots"):
+        a, b = getattr(trained_table, name), getattr(loaded_table, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert trained_table.roots.shape == (3, 3)
+
+
 def test_flipped_payload_byte_is_detected(trained):
     _, _, path = trained
     data = bytearray(path.read_bytes())

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import reference_forest
-from rcodean.classifiers import (PROB_THRESHOLD, assemble_mlp_head, build_mlp_head,
-                                 ensemble_vote, forest_predict_proba, forest_train,
-                                 head_loss_and_grads, head_score, head_train,
-                                 svm_decision, svm_train, zero_mlp_head)
+from rcodean.classifiers import (PROB_THRESHOLD, _head_forward, _head_grads,
+                                 assemble_mlp_head, build_mlp_head, ensemble_vote,
+                                 forest_predict_proba, forest_train, head_score,
+                                 head_train, svm_decision, svm_train)
 from rcodean.errors import ShapeError, TrainingError
 from rcodean.tensor import Mat
 
@@ -23,7 +23,9 @@ def _separable_codes(n, seed, k=2, dim=8):
 
 
 def test_zero_head_scores_half_everywhere():
-    head = zero_mlp_head(6, 3)
+    head = build_mlp_head(6, 3)
+    for _, arr in head.parameters():
+        arr[:] = 0.0
     rng = np.random.default_rng(0)
     out = head_score(head, Mat(rng.normal(size=(6, 5))))
     assert np.array_equal(out.a, np.full((3, 5), 0.5))
@@ -105,16 +107,21 @@ def test_head_gradients_match_finite_differences():
         if min(zs[:2]) > 1e-3:
             break
         head = build_mlp_head(5, 2, seed=int(rng.integers(2**31)))
-    _, grads = head_loss_and_grads(head, x, y)
+    def loss():
+        # mean binary cross-entropy summed over attributes
+        p = _head_forward(head, x)[-1].output
+        return float(-np.mean(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p), axis=0)))
+
+    grads = _head_grads(head, _head_forward(head, x), y)
     for name, arr in head.parameters():
         flat = arr.reshape(-1)
         g = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = head_loss_and_grads(head, x, y)[0]
+            up = loss()
             flat[i] = orig - h
-            down = head_loss_and_grads(head, x, y)[0]
+            down = loss()
             flat[i] = orig
             num = (up - down) / (2 * h)
             assert abs(g[i] - num) <= max(1e-6, 1e-4 * max(abs(g[i]), abs(num)))

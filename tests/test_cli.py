@@ -149,6 +149,25 @@ def test_eval_refuses_training_flags(run_dir, synth_dir, tmp_path, capsys):
     assert main([*args, "--seed", "5"]) == 0
 
 
+def test_eval_refuses_training_settings_in_config_file(run_dir, synth_dir, tmp_path,
+                                                       capsys):
+    # the file-side twin of the flags above: only the seed may be set
+    args = ["eval", "--bundle", str(run_dir / "model.rcbn"),
+            "--data", str(synth_dir / "list_attr.txt"),
+            "--images", str(synth_dir / "images"), "--out", str(tmp_path / "eval")]
+    cfg = tmp_path / "cfg.json"
+    for settings in ({"l": 999, "epochs": 7, "forest_trees": 1, "jobs": 3},
+                     {"seed": 5, "lr": 0.5}):
+        cfg.write_text(json.dumps(settings))
+        assert main([*args, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert all(name in err for name in settings if name != "seed")
+    assert not (tmp_path / "eval").exists()
+    cfg.write_text(json.dumps({"seed": 5}))
+    assert main([*args, "--config", str(cfg)]) == 0
+
+
 def test_predict_output(run_dir, synth_dir, capsys):
     rc = main(["predict", "--bundle", str(run_dir / "model.rcbn"),
                "--image", str(synth_dir / "images" / "img_000003.rcim")])

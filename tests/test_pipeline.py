@@ -6,7 +6,7 @@ import pytest
 from oracles import (reference_bilinear_resize, reference_score_images,
                      reference_tessellate_batch)
 from rcodean.bundle import load_bundle, save_bundle
-from rcodean.classifiers import build_mlp_head, zero_mlp_head
+from rcodean.classifiers import build_mlp_head
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import ConfigError, InputError, NumericError, ShapeError
 from rcodean.network import build_rcodean
@@ -193,8 +193,12 @@ def test_every_pixel_in_one_to_four_patches():
 
 
 def test_score_images_zero_heads_give_half():
-    models = [(build_rcodean(d, 6, seed=s), zero_mlp_head(6, 3))
-              for s, d in enumerate([1024] * 9 + [4096])]
+    heads = [build_mlp_head(6, 3) for _ in range(N_SOURCES)]
+    for head in heads:
+        for _, arr in head.parameters():
+            arr[:] = 0.0
+    models = SourceModels([build_rcodean(d, 6, seed=s)
+                           for s, d in enumerate([1024] * 9 + [4096])], heads)
     img = preprocess(np.random.default_rng(17).integers(0, 256, size=(64, 64)))
     scores = score_images(models, img.a[None])
     assert scores.shape == (1, 10, 3)
@@ -219,35 +223,25 @@ def test_stacked_scores_equal_per_source_loop_bitwise(tiny_bundle, tmp_path):
     pairs = list(zip(bundle.nets, bundle.heads))
     for n in SCORE_SIZES:
         expected = reference_score_images(pairs, probes[:n])
-        for models in (bundle.models(), loaded.models(), pairs):
+        for models in (bundle.sources, loaded.sources):
             assert np.array_equal(score_images(models, probes[:n]), expected), n
 
 
 def test_stacked_scores_equal_per_source_loop_bitwise_at_l64():
-    # untrained nets and heads at the benchmark's code size, as a plain list
+    # untrained nets and heads at the benchmark's code size
     pairs = [(build_rcodean(d, 64, seed=s), build_mlp_head(64, 4, seed=100 + s))
              for s, d in enumerate([1024] * 9 + [4096])]
     probes = _probe_stack(max(SCORE_SIZES))
-    for n in SCORE_SIZES:
-        assert np.array_equal(score_images(pairs, probes[:n]),
-                              reference_score_images(pairs, probes[:n])), n
-
-
-def test_plain_list_is_scored_without_touching_its_models():
-    pairs = [(build_rcodean(d, 6, seed=s), build_mlp_head(6, 2, seed=s))
-             for s, d in enumerate([1024] * 9 + [4096])]
-    before = [arr for net, head in pairs for model in (net, head)
-              for _, arr in model.parameters()]
-    score_images(pairs, _probe_stack(3))
-    after = [arr for net, head in pairs for model in (net, head)
-             for _, arr in model.parameters()]
-    assert all(a is b for a, b in zip(before, after))
+    expected = [reference_score_images(pairs, probes[:n]) for n in SCORE_SIZES]
+    models = SourceModels(*zip(*pairs))
+    for n, scores in zip(SCORE_SIZES, expected):
+        assert np.array_equal(score_images(models, probes[:n]), scores), n
 
 
 def test_model_set_holds_each_weight_once(tiny_bundle, tmp_path):
     _, bundle, _ = tiny_bundle
     save_bundle(bundle, tmp_path / "model.rcbn")
-    for models in (bundle.models(), load_bundle(tmp_path / "model.rcbn").models()):
+    for models in (bundle.sources, load_bundle(tmp_path / "model.rcbn").sources):
         assert isinstance(models, SourceModels) and len(models) == N_SOURCES
         encoders, heads = models.patch_encoders, models.stacked_heads
         for s, (net, head) in enumerate(models):
@@ -269,12 +263,12 @@ def test_stacking_refuses_mismatched_models():
              for s, d in enumerate([1024] * 9 + [4096])]
     pairs[3] = (build_rcodean(1024, 7, seed=3), pairs[3][1])
     with pytest.raises(ShapeError):
-        score_images(pairs, _probe_stack(1))
+        SourceModels(*zip(*pairs))
     with pytest.raises(ShapeError):
-        score_images(pairs[:9], _probe_stack(1))
+        SourceModels(*zip(*pairs[:9]))
     pairs[3] = (build_rcodean(1024, 6, seed=3, skip_layout=()), pairs[3][1])
     with pytest.raises(ConfigError, match="shortcuts"):
-        score_images(pairs, _probe_stack(1))
+        SourceModels(*zip(*pairs))
 
 
 def test_non_finite_pixel_in_batch_is_numeric_error(tiny_bundle):
@@ -403,7 +397,7 @@ def test_scores_bounded_open_interval(tiny_bundle):
     ds, bundle, _ = tiny_bundle
     stack = np.stack([preprocess(ds.image(i)).a for i in range(10)])
     from rcodean.pipeline import score_images
-    scores = score_images(bundle.models(), stack)
+    scores = score_images(bundle.sources, stack)
     assert ((scores > 0.0) & (scores < 1.0)).all()
 
 
@@ -426,7 +420,7 @@ def test_overlapping_source_scores_high_on_planted_attribute(medium_bundle):
     ds, bundle = medium_bundle
     test_idx = ds.splits["test"]
     from rcodean.pipeline import score_images, _preprocessed_stack
-    scores = score_images(bundle.models(), _preprocessed_stack(ds, test_idx))
+    scores = score_images(bundle.sources, _preprocessed_stack(ds, test_idx))
     labels = ds.labels[test_idx]
     pos = labels[:, 0] == 1
     # patch 1 covers the planted top-left square outright
