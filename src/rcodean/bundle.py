@@ -45,11 +45,12 @@ def _tree_from_array(arr: np.ndarray) -> Tree:
 
 def _check_trees(arrays: dict[str, np.ndarray], names: list[str],
                  n_features: int) -> None:
-    """Raise ``FormatError`` unless every named tree is in preorder, so a
-    sample walked down it always reaches a leaf: an internal node has a
-    feature in [0, n_features) and two children after it within its tree,
-    a leaf has feature and children -1, and every probability lies in
-    [0, 1]. All trees are checked in one pass over their stacked nodes."""
+    """Raise ``FormatError`` unless every named tree is a tree in preorder,
+    so a sample walked down it reaches a leaf within the tree's depth: an
+    internal node has a feature in [0, n_features) and two children after
+    it within its tree, a leaf has feature and children -1, every node but
+    the root is the child of exactly one node, and every probability lies
+    in [0, 1]. All trees are checked in one pass over their stacked nodes."""
     for name in names:
         shape = arrays[name].shape
         if len(shape) != 2 or shape[0] < 1 or shape[1] != 5:
@@ -57,14 +58,26 @@ def _check_trees(arrays: dict[str, np.ndarray], names: list[str],
     sizes = np.array([arrays[name].shape[0] for name in names])
     ends = np.cumsum(sizes)
     nodes = np.concatenate([arrays[name] for name in names])
-    index = np.arange(len(nodes)) - np.repeat(ends - sizes, sizes)
+    start = np.repeat(ends - sizes, sizes)
+    index = np.arange(len(nodes)) - start
     n_nodes = np.repeat(sizes, sizes)
     feature, left, right, prob = nodes[:, 0], nodes[:, 2], nodes[:, 3], nodes[:, 4]
     internal = ((feature >= 0) & (feature < n_features)
                 & (left > index) & (left < n_nodes) & (right > index) & (right < n_nodes))
     leaf = (feature == -1) & (left == -1) & (right == -1)
-    whole = (nodes[:, [0, 2, 3]] == np.floor(nodes[:, [0, 2, 3]])).all(axis=1)
+    indices = nodes[:, [0, 2, 3]]
+    whole = (indices == np.floor(indices)).all(axis=1)
     ok = (internal | leaf) & whole & (prob >= 0.0) & (prob <= 1.0)
+    if ok.all():
+        # the children are valid indices now; the forest's level-by-level
+        # depth count would visit a node with two parents once per path.
+        # A leaf's missing children are counted in one extra, last bin.
+        parents = np.zeros(len(nodes) + 1, dtype=np.int64)
+        for child in (left, right):
+            parents += np.bincount(np.where(leaf, len(nodes), child + start).astype(np.int64),
+                                   minlength=len(nodes) + 1)
+        parents[ends - sizes] += 1  # a root has none
+        ok = parents[:-1] == 1
     if not ok.all():
         bad = int(np.argmin(ok))
         tree = int(np.searchsorted(ends, bad, side="right"))

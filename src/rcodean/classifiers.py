@@ -134,7 +134,7 @@ def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
     if labels.ndim != 2 or labels.shape[0] != features.cols:
         raise ShapeError(
             f"labels shape {labels.shape} does not match {features.cols} samples")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not _is_binary(labels):
         raise ValueError("labels must be binary")
     k = labels.shape[1]
     for a in range(k):
@@ -168,19 +168,25 @@ class Tree:
 @dataclass
 class NodeTable:
     """Every tree's nodes stacked in ``Forest.trees`` order, with children
-    as indices into the whole table; ``roots[a, t]`` is tree t's root."""
+    as indices into the whole table; ``roots[a, t]`` is tree t's root. A
+    leaf is its own left and right child and reads feature 0, so every
+    walk that takes ``depth`` steps, the deepest tree's depth, ends at a
+    leaf: a walk that reaches its leaf early stays there."""
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     prob: np.ndarray
     roots: np.ndarray  # (attributes, trees per attribute)
+    depth: int
 
 
 @dataclass
 class Forest:
     """The trees, and the node table ``forest_predict_proba`` walks, built
-    from them here and nowhere else."""
+    from them here and nowhere else. Each tree must be a tree in preorder
+    (every node but the root the child of one node, after its parent), as
+    ``forest_train`` grows them and the bundle loader checks."""
     trees: list[list[Tree]]  # indexed [attribute][tree], same count per attribute
     n_features: int
     table: NodeTable = field(init=False, repr=False)
@@ -189,12 +195,24 @@ class Forest:
         flat = [tree for per_attr in self.trees for tree in per_attr]
         sizes = np.array([len(tree.feature) for tree in flat])
         starts = np.cumsum(sizes) - sizes
-        # a leaf's children (-1) are shifted too but never read
-        offset = np.repeat(starts, sizes)
         stacked = lambda name: np.concatenate([getattr(tree, name) for tree in flat])
-        self.table = NodeTable(stacked("feature"), stacked("threshold"),
-                               stacked("left") + offset, stacked("right") + offset,
-                               stacked("prob"), starts.reshape(len(self.trees), -1))
+        feature = stacked("feature")
+        leaf = feature < 0
+        own = np.arange(len(feature))
+        offset = np.repeat(starts, sizes)
+        left, right = stacked("left") + offset, stacked("right") + offset
+        np.copyto(left, own, where=leaf)
+        np.copyto(right, own, where=leaf)
+        # the depth from the trees themselves (a loaded forest may be deeper
+        # than its config's forest_depth), one level of every tree per step;
+        # each node has one parent, so this visits each node once
+        level, depth = starts, 0
+        while (level := level[~leaf[level]]).size:
+            level = np.concatenate([left[level], right[level]])
+            depth += 1
+        self.table = NodeTable(np.maximum(feature, 0), stacked("threshold"),
+                               left, right, stacked("prob"),
+                               starts.reshape(len(self.trees), -1), depth)
 
     @property
     def n_attributes(self) -> int:
@@ -305,24 +323,17 @@ def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:
         raise ShapeError(f"features {X.shape} do not match {forest.n_features} columns")
     tab = forest.table
     n = X.shape[0]
-    # one (tree, row) pair per entry, all trees stepped together; children
-    # lie after their parent, so every pair reaches a leaf
-    node = np.repeat(tab.roots.reshape(-1), n)
     flat_x = X.reshape(-1)
-    row_start = np.tile(np.arange(n) * X.shape[1], tab.roots.size)
-    active = np.flatnonzero(tab.feature[node] >= 0)
-    while active.size:
-        at = node[active]
-        go_left = flat_x[row_start[active] + tab.feature[at]] <= tab.threshold[at]
-        node[active] = np.where(go_left, tab.left[at], tab.right[at])
-        active = active[tab.feature[node[active]] >= 0]
-    leaf_probs = tab.prob[node].reshape(*tab.roots.shape, n)
-    out = np.empty((n, forest.n_attributes))
-    for a in range(forest.n_attributes):
-        # np.mean over one contiguous (trees, n) block, as over a list of
-        # per-tree results: the same sums in the same order at any n
-        out[:, a] = np.mean(leaf_probs[a], axis=0)
-    return out
+    row_start = np.arange(n) * X.shape[1]
+    # every (tree, row) pair steps one level at a time, all together
+    node = np.repeat(tab.roots.reshape(-1, 1), n, axis=1)
+    for _ in range(tab.depth):
+        go_left = flat_x[row_start + tab.feature[node]] <= tab.threshold[node]
+        node = np.where(go_left, tab.left[node], tab.right[node])
+    # np.mean along the trees axis of one contiguous (attributes, trees, n)
+    # block, as over each attribute's (trees, n) block or a list of
+    # per-tree results: the same sums in the same order at any n
+    return tab.prob[node].reshape(*tab.roots.shape, n).mean(axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +392,12 @@ def svm_decision(svm: LinearSvm, features: np.ndarray) -> np.ndarray:
 # fusion
 
 
+def _is_binary(a: np.ndarray) -> bool:
+    """Whether every entry is 0 or 1. Two comparisons, not ``np.isin``,
+    which costs tens of microseconds on the few entries of one image."""
+    return bool(((a == 0) | (a == 1)).all())
+
+
 def ensemble_vote(mlp_pred: np.ndarray, forest_pred: np.ndarray,
                   svm_pred: np.ndarray) -> np.ndarray:
     """Per-attribute majority of three binary predictions."""
@@ -389,6 +406,6 @@ def ensemble_vote(mlp_pred: np.ndarray, forest_pred: np.ndarray,
     for p in preds:
         if p.shape != shape:
             raise ShapeError(f"vote inputs differ in shape: {[q.shape for q in preds]}")
-        if not np.isin(p, (0, 1)).all():
+        if not _is_binary(p):
             raise ValueError("vote inputs must be binary")
     return ((preds[0] + preds[1] + preds[2]) >= 2).astype(np.int64)

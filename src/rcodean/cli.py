@@ -140,6 +140,11 @@ def _resolve_run_config(args) -> RunConfig:
         settings.update(loaded)
     pipe_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     run_fields = {f.name for f in dataclasses.fields(RunConfig)} - {"pipeline"}
+    # a misspelt key would otherwise leave its setting at the default
+    unknown = sorted(set(settings) - pipe_fields - run_fields)
+    if unknown:
+        raise UsageError(f"config file {args.config}: unknown keys "
+                         f"{', '.join(map(repr, unknown))}")
     pipe_kwargs = {k: v for k, v in settings.items() if k in pipe_fields}
     # eval takes the model's settings from the bundle; of the pipeline
     # settings only the seed, which generates a --synthetic dataset, is its own
@@ -170,6 +175,10 @@ def _resolve_run_config(args) -> RunConfig:
 
 def _load_dataset(cfg: RunConfig) -> AttributeDataset:
     if cfg.synthetic_n is not None:
+        # checked before the split indices are made: their count is the sum
+        if cfg.split_counts and sum(cfg.split_counts) != cfg.synthetic_n:
+            raise ConfigError(f"split_counts {list(cfg.split_counts)} do not sum to "
+                              f"synthetic_n {cfg.synthetic_n}")
         splits = split_by_counts(cfg.split_counts) if cfg.split_counts else None
         return gen_synthetic(cfg.synthetic_n, cfg.k, seed=cfg.pipeline.seed,
                              split_fractions=cfg.split_fractions, splits=splits)

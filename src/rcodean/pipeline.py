@@ -61,23 +61,30 @@ def _axis_plan(size: int, out: int) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=32)
 def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
     """The gather indices and weights resampling h x w to out_h x out_w,
-    made once per shape; the cached arrays are read-only."""
+    made once per shape; the cached arrays are read-only. Rows come as
+    every output row's upper source row, then every lower one, with their
+    (2 out_h, 1) weights; columns as the left and right source columns
+    with their (1, out_w) weights."""
     y0, y1, wy0, wy1 = _axis_plan(h, out_h)
     x0, x1, wx0, wx1 = _axis_plan(w, out_w)
-    plan = (y0, y1, wy0[:, None], wy1[:, None], x0, x1, wx0[None, :], wx1[None, :])
+    plan = (np.concatenate([y0, y1]), np.concatenate([wy0, wy1])[:, None],
+            x0, x1, wx0[None, :], wx1[None, :])
     for arr in plan:
         arr.flags.writeable = False
     return plan
 
 
 def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resample with edge clamping. Rows are
-    gathered before columns, so each column gather reads out_h rows."""
-    y0, y1, wy0, wy1, x0, x1, wx0, wx1 = _resize_plan(*img.shape, out_h, out_w)
-    upper, lower = img[y0], img[y1]
-    top = wx0 * upper[:, x0] + wx1 * upper[:, x1]
-    bottom = wx0 * lower[:, x0] + wx1 * lower[:, x1]
-    return wy0 * top + wy1 * bottom
+    """Half-pixel-center bilinear resample with edge clamping. Both source
+    rows of every output row are gathered at once and interpolated along
+    the columns as one (2 out_h, out_w) block, then weighted and summed."""
+    rows, wy, x0, x1, wx0, wx1 = _resize_plan(*img.shape, out_h, out_w)
+    src = img[rows]
+    block = src[:, x0]
+    block *= wx0
+    block += src[:, x1] * wx1
+    block *= wy
+    return block[:out_h] + block[out_h:]
 
 
 def preprocess(image) -> Mat:
@@ -90,7 +97,10 @@ def preprocess(image) -> Mat:
         raise InputError(f"image {h}x{w} is below the {MIN_INPUT_SIDE} pixel minimum")
     if (h, w) != (IMAGE_SIZE, IMAGE_SIZE):
         img = _bilinear_resize(img, IMAGE_SIZE, IMAGE_SIZE)
-    return Mat(img / 255.0, copy=False)
+        img /= 255.0  # the resample is this call's own array
+    else:
+        img = img / 255.0  # a new array: the caller's stays as it is
+    return Mat(img, copy=False)
 
 
 _TRANSPOSE_BLOCK = 64  # images per block of the face-matrix transpose

@@ -60,6 +60,7 @@ def test_reloaded_forest_has_the_trained_node_table(trained):
         a, b = getattr(trained_table, name), getattr(loaded_table, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
+    assert trained_table.depth == loaded_table.depth
     assert trained_table.roots.shape == (3, 3)
 
 
@@ -179,8 +180,12 @@ def test_well_formed_replacement_tree_loads(trained, tmp_path):
     [[0, 0.5, 1.5, 2, 0.5], _LEAF0, _LEAF1],
     [[0, 0.5, 1, 2, 0.5], _LEAF0, [-1, 0.0, -1, -1, 1.5]],
     [[0, 0.5, 1, 2, 0.5, 0.0]],
+    [[0, 0.5, 1, 1, 0.5], _LEAF0, _LEAF1],
+    [[0, 0.5, 1, 2, 0.5], [0, 0.5, 3, 4, 0.5], [0, 0.5, 3, 4, 0.5], _LEAF0, _LEAF1],
+    [[0, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1, _LEAF0],
 ], ids=["self-loop", "child-past-end", "feature-too-large", "feature-below-leaf",
-        "leaf-with-child", "fractional-child", "prob-above-one", "six-columns"])
+        "leaf-with-child", "fractional-child", "prob-above-one", "six-columns",
+        "shared-child", "shared-subtree", "unreachable-node"])
 def test_malformed_tree_is_format_error(trained, tmp_path, rows):
     # load only: at the parent a self-loop loads and then hangs in predict
     _, _, path = trained

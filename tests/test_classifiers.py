@@ -1,14 +1,19 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
+from bundle_rewrite import rewrite_bundle
 from oracles import reference_forest
-from rcodean.classifiers import (PROB_THRESHOLD, _head_forward, _head_grads,
+from rcodean.bundle import load_bundle, save_bundle
+from rcodean.classifiers import (PROB_THRESHOLD, Forest, _head_forward, _head_grads,
                                  assemble_mlp_head, build_mlp_head, ensemble_vote,
                                  forest_predict_proba, forest_train, head_score,
                                  head_train, svm_decision, svm_train)
+from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import ShapeError, TrainingError
+from rcodean.pipeline import PipelineConfig, train_full
 from rcodean.tensor import Mat
 
 
@@ -201,21 +206,71 @@ def _walk_tree(tree, sample):
     return tree.prob[node]
 
 
-def test_forest_prediction_matches_tree_walk_oracle():
+def _trained_forest():
     rng = np.random.default_rng(23)
     x = rng.uniform(size=(150, 5))
     y = (x[:, :2].sum(axis=1) > 1.0).astype(np.int64).reshape(-1, 1)
     y = np.hstack([y, rng.integers(0, 2, size=(150, 1))])
-    forest = forest_train(x, y, trees_per_attr=8, max_depth=5, seed=24)
-    probes = rng.uniform(size=(100, 5))
-    # leaf probabilities averaged as a (trees, n) array, one walk per
-    # (tree, row): numpy sums a (trees, 1) block in another order than a
-    # (trees, 100) one, and both must be matched bit for bit
-    for batch in [*np.split(probes, len(probes)), probes]:
-        walked = np.array([[[_walk_tree(t, row) for row in batch] for t in per_attr]
-                           for per_attr in forest.trees])
-        expected = np.stack([np.mean(w, axis=0) for w in walked], axis=1)
-        assert np.array_equal(forest_predict_proba(forest, batch), expected)
+    return forest_train(x, y, trees_per_attr=8, max_depth=5, seed=24)
+
+
+def _mixed_depth_forest():
+    """Per attribute a deep tree, stumps and a single leaf: walks that end
+    at every depth from 0 to the deepest tree's."""
+    rng = np.random.default_rng(29)
+    x = rng.uniform(size=(300, 5))
+    y = rng.integers(0, 2, size=(300, 2))
+    grown = [forest_train(x, labels, trees_per_attr=2, max_depth=depth, seed=30)
+             for labels, depth in ((y, 14), (y, 1), (np.ones_like(y), 6))]
+    trees = [[tree for forest in grown for tree in forest.trees[a]] for a in range(2)]
+    assert [len(tree.feature) for tree in trees[0]][-2:] == [1, 1]
+    forest = Forest(trees=trees, n_features=5)
+    assert forest.table.depth == 14
+    return forest
+
+
+def _loaded_forest_deeper_than_its_config(tmp_path):
+    """A bundle's forest with one tree swapped for a valid chain ten levels
+    deeper than the bundle's forest_depth of 3, read by ``load_bundle``."""
+    ds = gen_synthetic(110, 3, seed=3, splits=split_by_counts((60, 30, 20)))
+    cfg = PipelineConfig(l=8, epochs=1, batch_size=32, head_epochs=5, weight_steps=5,
+                         forest_trees=3, forest_depth=3, svm_epochs=1, seed=1)
+    path = tmp_path / "model.rcbn"
+    save_bundle(train_full(ds, cfg)[0], path)
+    rng = np.random.default_rng(31)
+    depth = 13
+    rows = []
+    # node 2 * level has a leaf on its left and the next level on its right
+    for level in range(depth):
+        rows += [[rng.integers(0, 30), rng.uniform(0.0, 0.3), 2 * level + 1, 2 * level + 2,
+                  0.5], [-1, 0.0, -1, -1, rng.uniform()]]
+    rows.append([-1, 0.0, -1, -1, 1.0])
+    tree = np.array(rows, dtype="<f8")
+
+    def mutate(header, chunks):
+        entry = next(e for e in header["arrays"] if e["name"] == "forest.attr1.tree2")
+        entry["shape"] = list(tree.shape)
+        chunks["forest.attr1.tree2"] = struct.pack("<Q", tree.size) + tree.tobytes()
+
+    forest = load_bundle(rewrite_bundle(path, tmp_path / "deep.rcbn", mutate)).forest
+    assert forest.n_features == 30 and forest.table.depth == depth
+    return forest
+
+
+def test_forest_prediction_matches_tree_walk_oracle(tmp_path):
+    forests = {"trained": _trained_forest(), "mixed depths": _mixed_depth_forest(),
+               "loaded deeper than its config": _loaded_forest_deeper_than_its_config(
+                   tmp_path)}
+    for name, forest in forests.items():
+        probes = np.random.default_rng(23).uniform(size=(100, forest.n_features))
+        # leaf probabilities averaged as a (trees, n) array, one walk per
+        # (tree, row): numpy sums a (trees, 1) block in another order than a
+        # (trees, 100) one, and both must be matched bit for bit
+        for batch in [*np.split(probes, len(probes)), probes]:
+            walked = np.array([[[_walk_tree(t, row) for row in batch] for t in per_attr]
+                               for per_attr in forest.trees])
+            expected = np.stack([np.mean(w, axis=0) for w in walked], axis=1)
+            assert np.array_equal(forest_predict_proba(forest, batch), expected), name
 
 
 def _tie_heavy(n, n_feat, seed):

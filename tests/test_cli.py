@@ -1,8 +1,14 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bundle_rewrite import rewrite_bundle
+from fuzzing import FUZZ, time_bound
 from rcodean.cli import main
 from rcodean.data import load_attr_list, load_gray_image
 
@@ -77,6 +83,8 @@ def test_train_missing_dataset(tmp_path, capsys):
     (tmp_path / "k.json").write_text('{"k": "x"}')
     (tmp_path / "n.json").write_text('{"synthetic_n": -5}')
     (tmp_path / "bool.json").write_text('{"patience": true}')
+    (tmp_path / "misspelt.json").write_text('{"epoch": 7, "lr_rate": 0.5, "l": 8}')
+    (tmp_path / "counts.json").write_text('{"split_counts": [1000000000000, 0, 0]}')
     base = ["--split-counts", "40,20,10", "--out", str(tmp_path / "o"), *TRAIN_FLAGS]
     synthetic = ["--synthetic", "70", "--k", "2", *base]
     for args, message in [([*synthetic, "--batch-size", "0"], "batch_size"),
@@ -89,6 +97,11 @@ def test_train_missing_dataset(tmp_path, capsys):
                            "split_fractions must be"),
                           ([*synthetic, "--config", str(tmp_path / "bool.json")],
                            "patience must be"),
+                          ([*synthetic, "--config", str(tmp_path / "misspelt.json")],
+                           "unknown keys 'epoch', 'lr_rate'"),
+                          # refused before 10^12 split indices are allocated
+                          ([*synthetic[:4], "--config", str(tmp_path / "counts.json")],
+                           "do not sum to synthetic_n 70"),
                           # without the flags that would override the file's value
                           ([*base, "--config", str(tmp_path / "k.json")], "k must be"),
                           ([*base, "--config", str(tmp_path / "n.json")],
@@ -157,7 +170,7 @@ def test_eval_refuses_training_settings_in_config_file(run_dir, synth_dir, tmp_p
             "--images", str(synth_dir / "images"), "--out", str(tmp_path / "eval")]
     cfg = tmp_path / "cfg.json"
     for settings in ({"l": 999, "epochs": 7, "forest_trees": 1, "jobs": 3},
-                     {"seed": 5, "lr": 0.5}):
+                     {"seed": 5, "lr": 0.5}, {"seed": 5, "sead": 6}):
         cfg.write_text(json.dumps(settings))
         assert main([*args, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -314,3 +327,117 @@ def test_synthetic_training_path(tmp_path):
                "--split-counts", "40,20,10", "--out", str(out), *TRAIN_FLAGS])
     assert rc == 0
     assert (out / "model.rcbn").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed --config files and flag values
+
+CLI_SECONDS = 60  # far above the few seconds the largest training drawn takes
+
+# values of a type no setting takes: text, lists and objects are wrong for
+# every field, floats for the integer fields
+_WRONG = (st.none() | st.booleans() | st.text(max_size=4)
+          | st.lists(st.integers(-2, 2), max_size=3)
+          | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_REAL = st.floats(allow_nan=True, allow_infinity=True) | st.integers()
+
+
+def _mostly(typed):
+    """``typed`` two draws in three, else a value of the wrong type, so
+    that many drawn configurations get as far as training."""
+    return st.integers(0, 2).flatmap(lambda i: typed if i else _WRONG)
+
+
+def _count(high):
+    """A setting that sizes the work: small, at or below its lower bound,
+    or a float, never large enough to train for long."""
+    return _mostly(st.integers(-2, high) | st.floats(-2, high))
+
+
+# a tiny valid training that every drawn case starts from
+_BASE = {"synthetic_n": 24, "k": 2, "split_counts": [10, 8, 6], "l": 2, "epochs": 1,
+         "batch_size": 16, "head_epochs": 3, "weight_steps": 3, "forest_trees": 1,
+         "forest_depth": 2, "svm_epochs": 1, "seed": 3}
+# drawn over any range: these cost nothing to be large
+_FREE = {**{name: _mostly(st.integers())
+            for name in ("batch_size", "patience", "seed", "forest_depth")},
+         **{name: _mostly(_REAL) for name in ("alpha", "beta", "lam", "lr", "min_lr",
+                                              "head_lr", "weight_lr", "svm_reg")},
+         "split_fractions": _mostly(st.lists(_REAL, min_size=2, max_size=4)),
+         "split_counts": _mostly(st.lists(st.integers(), min_size=2, max_size=4)
+                                 | st.lists(st.integers(0), min_size=3, max_size=3))}
+_SIZED = {"synthetic_n": _count(40), "k": _count(9), "l": _count(4), "epochs": _count(2),
+          "head_epochs": _count(5), "weight_steps": _count(5), "forest_trees": _count(2),
+          "svm_epochs": _count(3), "jobs": _count(2)}
+_FLAGS = {"synthetic_n": "--synthetic", "split_fractions": "--split-fractions",
+          "split_counts": "--split-counts"}
+_UNKNOWN = st.text(min_size=1, max_size=6).filter(
+    lambda key: key not in {*_FREE, *_SIZED, "data", "images", "out"})
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _small_or_not_integer(text: str) -> bool:
+    """Whether arbitrary flag text stays out of the sizes that train long."""
+    try:
+        return int(text) <= 40
+    except ValueError:
+        return True
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_and_flag_values_exit_0_or_usage_error(run_dir, data):
+    command = data.draw(st.sampled_from(["train", "train", "eval"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out")
+        paths = st.sampled_from([str(Path(tmp) / "missing.txt"), tmp, ""])
+        settings = dict(_BASE) if command == "train" else {
+            name: _BASE[name] for name in ("synthetic_n", "split_counts", "seed")}
+        settings["out"] = out
+        # a few settings dropped (only where the default is cheap) or redrawn
+        strategies = {**_FREE, **_SIZED, "data": _mostly(paths), "images": _mostly(paths),
+                      "out": _mostly(st.sampled_from([out, ""]))}
+        # eval takes no pipeline setting but the seed, and refuses the rest
+        names = sorted(strategies) if command == "train" else [
+            "seed", "synthetic_n", "k", "split_fractions", "split_counts", "data", "images",
+            "out"]
+        for name in data.draw(st.lists(st.sampled_from(names), max_size=3, unique=True),
+                              label="changed"):
+            if name not in _SIZED and data.draw(st.booleans(), label=f"drop {name}"):
+                settings.pop(name, None)
+            else:
+                settings[name] = data.draw(strategies[name], label=name)
+        if data.draw(st.integers(0, 9), label="add unknown keys") == 0:
+            settings.update(data.draw(st.dictionaries(_UNKNOWN, _REAL, min_size=1,
+                                                      max_size=2), label="unknown"))
+        # some settings go on the command line instead, some as arbitrary text
+        flags = ["--out", out]
+        flag_names = [name for name in names if name in {*_FREE, *_SIZED}]
+        for name in data.draw(st.lists(st.sampled_from(flag_names), max_size=2, unique=True),
+                              label="flags"):
+            typed = strategies[name].map(_flag_text)
+            text = st.text(max_size=5).filter(_small_or_not_integer)
+            flags += [_FLAGS.get(name, "--" + name.replace("_", "-")),
+                      data.draw(st.integers(0, 2).flatmap(lambda i: typed if i else text),
+                                label=name)]
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(settings))
+        argv = [command, "--config", str(config), *flags]
+        if command == "eval":
+            argv += ["--bundle", str(run_dir / "model.rcbn")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with time_bound(CLI_SECONDS), redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse refusing a flag value
+                rc = exc.code
+        err = stderr.getvalue()
+        assert rc in (0, 2), (argv, settings, err)
+        assert "Traceback" not in err, err
+        if rc == 2:  # split at newlines only: a drawn key may hold other line breaks
+            assert "error:" in err.rstrip("\n").split("\n")[-1], err

@@ -50,8 +50,11 @@ def medium_bundle():
 def test_preprocess_identity_on_64():
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, size=(64, 64)).astype(np.float64)
+    before = img.copy()
     out = preprocess(img)
     assert np.array_equal(out.a, img / 255.0)
+    # scaled into a new array, never in the caller's
+    assert np.array_equal(img, before) and not np.shares_memory(out.a, img)
 
 
 def test_preprocess_constant_downsample():
@@ -391,6 +394,17 @@ def test_predict_is_pure(tiny_bundle):
     assert np.array_equal(conf1, conf2)
     assert bits1.shape == (3,) and conf1.shape == (3,)
     assert ((conf1 >= 0.0) & (conf1 <= 1.0)).all()
+    # the benchmark's serving check: each one-image predict, on the raw
+    # image as a file holds it, matches its predict_batch row in bits and,
+    # since a one-column product sums in another order, to 1e-12 in
+    # confidence
+    raws = [reference_bilinear_resize(ds.image(int(i)), 218, 178) for i in ds.splits["test"]]
+    raws[0] = ds.image(int(ds.splits["test"][0]))  # one already 64x64
+    bits, conf, _ = predict_batch(bundle, np.stack([preprocess(raw).a for raw in raws]))
+    for raw, row_bits, row_conf in zip(raws, bits, conf):
+        one_bits, one_conf = predict(bundle, raw)
+        assert np.array_equal(one_bits, row_bits)
+        assert np.abs(one_conf - row_conf).max() <= 1e-12
 
 
 def test_scores_bounded_open_interval(tiny_bundle):
