@@ -1,15 +1,25 @@
-"""Binary persistence for trained bundles.
+"""Binary persistence for trained bundles, format 2.
 
 Layout: magic ``RCBN``, a u32-length-prefixed JSON header (format
 version, full training config, array manifest), then every float64 array
 in manifest order as a u64 entry count plus little-endian payload, and a
-trailing CRC-32 of all preceding bytes. Forest trees ride along as
-(n_nodes, 5) arrays of [feature, threshold, left, right, prob]; integer
-fields round-trip exactly through float64.
+trailing CRC-32 of all preceding bytes.
 
-A passing checksum does not make a file trusted: a non-finite array or a
-malformed tree is a ``FormatError``. That is the only check the loaded
-values get; the nets and heads use the arrays as they are.
+The arrays are exactly what prediction reads, laid out as it reads them:
+the nine patch encoders as (9, out, in) stacks, the face encoder, the ten
+stage-1 heads as (10, out, in) stacks, the patch weights, the stage-2
+MLP, the forest and the SVM. The forest is one (n_nodes, 5) table of
+[feature, threshold, left, right, prob] rows, every tree in preorder one
+after another with children indexed within their own tree, plus the
+(k, trees) node counts; integer fields round-trip exactly through
+float64. The autoencoders' decoders are not stored. Version-1 files,
+which held the whole autoencoders, are refused: retrain to get a
+version-2 bundle.
+
+A passing checksum does not make a file trusted: a manifest other than
+the one the config implies, a non-finite array or a malformed tree is a
+``FormatError``. That is the only check the loaded values get; the
+encoders and heads use the arrays as they are.
 """
 
 from __future__ import annotations
@@ -19,104 +29,75 @@ import math
 import mmap
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
-from .classifiers import Forest, LinearSvm, Tree, assemble_mlp_head
+from .classifiers import (HEAD_ACTS, Forest, LinearSvm, Tree, assemble_mlp_head,
+                          head_dims)
 from .errors import CorruptionError, FormatError, VersionError
-from .network import CodeanParams, assemble_rcodean
-from .pipeline import (BUNDLE_FORMAT_VERSION, ModelBundle, N_SOURCES,
+from .network import ENCODER_IDS, assemble_encoder
+from .pipeline import (BUNDLE_FORMAT_VERSION, N_SOURCES, SOURCE_DIMS, ModelBundle,
                        PatchWeights, SourceModels, is_number)
 
 BUNDLE_MAGIC = b"RCBN"
 
 
-def _tree_to_array(tree: Tree) -> np.ndarray:
-    return np.column_stack([tree.feature.astype(np.float64), tree.threshold,
-                            tree.left.astype(np.float64),
-                            tree.right.astype(np.float64), tree.prob])
+def _manifest(config: dict) -> dict[str, tuple[int, ...]]:
+    """Every stored array's name and shape, in file order, as the config
+    implies them; -1 marks the forest's node count, the one free size."""
+    l, k = config["l"], config["k"]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix, stack, d in (("patch_encoders", (N_SOURCES - 1,), SOURCE_DIMS[0]),
+                             ("face_encoder", (), SOURCE_DIMS[-1])):
+        for lid, in_dim in zip(ENCODER_IDS, (d, l, l)):
+            shapes[f"{prefix}.{lid}.weight"] = (*stack, l, in_dim)
+            shapes[f"{prefix}.{lid}.bias"] = (*stack, l, 1)
+    shapes["patch_weights"] = (k, N_SOURCES)
+    for prefix, stack, in_dim in (("heads", (N_SOURCES,), l),
+                                  ("stage2_mlp", (), N_SOURCES * k)):
+        dims = head_dims(in_dim, k)
+        for i in range(len(HEAD_ACTS)):
+            shapes[f"{prefix}.layer{i}.weight"] = (*stack, dims[i + 1], dims[i])
+            shapes[f"{prefix}.layer{i}.bias"] = (*stack, dims[i + 1], 1)
+    shapes["forest.nodes"] = (-1, len(fields(Tree)))
+    shapes["forest.sizes"] = (k, config["forest_trees"])
+    shapes["svm.weights"] = (k, N_SOURCES * k)
+    shapes["svm.biases"] = (k,)
+    return shapes
 
 
-def _tree_from_array(arr: np.ndarray) -> Tree:
-    return Tree(feature=arr[:, 0].astype(np.int64), threshold=arr[:, 1].copy(),
-                left=arr[:, 2].astype(np.int64), right=arr[:, 3].astype(np.int64),
-                prob=arr[:, 4].copy())
-
-
-def _check_trees(arrays: dict[str, np.ndarray], names: list[str],
-                 n_features: int) -> None:
-    """Raise ``FormatError`` unless every named tree is a tree in preorder,
-    so a sample walked down it reaches a leaf within the tree's depth: an
-    internal node has a feature in [0, n_features) and two children after
-    it within its tree, a leaf has feature and children -1, every node but
-    the root is the child of exactly one node, and every probability lies
-    in [0, 1]. All trees are checked in one pass over their stacked nodes."""
-    for name in names:
-        shape = arrays[name].shape
-        if len(shape) != 2 or shape[0] < 1 or shape[1] != 5:
-            raise FormatError(f"{name}: shape {shape} is not (n_nodes, 5)")
-    sizes = np.array([arrays[name].shape[0] for name in names])
-    ends = np.cumsum(sizes)
-    nodes = np.concatenate([arrays[name] for name in names])
-    start = np.repeat(ends - sizes, sizes)
-    index = np.arange(len(nodes)) - start
-    n_nodes = np.repeat(sizes, sizes)
-    feature, left, right, prob = nodes[:, 0], nodes[:, 2], nodes[:, 3], nodes[:, 4]
-    internal = ((feature >= 0) & (feature < n_features)
-                & (left > index) & (left < n_nodes) & (right > index) & (right < n_nodes))
-    leaf = (feature == -1) & (left == -1) & (right == -1)
-    indices = nodes[:, [0, 2, 3]]
-    whole = (indices == np.floor(indices)).all(axis=1)
-    ok = (internal | leaf) & whole & (prob >= 0.0) & (prob <= 1.0)
-    if ok.all():
-        # the children are valid indices now; the forest's level-by-level
-        # depth count would visit a node with two parents once per path.
-        # A leaf's missing children are counted in one extra, last bin.
-        parents = np.zeros(len(nodes) + 1, dtype=np.int64)
-        for child in (left, right):
-            parents += np.bincount(np.where(leaf, len(nodes), child + start).astype(np.int64),
-                                   minlength=len(nodes) + 1)
-        parents[ends - sizes] += 1  # a root has none
-        ok = parents[:-1] == 1
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        tree = int(np.searchsorted(ends, bad, side="right"))
-        raise FormatError(f"{names[tree]}: node {int(index[bad])} is not a leaf "
-                          f"or an internal node of a preorder tree")
-
-
-def _enumerate_arrays(bundle: ModelBundle) -> list[tuple[str, np.ndarray | Tree]]:
-    """Every stored array by manifest name, in file order; forest trees
-    stay ``Tree``s here and become (n_nodes, 5) arrays when written."""
-    arrays: list[tuple[str, np.ndarray | Tree]] = []
-    for s, net in enumerate(bundle.nets):
-        for name, arr in net.parameters():
-            arrays.append((f"net{s}.{name}", arr))
-    for s, head in enumerate(bundle.heads):
+def _stored_arrays(bundle: ModelBundle) -> dict[str, np.ndarray]:
+    """Every array prediction reads, by its manifest name, in file order."""
+    models = bundle.sources
+    arrays: dict[str, np.ndarray] = {}
+    for prefix, encoder in (("patch_encoders", models.patch_encoders),
+                            ("face_encoder", models.face_encoder)):
+        for lid, layer in zip(ENCODER_IDS, encoder.encoder):
+            arrays[f"{prefix}.{lid}.weight"] = layer.weight
+            arrays[f"{prefix}.{lid}.bias"] = layer.bias
+    arrays["patch_weights"] = bundle.patch_weights.values
+    for prefix, head in (("heads", models.heads), ("stage2_mlp", bundle.stage2_mlp)):
         for name, arr in head.parameters():
-            arrays.append((f"head{s}.{name}", arr))
-    arrays.append(("patch_weights", bundle.patch_weights.values))
-    for name, arr in bundle.stage2_mlp.parameters():
-        arrays.append((f"stage2_mlp.{name}", arr))
-    for a, per_attr in enumerate(bundle.forest.trees):
-        for t, tree in enumerate(per_attr):
-            arrays.append((f"forest.attr{a}.tree{t}", tree))
-    arrays.append(("svm.weights", bundle.svm.weights))
-    arrays.append(("svm.biases", bundle.svm.biases.reshape(-1, 1)))
+            arrays[f"{prefix}.{name}"] = arr
+    nodes = bundle.forest.nodes
+    arrays["forest.nodes"] = np.column_stack([getattr(nodes, f.name) for f in fields(Tree)])
+    arrays["forest.sizes"] = bundle.forest.sizes
+    arrays["svm.weights"] = bundle.svm.weights
+    arrays["svm.biases"] = bundle.svm.biases
     return arrays
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    arrays = [(name, _tree_to_array(arr) if isinstance(arr, Tree) else arr)
-              for name, arr in _enumerate_arrays(bundle)]
+    arrays = _stored_arrays(bundle)
     header = {
         "format_version": bundle.version,
         "config": bundle.config,
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
+        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     chunks = [BUNDLE_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes]
-    for _, arr in arrays:
+    for arr in arrays.values():
         chunks.append(struct.pack("<Q", arr.size))
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").data)
     # streamed, so no copy of the whole file is ever held in memory
@@ -128,8 +109,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-# config fields that loading and prediction read
-_CONFIG_FIELDS = ("alpha", "beta", "lam", "k", "attribute_names", "skip_layout",
+# config fields that loading checks; l, k and forest_trees size the arrays
+_CONFIG_FIELDS = ("alpha", "beta", "lam", "l", "k", "attribute_names", "skip_layout",
                   "forest_trees", "svm_reg")
 
 
@@ -149,6 +130,9 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
+    if version == "1":
+        raise VersionError(f"{path}: bundle format version 1 is no longer read; "
+                           f"retrain to write a version {BUNDLE_FORMAT_VERSION} bundle")
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionError(f"{path}: unsupported format version {version!r}")
     for key, kind in (("config", dict), ("arrays", list)):
@@ -158,12 +142,10 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     missing = [f for f in _CONFIG_FIELDS if f not in config]
     if missing:
         raise FormatError(f"{path}: config lacks {', '.join(missing)}")
-    # the counts that size the forest cannot exceed the arrays stored
-    for name in ("k", "forest_trees"):
+    for name in ("l", "k", "forest_trees"):
         value = config[name]
-        if not (is_number(value, integral=True) and 1 <= value <= len(header["arrays"])):
-            raise FormatError(f"{path}: config {name} {value!r} is not a count "
-                              f"within the {len(header['arrays'])} stored arrays")
+        if not (is_number(value, integral=True) and value >= 1):
+            raise FormatError(f"{path}: config {name} {value!r} is not a count")
     for name in ("alpha", "beta", "lam", "svm_reg"):
         if not is_number(config[name]):
             raise FormatError(f"{path}: config {name} {config[name]!r} is not a finite number")
@@ -174,19 +156,29 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     return header, 8 + header_len
 
 
-def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.ndarray]:
+def _read_arrays(path, data: bytes, manifest: list, pos: int,
+                 expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
     """Every manifest array as a read-only view of the file's bytes,
-    checked once for finiteness; ``_assemble`` copies each once, into
-    the array the bundle keeps."""
+    checked once for finiteness, after checking that the manifest names
+    the ``expected`` arrays in order with their shapes; ``_assemble``
+    copies each once, into the array the bundle keeps."""
+    if len(manifest) != len(expected):
+        raise FormatError(f"{path}: {len(manifest)} arrays stored, "
+                          f"the config implies {len(expected)}")
     end = len(data) - 4
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest:
+    for entry, (want_name, want_shape) in zip(manifest, expected.items()):
         try:
             name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
         except (KeyError, TypeError, ValueError, OverflowError):
-            name = None
-        if not isinstance(name, str):
-            raise FormatError(f"{path}: malformed array entry {entry!r}")
+            raise FormatError(f"{path}: malformed array entry {entry!r}") from None
+        if name != want_name:
+            raise FormatError(f"{path}: array {len(arrays)} is {name!r}, "
+                              f"the config implies {want_name!r}")
+        if len(shape) != len(want_shape) or any(w not in (-1, s)
+                                                for s, w in zip(shape, want_shape)):
+            raise FormatError(f"{path}: array {name} has shape {shape}, "
+                              f"the config implies {want_shape}")
         if pos + 8 > end:
             raise FormatError(f"{path}: truncated array table")
         count = struct.unpack("<Q", data[pos:pos + 8])[0]
@@ -196,8 +188,6 @@ def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.nd
         if min(shape, default=0) < 0 or math.prod(shape) != count:
             raise FormatError(f"{path}: array {name} count {count} "
                               f"does not match shape {shape}")
-        if name in arrays:
-            raise FormatError(f"{path}: array {name} appears twice")
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
         if not np.isfinite(flat).all():
             raise FormatError(f"{path}: array {name} has non-finite entries")
@@ -206,47 +196,72 @@ def _read_arrays(path, data: bytes, manifest: list, pos: int) -> dict[str, np.nd
     return arrays
 
 
-def _owned(arr: np.ndarray) -> np.ndarray:
-    """``arr`` where it is already the bundle's own (a slice of a stack),
-    else a copy of the file's bytes it views."""
-    return arr if arr.flags.writeable else arr.copy()
+def _check_trees(nodes: np.ndarray, sizes: np.ndarray, n_features: int) -> None:
+    """Raise ``FormatError`` unless the (n_nodes, 5) table holds trees of
+    the (k, trees) node counts ``sizes``, one after another, each a tree in
+    preorder, so a sample walked down it reaches a leaf within the tree's
+    depth: an internal node has a feature in [0, n_features) and two
+    children after it within its tree, a leaf has feature and children
+    -1, every node but the root is the child of exactly one node, and
+    every probability lies in [0, 1]. All trees are checked in one pass."""
+    flat = sizes.reshape(-1)
+    if not ((flat >= 1) & (flat == np.floor(flat))).all() or flat.sum() != len(nodes):
+        raise FormatError(f"forest.sizes are not node counts of the {len(nodes)} nodes "
+                          f"in forest.nodes")
+    flat = flat.astype(np.int64)
+    ends = np.cumsum(flat)
+    start = np.repeat(ends - flat, flat)
+    index = np.arange(len(nodes)) - start
+    n_nodes = np.repeat(flat, flat)
+    feature, left, right, prob = nodes[:, 0], nodes[:, 2], nodes[:, 3], nodes[:, 4]
+    internal = ((feature >= 0) & (feature < n_features)
+                & (left > index) & (left < n_nodes) & (right > index) & (right < n_nodes))
+    leaf = (feature == -1) & (left == -1) & (right == -1)
+    indices = nodes[:, [0, 2, 3]]
+    whole = (indices == np.floor(indices)).all(axis=1)
+    ok = (internal | leaf) & whole & (prob >= 0.0) & (prob <= 1.0)
+    if ok.all():
+        # the children are valid indices now; the forest's level-by-level
+        # depth count would visit a node with two parents once per path.
+        # A leaf's missing children are counted in one extra, last bin.
+        parents = np.zeros(len(nodes) + 1, dtype=np.int64)
+        for child in (left, right):
+            parents += np.bincount(np.where(leaf, len(nodes), child + start).astype(np.int64),
+                                   minlength=len(nodes) + 1)
+        parents[ends - flat] += 1  # a root has none
+        ok = parents[:-1] == 1
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        attr, tree = divmod(int(np.searchsorted(ends, bad, side="right")), sizes.shape[1])
+        raise FormatError(f"forest.attr{attr}.tree{tree}: node {int(index[bad])} is not "
+                          f"a leaf or an internal node of a preorder tree")
 
 
 def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
-    """The bundle whose ``_enumerate_arrays`` names are the keys of
-    ``arrays``, views of the file's bytes. The model set copies the
-    stacked arrays into its stacks, and every other array is copied on
-    its own, so each is copied once and no bundle array views the
-    file's bytes."""
-    groups: dict[str, dict[str, np.ndarray]] = {}
-    for name, arr in arrays.items():
-        group, _, rest = name.partition(".")
-        groups.setdefault(group, {})[rest] = arr
-    params = CodeanParams(alpha=config["alpha"], beta=config["beta"], lam=config["lam"])
-    nets = [assemble_rcodean(groups[f"net{s}"], config["skip_layout"], params)
-            for s in range(N_SOURCES)]
-    heads = [assemble_mlp_head(groups[f"head{s}"]) for s in range(N_SOURCES)]
-    sources = SourceModels(nets, heads)
-    for layer in [*(layer for net in nets for layer in [*net.encoder, *net.decoder]),
-                  *(layer for head in heads for layer in head.layers)]:
-        layer.weight, layer.bias = _owned(layer.weight), _owned(layer.bias)
-    for spec in (spec for net in nets for spec in net.skips):
-        if spec.projection is not None:
-            spec.projection = _owned(spec.projection)
-    svm_weights = arrays["svm.weights"].copy()
-    n_features = int(svm_weights.shape[1])
-    tree_names = [[f"forest.attr{a}.tree{t}" for t in range(int(config["forest_trees"]))]
-                  for a in range(int(config["k"]))]
-    _check_trees(arrays, [name for row in tree_names for name in row], n_features)
-    trees = [[_tree_from_array(arrays[name]) for name in row] for row in tree_names]
-    stage2 = {name: arr.copy() for name, arr in groups["stage2_mlp"].items()}
+    """The bundle around ``arrays``, the file's arrays by manifest name,
+    viewing its bytes: each is copied once, straight into the array the
+    bundle keeps, so no bundle array views the file's bytes."""
+    def group(prefix: str) -> dict[str, np.ndarray]:
+        return {name[len(prefix) + 1:]: arr.copy() for name, arr in arrays.items()
+                if name.startswith(prefix + ".")}
+
+    layout = config["skip_layout"]
+    sources = SourceModels(assemble_encoder(group("patch_encoders"), layout),
+                           assemble_encoder(group("face_encoder"), layout),
+                           assemble_mlp_head(group("heads")))
+    nodes, sizes = arrays["forest.nodes"], arrays["forest.sizes"]
+    n_features = N_SOURCES * int(config["k"])
+    _check_trees(nodes, sizes, n_features)
+    forest = Forest(Tree(feature=nodes[:, 0].astype(np.int64), threshold=nodes[:, 1].copy(),
+                         left=nodes[:, 2].astype(np.int64), right=nodes[:, 3].astype(np.int64),
+                         prob=nodes[:, 4].copy()),
+                    sizes.astype(np.int64), n_features)
     return ModelBundle(
         config=config, sources=sources,
         patch_weights=PatchWeights(arrays["patch_weights"].copy()),
-        stage2_mlp=assemble_mlp_head(stage2),
-        forest=Forest(trees=trees, n_features=n_features),
-        svm=LinearSvm(weights=svm_weights, biases=arrays["svm.biases"].reshape(-1).copy(),
-                      reg=float(config["svm_reg"])))
+        stage2_mlp=assemble_mlp_head(group("stage2_mlp")), forest=forest,
+        svm=LinearSvm(weights=arrays["svm.weights"].copy(),
+                      biases=arrays["svm.biases"].copy(), reg=float(config["svm_reg"])))
 
 
 def load_bundle(path) -> ModelBundle:
@@ -261,16 +276,11 @@ def load_bundle(path) -> ModelBundle:
         except (ValueError, OSError):  # empty, or not a mappable file
             data = fh.read()
     header, pos = _read_header(path, data)
-    arrays = _read_arrays(path, data, header["arrays"], pos)
+    config = header["config"]
+    arrays = _read_arrays(path, data, header["arrays"], pos, _manifest(config))
     try:
-        bundle = _assemble(header["config"], arrays)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing array {exc}") from None
+        return _assemble(config, arrays)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    except (IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: inconsistent arrays or config: {exc}") from None
-    expected = {name for name, _ in _enumerate_arrays(bundle)}
-    if set(arrays) != expected:
-        raise FormatError(f"{path}: unexpected arrays {sorted(set(arrays) ^ expected)[:5]}")
-    return bundle

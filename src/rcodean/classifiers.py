@@ -11,7 +11,7 @@ always (n, k) arrays over {0, 1}, one column per attribute.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,12 +64,18 @@ def assemble_mlp_head(arrays) -> MlpHead:
                     for i, act in enumerate(HEAD_ACTS)])
 
 
-def build_mlp_head(in_dim: int, k: int, seed: int = 0,
-                   hidden: tuple[int, int] | None = None) -> MlpHead:
+def head_dims(in_dim: int, k: int, hidden: tuple[int, int] | None = None) -> list[int]:
+    """The input, hidden and output sizes of a head; the hidden layers
+    are in/2 and in/4 wide unless ``hidden`` gives them."""
     if hidden is None:
         hidden = (max(1, in_dim // 2), max(1, in_dim // 4))
+    return [in_dim, *hidden, k]
+
+
+def build_mlp_head(in_dim: int, k: int, seed: int = 0,
+                   hidden: tuple[int, int] | None = None) -> MlpHead:
     rng = np.random.default_rng(seed)
-    dims = [in_dim, hidden[0], hidden[1], k]
+    dims = head_dims(in_dim, k, hidden)
     arrays = {}
     for i in range(len(HEAD_ACTS)):
         arrays[f"layer{i}.weight"] = glorot_uniform(rng, dims[i + 1], dims[i])
@@ -156,8 +162,10 @@ def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
 
 @dataclass
 class Tree:
-    """Flat node arrays in preorder; feature == -1 marks a leaf. ``prob``
-    holds the positive-label fraction of the node's training samples."""
+    """Node arrays in preorder, of one tree or of many trees one after
+    another: feature == -1 marks a leaf, ``left`` and ``right`` index
+    nodes of the node's own tree (-1 at a leaf), and ``prob`` holds the
+    positive-label fraction of the node's training samples."""
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -167,7 +175,7 @@ class Tree:
 
 @dataclass
 class NodeTable:
-    """Every tree's nodes stacked in ``Forest.trees`` order, with children
+    """Every tree's nodes as ``Forest.nodes`` holds them, with children
     as indices into the whole table; ``roots[a, t]`` is tree t's root. A
     leaf is its own left and right child and reads feature 0, so every
     walk that takes ``depth`` steps, the deepest tree's depth, ends at a
@@ -183,24 +191,24 @@ class NodeTable:
 
 @dataclass
 class Forest:
-    """The trees, and the node table ``forest_predict_proba`` walks, built
-    from them here and nowhere else. Each tree must be a tree in preorder
-    (every node but the root the child of one node, after its parent), as
-    ``forest_train`` grows them and the bundle loader checks."""
-    trees: list[list[Tree]]  # indexed [attribute][tree], same count per attribute
+    """Every tree's nodes in one preorder ``Tree``, the trees in
+    [attribute][tree] order with ``sizes[a, t]`` nodes each, and the node
+    table ``forest_predict_proba`` walks, built from them here and
+    nowhere else. Each tree must be a tree in preorder (every node but the
+    root the child of one node, after its parent), as ``forest_train``
+    grows them and the bundle loader checks."""
+    nodes: Tree
+    sizes: np.ndarray  # (attributes, trees per attribute), int64
     n_features: int
     table: NodeTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        flat = [tree for per_attr in self.trees for tree in per_attr]
-        sizes = np.array([len(tree.feature) for tree in flat])
+        sizes = self.sizes.reshape(-1)
         starts = np.cumsum(sizes) - sizes
-        stacked = lambda name: np.concatenate([getattr(tree, name) for tree in flat])
-        feature = stacked("feature")
-        leaf = feature < 0
-        own = np.arange(len(feature))
+        leaf = self.nodes.feature < 0
+        own = np.arange(len(leaf))
         offset = np.repeat(starts, sizes)
-        left, right = stacked("left") + offset, stacked("right") + offset
+        left, right = self.nodes.left + offset, self.nodes.right + offset
         np.copyto(left, own, where=leaf)
         np.copyto(right, own, where=leaf)
         # the depth from the trees themselves (a loaded forest may be deeper
@@ -210,13 +218,32 @@ class Forest:
         while (level := level[~leaf[level]]).size:
             level = np.concatenate([left[level], right[level]])
             depth += 1
-        self.table = NodeTable(np.maximum(feature, 0), stacked("threshold"),
-                               left, right, stacked("prob"),
-                               starts.reshape(len(self.trees), -1), depth)
+        self.table = NodeTable(np.maximum(self.nodes.feature, 0), self.nodes.threshold,
+                               left, right, self.nodes.prob,
+                               starts.reshape(self.sizes.shape), depth)
 
     @property
     def n_attributes(self) -> int:
-        return len(self.trees)
+        return len(self.sizes)
+
+    @property
+    def trees(self) -> list[list[Tree]]:
+        """Each tree's nodes as views of ``nodes``, indexed [attribute][tree]."""
+        columns = [getattr(self.nodes, f.name) for f in fields(Tree)]
+        ends = np.cumsum(self.sizes).reshape(self.sizes.shape)
+        return [[Tree(*(col[end - size:end] for col in columns))
+                 for end, size in zip(row_ends, row_sizes)]
+                for row_ends, row_sizes in zip(ends, self.sizes)]
+
+
+def forest_of(trees: list[list[Tree]], n_features: int) -> Forest:
+    """The forest of ``trees``, indexed [attribute][tree] with the same
+    count per attribute, their nodes copied into one table."""
+    flat = [tree for per_attr in trees for tree in per_attr]
+    nodes = Tree(*(np.concatenate([getattr(tree, f.name) for tree in flat])
+                   for f in fields(Tree)))
+    sizes = np.array([[len(tree.feature) for tree in per_attr] for per_attr in trees])
+    return Forest(nodes, sizes, n_features)
 
 
 def _gini_pair(n_pos_left, n_left, n_pos_total, n_total):
@@ -313,7 +340,7 @@ def forest_train(features: np.ndarray, labels: np.ndarray,
             builder = _TreeBuilder(XT[:, boot], Y[boot, a], rng, max_depth, n_candidates)
             per_attr.append(builder.build())
         trees.append(per_attr)
-    return Forest(trees=trees, n_features=n_feat)
+    return forest_of(trees, n_feat)
 
 
 def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:

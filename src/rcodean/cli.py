@@ -170,7 +170,16 @@ def _resolve_run_config(args) -> RunConfig:
             ("out", args.out)):
         if value is not None:
             run_kwargs[name] = value
-    return RunConfig(**run_kwargs, pipeline=PipelineConfig(**pipe_kwargs))
+    cfg = RunConfig(**run_kwargs, pipeline=PipelineConfig(**pipe_kwargs))
+    # an attribute list sets k and is split by fractions; a given k or
+    # split_counts would be recorded in the run's config but not used
+    if cfg.synthetic_n is None and cfg.data is not None:
+        given = [name for name in ("k", "split_counts") if run_kwargs.get(name) is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} apply to --synthetic datasets only; "
+                             f"a --data attribute list sets k and is split by "
+                             f"split_fractions")
+    return cfg
 
 
 def _load_dataset(cfg: RunConfig) -> AttributeDataset:

@@ -100,9 +100,10 @@ class CodeanLoss:
 
 @dataclass
 class RCodeanNet:
-    """The six layers and their shortcuts. ``incoming`` maps each layer id
-    to the shortcuts that end at it, in ``skips`` order; it is derived once
-    here, so replace ``skips`` by building a new net."""
+    """The six layers and their shortcuts, as training uses them; a
+    trained model keeps only its ``Encoder``. ``incoming`` maps each layer
+    id to the shortcuts that end at it, in ``skips`` order; it is derived
+    once here, so replace ``skips`` by building a new net."""
     encoder: list[DenseLayer]
     decoder: list[DenseLayer]
     skips: list[SkipSpec]
@@ -199,10 +200,13 @@ def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
 
 
 @dataclass
-class EncoderStack:
-    """The encoder layers of same-shaped nets, each array stacked as
-    (nets, out, in), with the shortcuts that end in the encoder; it runs
-    through the nets' own forward code, slice s as net s."""
+class Encoder:
+    """The three encoder layers and the shortcuts that end in them: all
+    that computing a code reads. The layers are one net's (out, in)
+    arrays, or same-shaped nets' arrays stacked as (nets, out, in), run
+    through the nets' own forward code, slice s as net s. Every encoder
+    output has the code dimension, so no shortcut into the encoder has a
+    projection."""
     encoder: list[DenseLayer]
     incoming: dict[str, list[SkipSpec]]
 
@@ -214,19 +218,32 @@ class EncoderStack:
         return self.encoder[ENCODER_IDS.index(layer_id)]
 
 
-def stack_encoders(nets: list[RCodeanNet]) -> EncoderStack:
+def assemble_encoder(arrays, skip_layout) -> Encoder:
+    """Build an encoder around the arrays named ``enc1.weight`` to
+    ``enc3.bias``, one net's or stacked, used as they are, not copied;
+    its shortcuts are those of ``skip_layout`` that end in the encoder."""
+    skips = [SkipSpec(src, dst, kind) for src, dst, kind in skip_layout]
+    return Encoder([DenseLayer(arrays[f"{lid}.weight"], arrays[f"{lid}.bias"], LAYER_ACTS[lid],
+                               name=lid) for lid in ENCODER_IDS],
+                   {lid: [spec for spec in skips if spec.dst == lid] for lid in ENCODER_IDS})
+
+
+def net_encoder(net: RCodeanNet) -> Encoder:
+    """The net's own encoder layers, not copies, and its shortcuts into them."""
+    return Encoder(list(net.encoder), {lid: net.incoming[lid] for lid in ENCODER_IDS})
+
+
+def stack_encoders(nets: list[RCodeanNet]) -> Encoder:
     """Stack the encoders of ``nets``, which must agree in shapes and in
-    the shortcuts into their encoder; each net is pointed at its slices.
-    Every encoder output has the code dimension, so no shortcut into the
-    encoder has a projection, and the first net's shortcuts serve all."""
-    incoming = {lid: nets[0].incoming[lid] for lid in ENCODER_IDS}
+    the shortcuts into their encoder; each net is pointed at its slices,
+    and the first net's shortcuts serve all."""
     layout = lambda net: [(sp.src, sp.dst, sp.kind) for lid in ENCODER_IDS
                           for sp in net.incoming[lid]]
     if any(layout(net) != layout(nets[0]) for net in nets):
         raise ConfigError("cannot stack nets whose shortcuts into the encoder differ")
     encoder = [stack_layers([net.layer(lid) for net in nets], f"{lid}x{len(nets)}")
                for lid in ENCODER_IDS]
-    return EncoderStack(encoder=encoder, incoming=incoming)
+    return Encoder(encoder=encoder, incoming=net_encoder(nets[0]).incoming)
 
 
 @dataclass
@@ -236,7 +253,7 @@ class NetForward:
     caches: dict[str, LayerCache]
 
 
-def _forward_caches(net: RCodeanNet | EncoderStack, x: np.ndarray, last: str,
+def _forward_caches(net: RCodeanNet | Encoder, x: np.ndarray, last: str,
                     keep_preact: bool = True) -> dict[str, LayerCache]:
     """Run the stack from enc1 through layer ``last``; ``keep_preact`` as
     in ``dense_forward``."""
@@ -266,15 +283,17 @@ def net_forward(net: RCodeanNet, x: Mat) -> NetForward:
                       code=Mat(caches["enc3"].output, copy=False), caches=caches)
 
 
-def encode(net: RCodeanNet, x: Mat) -> Mat:
+def encode(net: RCodeanNet | Encoder, x: Mat) -> Mat:
     """Learned representation: the third encoder layer's output, including
-    any incoming shortcut contributions."""
+    any incoming shortcut contributions; ``net`` is a net or the 2-D
+    ``Encoder`` of one."""
     return Mat(_forward_caches(net, x.a, "enc3")["enc3"].output, copy=False)
 
 
-def stacked_encode(encoders: EncoderStack, x: np.ndarray) -> np.ndarray:
-    """Codes of an (nets, d, n) input stack, slice s through net s's
-    encoder: ``encode`` for every net at once, relus applied in place."""
+def stacked_encode(encoders: Encoder, x: np.ndarray) -> np.ndarray:
+    """Codes of an (nets, d, n) input stack through a stacked ``Encoder``,
+    slice s through net s's encoder: ``encode`` for every net at once,
+    relus applied in place."""
     return _forward_caches(encoders, x, "enc3", keep_preact=False)["enc3"].output
 
 

@@ -15,7 +15,6 @@ import functools
 import logging
 import numbers
 import sys
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -27,9 +26,9 @@ from .classifiers import (Forest, LinearSvm, MlpHead, ensemble_vote,
                           svm_decision, svm_train, PROB_THRESHOLD)
 from .data import AttributeDataset
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .network import (DEFAULT_SKIP_LAYOUT, CodeanParams, RCodeanNet,
+from .network import (DEFAULT_SKIP_LAYOUT, CodeanParams, Encoder, RCodeanNet,
                       build_rcodean, codean_loss, encode, loss_and_grads,
-                      net_forward, stack_encoders, stacked_encode)
+                      net_encoder, net_forward, stack_encoders, stacked_encode)
 from .optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
 from .tensor import Mat, _sigmoid
 
@@ -253,8 +252,8 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     autoencoders unsupervised, the heads on frozen codes against labels),
     keeping the disjoint clf-train split unseen so the downstream patch
     weights and ensemble learn from honest out-of-sample scores.
-    Returns (models, histories): models is the ``SourceModels`` with
-    models[s] = (net, head).
+    Returns (models, histories): models is the ``SourceModels`` of the
+    trained encoders and heads; the decoders go with the nets.
     """
     ae_idx = dataset.splits["ae-train"]
     clf_idx = dataset.splits["clf-train"]
@@ -272,7 +271,8 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
             results = list(pool.map(work, range(N_SOURCES)))
     else:
         results = [work(s) for s in range(N_SOURCES)]
-    models = SourceModels([net for net, _, _ in results], [head for _, head, _ in results])
+    models = SourceModels.from_nets([net for net, _, _ in results],
+                                    [head for _, head, _ in results])
     histories = [h for _, _, h in results]
     return models, histories
 
@@ -281,28 +281,27 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
 # scoring and patch weights
 
 
-class SourceModels(Sequence):
-    """The ten stage-1 models: a sequence of (net, head) pairs, source s
-    at index s, that also holds them stacked for ``score_images``. The
-    nine patch nets' encoder arrays are stacked as (9, out, in) and the
-    ten heads' arrays as (10, out, in); the face net is used as it is.
-    Every net and head is pointed at its slice of the stacks, so no
-    weight is held twice.
+@dataclass
+class SourceModels:
+    """The ten stage-1 models as ``score_images`` runs them, encoders and
+    heads only: the nine patch encoders stacked as (9, out, in), patch s
+    as slice s; the face encoder, source 9; and the ten heads stacked as
+    (10, out, in), source s as slice s. This is what a bundle stores; the
+    autoencoders' decoders serve training only and are not kept.
     """
+    patch_encoders: Encoder
+    face_encoder: Encoder
+    heads: MlpHead
 
-    def __init__(self, nets: list[RCodeanNet], heads: list[MlpHead]):
+    @classmethod
+    def from_nets(cls, nets: list[RCodeanNet], heads: list[MlpHead]) -> SourceModels:
+        """The models of ten (net, head) pairs, source s at index s: the
+        patch encoders and the heads copied into stacks, and the face
+        net's encoder layers as they are."""
         if len(nets) != N_SOURCES or len(heads) != N_SOURCES:
             raise ShapeError(f"expected {N_SOURCES} nets and heads, "
                              f"got {len(nets)} and {len(heads)}")
-        self.nets, self.heads = list(nets), list(heads)
-        self.patch_encoders = stack_encoders(self.nets[:-1])
-        self.stacked_heads = stack_heads(self.heads)
-
-    def __len__(self) -> int:
-        return N_SOURCES
-
-    def __getitem__(self, s):
-        return self.nets[s], self.heads[s]
+        return cls(stack_encoders(nets[:-1]), net_encoder(nets[-1]), stack_heads(heads))
 
 
 def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
@@ -314,11 +313,11 @@ def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
     """
     patches, face = tessellate_batch(images)
     # the face Mat holds every pixel: the batch's one finiteness check
-    face_code = encode(models.nets[-1], Mat(face, copy=False)).a
+    face_code = encode(models.face_encoder, Mat(face, copy=False)).a
     del face  # freed before the patch activations exist
     codes = np.concatenate([stacked_encode(models.patch_encoders, patches), face_code[None]])
     del patches
-    probs = stacked_head_score(models.stacked_heads, codes)
+    probs = stacked_head_score(models.heads, codes)
     if not np.isfinite(probs).all():
         raise NumericError("stage-1 scores contain non-finite entries")
     return np.ascontiguousarray(probs.transpose(2, 0, 1))
@@ -412,7 +411,7 @@ def build_stage2_features(scores: np.ndarray, weights: PatchWeights) -> np.ndarr
 # ---------------------------------------------------------------------------
 # the trained bundle and end-to-end prediction
 
-BUNDLE_FORMAT_VERSION = "1"
+BUNDLE_FORMAT_VERSION = "2"
 
 
 @dataclass
@@ -433,14 +432,6 @@ class ModelBundle:
     @property
     def attribute_names(self) -> list[str]:
         return list(self.config["attribute_names"])
-
-    @property
-    def nets(self) -> list[RCodeanNet]:
-        return self.sources.nets
-
-    @property
-    def heads(self) -> list[MlpHead]:
-        return self.sources.heads
 
 
 def train_full(dataset: AttributeDataset,

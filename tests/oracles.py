@@ -8,8 +8,9 @@ must match bit for bit; each says so.
 
 import numpy as np
 
-from rcodean.classifiers import head_score
-from rcodean.network import encode
+from rcodean.classifiers import MlpHead, head_score
+from rcodean.layers import DenseLayer
+from rcodean.network import Encoder, encode
 from rcodean.tensor import Mat
 
 
@@ -198,9 +199,25 @@ def reference_tessellate_batch(images: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def per_source_models(models):
+    """The ten (encoder, head) pairs of a ``SourceModels`` as 2-D models,
+    source s at index s: slice s of the stacks, viewed, not copied, and
+    the face encoder as it is."""
+    def unstack(layers, s):
+        return [DenseLayer(layer.weight[s], layer.bias[s], layer.act, layer.name)
+                for layer in layers]
+
+    patches = models.patch_encoders
+    encoders = [Encoder(unstack(patches.encoder, s), patches.incoming)
+                for s in range(N_SOURCES - 1)] + [models.face_encoder]
+    return [(encoder, MlpHead(unstack(models.heads.layers, s)))
+            for s, encoder in enumerate(encoders)]
+
+
 def reference_score_images(models, images: np.ndarray) -> np.ndarray:
     """Stage-1 scores for an (n, 64, 64) stack, (n, 10, k), one source at
-    a time through the package's 2-D ``encode`` and ``head_score``."""
+    a time through the package's 2-D ``encode`` and ``head_score``;
+    ``models`` are ten (net or encoder, head) pairs."""
     sources = reference_tessellate_batch(images)
     k = models[0][1].n_attributes
     n = images.shape[0]

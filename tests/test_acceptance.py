@@ -183,7 +183,12 @@ def test_criterion_08_patch_weight_localization():
         rank_ff = int((weights[2] > weights[2][9]).sum()) + 1
         seed_ok = argmax_tl in overlapping and rank_ff <= 3
         ok = ok and seed_ok
-        details.append(f"seed{seed}: argmax={argmax_tl} face-rank={rank_ff}")
+        # how near the face runs to rank 4 on bright_global: its weight
+        # beside the third- and fourth-largest weights
+        third, fourth = np.sort(weights[2])[::-1][2:4]
+        details.append(f"seed{seed}: argmax={argmax_tl} face-rank={rank_ff} "
+                       f"bright_global face={weights[2][9]:.4f} "
+                       f"3rd={third:.4f} 4th={fourth:.4f}")
         assert argmax_tl in overlapping, details[-1]
         assert rank_ff <= 3, details[-1]
     _report(8, ok, "; ".join(details))

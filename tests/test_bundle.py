@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bundle_rewrite import rewrite_bundle
+from bundle_rewrite import (get_array, replace_tree, rewrite_bundle, set_array,
+                            write_version1_bundle)
 from fuzzing import FUZZ, time_bound
 from rcodean.bundle import load_bundle, save_bundle
 from rcodean.data import gen_synthetic, split_by_counts
@@ -38,19 +39,47 @@ def test_round_trip_identical_predictions(trained):
     assert np.array_equal(conf_a, conf_b)
 
 
+def _model_arrays(bundle):
+    """Every weight and bias prediction reads, in a fixed order."""
+    models = bundle.sources
+    layers = [*models.patch_encoders.encoder, *models.face_encoder.encoder,
+              *models.heads.layers, *bundle.stage2_mlp.layers]
+    return [arr for layer in layers for arr in (layer.weight, layer.bias)]
+
+
 def test_round_trip_preserves_config_and_weights(trained):
     _, bundle, path = trained
     loaded = load_bundle(path)
     assert loaded.config == bundle.config
     assert np.array_equal(loaded.patch_weights.values, bundle.patch_weights.values)
-    for a, b in zip(bundle.nets, loaded.nets):
-        for (name_a, arr_a), (name_b, arr_b) in zip(a.parameters(), b.parameters()):
-            assert name_a == name_b
-            assert np.array_equal(arr_a, arr_b)
+    # the encoder and head stacks, the stage-2 MLP, the SVM and the forest
+    for a, b in zip(_model_arrays(bundle), _model_arrays(loaded), strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert bundle.sources.patch_encoders.encoder[0].weight.shape == (9, 8, 1024)
+    assert bundle.sources.face_encoder.encoder[0].weight.shape == (8, 4096)
+    assert bundle.sources.heads.layers[2].weight.shape == (10, 3, 2)
     assert np.array_equal(bundle.svm.weights, loaded.svm.weights)
+    assert np.array_equal(bundle.svm.biases, loaded.svm.biases)
+    assert np.array_equal(bundle.forest.sizes, loaded.forest.sizes)
+    for name in ("feature", "threshold", "left", "right", "prob"):
+        a, b = getattr(bundle.forest.nodes, name), getattr(loaded.forest.nodes, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
     for ta, tb in zip(bundle.forest.trees[0], loaded.forest.trees[0]):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
+
+
+def test_manifest_holds_only_what_prediction_reads(trained):
+    _, _, path = trained
+    raw = path.read_bytes()
+    header = json.loads(raw[8:8 + struct.unpack("<I", raw[4:8])[0]])
+    names = [entry["name"] for entry in header["arrays"]]
+    assert header["format_version"] == "2"
+    assert not any(".dec" in name or "->dec" in name or "skip" in name for name in names)
+    assert len(names) == 29
+    assert {name.split(".")[0] for name in names} == {
+        "patch_encoders", "face_encoder", "heads", "patch_weights", "stage2_mlp",
+        "forest", "svm"}
 
 
 def test_reloaded_forest_has_the_trained_node_table(trained):
@@ -89,6 +118,12 @@ def test_unknown_version_rejected(trained, tmp_path):
         load_bundle(p)
 
 
+def test_version_1_bundle_is_refused_with_retrain_message(tmp_path):
+    # a well-formed file of the retired layout, whole autoencoders included
+    with pytest.raises(VersionError, match="version 1 .*retrain"):
+        load_bundle(write_version1_bundle(tmp_path / "v1.rcbn"))
+
+
 def _drop_array(name):
     def mutate(header, chunks):
         header["arrays"] = [e for e in header["arrays"] if e["name"] != name]
@@ -96,8 +131,17 @@ def _drop_array(name):
 
 
 def _add_array(header, chunks):
-    header["arrays"].append({"name": "net0.extra", "shape": [1, 1]})
-    chunks["net0.extra"] = struct.pack("<Q", 1) + struct.pack("<d", 0.5)
+    header["arrays"].append({"name": "heads.extra", "shape": [1, 1]})
+    chunks["heads.extra"] = struct.pack("<Q", 1) + struct.pack("<d", 0.5)
+
+
+def _resize_arrays(prefix, edit):
+    """Store every array named ``prefix...`` as ``edit`` leaves it, header
+    shapes included, so that the edited arrays agree with each other."""
+    def mutate(header, chunks):
+        for name in [e["name"] for e in header["arrays"] if e["name"].startswith(prefix)]:
+            set_array(header, chunks, name, edit(get_array(header, chunks, name)))
+    return mutate
 
 
 @pytest.mark.parametrize("mutate", [
@@ -105,12 +149,18 @@ def _add_array(header, chunks):
     lambda header, chunks: header.pop("arrays"),
     lambda header, chunks: header.update(arrays={}),
     lambda header, chunks: header["arrays"][0].pop("shape"),
-    _drop_array("net3.enc2.bias"),
-    _drop_array("net9.skip.enc1->dec3.projection"),
-    _drop_array("head4.layer1.weight"),
-    _drop_array("forest.attr1.tree2"),
+    _drop_array("patch_encoders.enc2.bias"),
+    _drop_array("face_encoder.enc1.weight"),
+    _drop_array("heads.layer1.weight"),
+    _drop_array("forest.nodes"),
     _drop_array("svm.biases"),
     _add_array,
+    # models whose shapes agree with each other but not with the config
+    _resize_arrays("patch_encoders.", lambda arr: arr[:8]),
+    _resize_arrays("heads.layer2.", lambda arr: np.concatenate([arr, arr[:, :1]], axis=1)),
+    _resize_arrays("stage2_mlp.layer2.", lambda arr: arr[:2]),
+    _resize_arrays("face_encoder.", lambda arr: arr[None]),
+    _resize_arrays("forest.sizes", lambda arr: arr.reshape(-1)),
     lambda header, chunks: header["config"].update(k=float("inf")),
     lambda header, chunks: header["config"].update(forest_trees=1.5),
     lambda header, chunks: header["config"].update(attribute_names=["a"]),
@@ -119,8 +169,9 @@ def _add_array(header, chunks):
     lambda header, chunks: header["config"].update(alpha=float("nan")),
     lambda header, chunks: header["config"].update(svm_reg="1e-4"),
 ], ids=["no-config", "no-arrays", "arrays-not-list", "entry-no-shape",
-        "no-net-bias", "no-projection", "no-head-weight", "no-tree", "no-svm-bias",
-        "extra-array", "k-inf", "trees-fractional", "names-short", "shape-inf",
+        "no-net-bias", "no-face-weight", "no-head-weight", "no-tree", "no-svm-bias",
+        "extra-array", "patch-stack-of-8", "heads-k-plus-1", "stage2-k-minus-1",
+        "face-as-stack", "sizes-flat", "k-inf", "trees-fractional", "names-short", "shape-inf",
         "trees-bool", "alpha-nan", "svm-reg-string"])
 def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
     _, _, path = trained
@@ -130,7 +181,7 @@ def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "lam", "k", "attribute_names",
-                                   "skip_layout", "forest_trees", "svm_reg"])
+                                   "skip_layout", "forest_trees", "svm_reg", "l"])
 def test_missing_config_field_is_format_error(trained, tmp_path, field):
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "bad.rcbn",
@@ -143,21 +194,8 @@ def test_tree_count_comes_from_config(trained, tmp_path):
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "bad.rcbn",
                        lambda header, chunks: header["config"].update(forest_trees=2))
-    with pytest.raises(FormatError, match="unexpected arrays"):
+    with pytest.raises(FormatError, match="forest.sizes has shape"):
         load_bundle(p)
-
-
-def _replace_tree(rows):
-    """Swap forest.attr0.tree0 for a tree of the given [feature, threshold,
-    left, right, prob] rows; ``N`` in a row stands for the feature count."""
-    def mutate(header, chunks):
-        entries = {e["name"]: e for e in header["arrays"]}
-        n_features = entries["svm.weights"]["shape"][1]
-        arr = np.array([[n_features if v == "N" else v for v in row] for row in rows],
-                       dtype="<f8")
-        entries["forest.attr0.tree0"]["shape"] = list(arr.shape)
-        chunks["forest.attr0.tree0"] = struct.pack("<Q", arr.size) + arr.tobytes()
-    return mutate
 
 
 _LEAF0, _LEAF1 = [-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 1.0]
@@ -166,9 +204,11 @@ _LEAF0, _LEAF1 = [-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 1.0]
 def test_well_formed_replacement_tree_loads(trained, tmp_path):
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "ok.rcbn",
-                       _replace_tree([[0, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1]))
-    tree = load_bundle(p).forest.trees[0][0]
+                       replace_tree(0, 0, [[0, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1]))
+    forest = load_bundle(p).forest
+    tree = forest.trees[0][0]
     assert tree.left.tolist() == [1, -1, -1] and tree.right.tolist() == [2, -1, -1]
+    assert forest.sizes[0, 0] == 3 and forest.table.roots[0, 1] == 3
 
 
 @pytest.mark.parametrize("rows", [
@@ -187,36 +227,63 @@ def test_well_formed_replacement_tree_loads(trained, tmp_path):
         "leaf-with-child", "fractional-child", "prob-above-one", "six-columns",
         "shared-child", "shared-subtree", "unreachable-node"])
 def test_malformed_tree_is_format_error(trained, tmp_path, rows):
-    # load only: at the parent a self-loop loads and then hangs in predict
+    # load only: at the parent a self-loop loads and then hangs in predict.
+    # Every tree shares the node table, so a six-column tree widens all of
+    # it, and the table's shape is what is refused
     _, _, path = trained
-    p = rewrite_bundle(path, tmp_path / "bad.rcbn", _replace_tree(rows))
-    with pytest.raises(FormatError, match="forest.attr0.tree0"):
+    p = rewrite_bundle(path, tmp_path / "bad.rcbn", replace_tree(0, 0, rows))
+    with pytest.raises(FormatError, match="forest.nodes has shape" if len(rows[0]) != 5
+                       else "forest.attr0.tree0"):
         load_bundle(p)
 
 
-@pytest.mark.parametrize("name", ["svm.weights", "forest.attr0.tree0", "net0.enc1.weight",
-                                  "head2.layer0.bias"])
+@pytest.mark.parametrize("sizes", [[[0, 7, 7]], [[6, 7, 7]], [[6.5, 7.5, 7]], [[-1, 8, 14]]],
+                         ids=["empty-tree", "count-short", "fractional", "negative"])
+def test_node_counts_that_do_not_fit_the_table_are_format_error(trained, tmp_path, sizes):
+    def mutate(header, chunks):
+        arr = get_array(header, chunks, "forest.sizes")
+        arr[0] = sizes[0]
+        set_array(header, chunks, "forest.sizes", arr)
+
+    _, bundle, path = trained
+    assert bundle.forest.sizes[0].tolist() == [7, 7, 7]  # 21 nodes in attribute 0
+    p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)
+    with pytest.raises(FormatError, match="forest.sizes"):
+        load_bundle(p)
+
+
+# each damaged model part, by its name in the model, and the stored stack
+# and slice that hold it
+_HOLDERS = {"svm.weights": ("svm.weights", 0), "forest.attr0.tree0": ("forest.nodes", 0),
+            "net0.enc1.weight": ("patch_encoders.enc1.weight", 0),
+            "head2.layer0.bias": ("heads.layer0.bias", 2)}
+
+
+@pytest.mark.parametrize("name", list(_HOLDERS))
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_array_is_format_error(trained, tmp_path, name, value):
+    stored, index = _HOLDERS[name]
+
     def mutate(header, chunks):
-        chunk = bytearray(chunks[name])
-        chunk[8:16] = struct.pack("<d", value)
-        chunks[name] = bytes(chunk)
+        shape = next(e["shape"] for e in header["arrays"] if e["name"] == stored)
+        at = 8 + 8 * index * int(np.prod(shape[1:]))  # the slice's first entry
+        chunk = bytearray(chunks[stored])
+        chunk[at:at + 8] = struct.pack("<d", value)
+        chunks[stored] = bytes(chunk)
 
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)
-    with pytest.raises(FormatError, match=f"{name} has non-finite"):
+    with pytest.raises(FormatError, match=f"{stored} has non-finite"):
         load_bundle(p)
 
 
 def test_loaded_arrays_are_private_and_writeable(trained):
     _, _, path = trained
     loaded = load_bundle(path)
-    arrays = [arr for model in [*loaded.nets, *loaded.heads, loaded.stage2_mlp]
-              for _, arr in model.parameters()]
-    arrays += [loaded.patch_weights.values, loaded.svm.weights, loaded.svm.biases]
-    arrays += [getattr(tree, field) for per_attr in loaded.forest.trees
-               for tree in per_attr
+    arrays = _model_arrays(loaded)
+    arrays += [loaded.patch_weights.values, loaded.svm.weights, loaded.svm.biases,
+               loaded.forest.sizes]
+    arrays += [getattr(loaded.forest.nodes, field)
                for field in ("feature", "threshold", "left", "right", "prob")]
     assert all(arr.flags.writeable for arr in arrays)
     for i, a in enumerate(arrays):
@@ -235,7 +302,7 @@ def test_config_guard_on_mismatched_dataset(trained):
 # fuzzing: damaged files must raise FormatError, and only that, in bounded time
 
 LOAD_SECONDS = 5.0
-LOADED_CONFIG_FIELDS = ["alpha", "beta", "lam", "k", "attribute_names", "skip_layout",
+LOADED_CONFIG_FIELDS = ["alpha", "beta", "lam", "l", "k", "attribute_names", "skip_layout",
                         "forest_trees", "svm_reg"]
 
 # boundary values first, then arbitrary JSON; integers stay small enough
@@ -337,3 +404,34 @@ def test_recrc_header_edit_loads_or_is_format_error(trained, target, data):
     except (KeyError, TypeError, AttributeError):
         return  # the edit left no manifest the helper can lay chunks out by
     _load_or_format_error(bad)
+
+
+@FUZZ
+@given(data=st.data())
+def test_recrc_stack_shape_edit_loads_or_is_format_error(trained, data):
+    # one array re-stored whole at another shape, such as an 8-slice patch
+    # stack or a heads stack whose k disagrees with the config: only the
+    # forest's node count may differ from what the config implies, and the
+    # node counts must then fit it
+    _, _, path = trained
+    raw = path.read_bytes()
+    manifest = json.loads(raw[8:8 + struct.unpack("<I", raw[4:8])[0]])["arrays"]
+    entry = data.draw(st.sampled_from(manifest))
+    shape = list(entry["shape"])
+    axis = data.draw(st.integers(0, len(shape)))
+    i = min(axis, len(shape) - 1)
+    edit = data.draw(st.sampled_from(["grow", "shrink", "insert", "drop"]))
+    if edit == "grow":
+        shape[i] += data.draw(st.integers(1, 3))
+    elif edit == "shrink":
+        shape[i] = data.draw(st.integers(0, shape[i]))
+    elif edit == "insert":
+        shape.insert(axis, data.draw(st.integers(1, 10)))
+    elif len(shape) > 1:
+        del shape[i]
+    values = np.random.default_rng(0).uniform(size=shape)
+
+    def mutate(header, chunks):
+        set_array(header, chunks, entry["name"], values)
+
+    _load_or_format_error(rewrite_bundle(path, path.parent / "fuzz-stack.rcbn", mutate))

@@ -1,15 +1,14 @@
 import itertools
-import struct
 
 import numpy as np
 import pytest
 
-from bundle_rewrite import rewrite_bundle
+from bundle_rewrite import replace_tree, rewrite_bundle
 from oracles import reference_forest
 from rcodean.bundle import load_bundle, save_bundle
-from rcodean.classifiers import (PROB_THRESHOLD, Forest, _head_forward, _head_grads,
+from rcodean.classifiers import (PROB_THRESHOLD, _head_forward, _head_grads,
                                  assemble_mlp_head, build_mlp_head, ensemble_vote,
-                                 forest_predict_proba, forest_train, head_score,
+                                 forest_of, forest_predict_proba, forest_train, head_score,
                                  head_train, svm_decision, svm_train)
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import ShapeError, TrainingError
@@ -224,7 +223,7 @@ def _mixed_depth_forest():
              for labels, depth in ((y, 14), (y, 1), (np.ones_like(y), 6))]
     trees = [[tree for forest in grown for tree in forest.trees[a]] for a in range(2)]
     assert [len(tree.feature) for tree in trees[0]][-2:] == [1, 1]
-    forest = Forest(trees=trees, n_features=5)
+    forest = forest_of(trees, n_features=5)
     assert forest.table.depth == 14
     return forest
 
@@ -245,13 +244,7 @@ def _loaded_forest_deeper_than_its_config(tmp_path):
         rows += [[rng.integers(0, 30), rng.uniform(0.0, 0.3), 2 * level + 1, 2 * level + 2,
                   0.5], [-1, 0.0, -1, -1, rng.uniform()]]
     rows.append([-1, 0.0, -1, -1, 1.0])
-    tree = np.array(rows, dtype="<f8")
-
-    def mutate(header, chunks):
-        entry = next(e for e in header["arrays"] if e["name"] == "forest.attr1.tree2")
-        entry["shape"] = list(tree.shape)
-        chunks["forest.attr1.tree2"] = struct.pack("<Q", tree.size) + tree.tobytes()
-
+    mutate = replace_tree(1, 2, rows)
     forest = load_bundle(rewrite_bundle(path, tmp_path / "deep.rcbn", mutate)).forest
     assert forest.n_features == 30 and forest.table.depth == depth
     return forest

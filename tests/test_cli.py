@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from bundle_rewrite import rewrite_bundle
+from bundle_rewrite import rewrite_bundle, write_version1_bundle
 from fuzzing import FUZZ, time_bound
 from rcodean.cli import main
 from rcodean.data import load_attr_list, load_gray_image
@@ -203,6 +203,34 @@ def test_predict_on_malformed_bundle_is_usage_error(run_dir, synth_dir, tmp_path
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error:")
     assert "Traceback" not in err
+
+
+def test_predict_on_version_1_bundle_is_usage_error(synth_dir, tmp_path, capsys):
+    old = write_version1_bundle(tmp_path / "v1.rcbn")
+    rc = main(["predict", "--bundle", str(old),
+               "--image", str(synth_dir / "images" / "img_000003.rcim")])
+    _assert_usage_error(rc, capsys, "version 1 is no longer read; retrain")
+
+
+def test_attribute_list_refuses_k_and_split_counts(run_dir, synth_dir, tmp_path, capsys):
+    # an attribute list sets k and is split by fractions: a given k or
+    # split_counts would be recorded in config.json but not used
+    data = ["--data", str(synth_dir / "list_attr.txt"), "--images", str(synth_dir / "images")]
+    (tmp_path / "k.json").write_text('{"k": 2}')
+    (tmp_path / "counts.json").write_text('{"split_counts": [30, 20, 10]}')
+    train = ["train", *data, "--out", str(tmp_path / "run"), *TRAIN_FLAGS]
+    evaluate = ["eval", "--bundle", str(run_dir / "model.rcbn"), *data,
+                "--out", str(tmp_path / "eval")]
+    for args, given in [([*train, "--split-counts", "30,20,10"], "split_counts"),
+                        ([*train, "--k", "2"], "k"),
+                        ([*train, "--config", str(tmp_path / "k.json")], "k"),
+                        ([*train, "--config", str(tmp_path / "counts.json")], "split_counts"),
+                        ([*evaluate, "--k", "2"], "k"),
+                        ([*evaluate, "--split-counts", "30,20,10"], "split_counts")]:
+        _assert_usage_error(main(args), capsys, f"{given} apply to --synthetic datasets only")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+    # the k that eval takes from the bundle is not a given one
+    assert main(evaluate) == 0
 
 
 def _assert_usage_error(rc, capsys, message):

@@ -3,8 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from oracles import (reference_bilinear_resize, reference_score_images,
-                     reference_tessellate_batch)
+from oracles import (per_source_models, reference_bilinear_resize,
+                     reference_score_images, reference_tessellate_batch)
 from rcodean.bundle import load_bundle, save_bundle
 from rcodean.classifiers import build_mlp_head
 from rcodean.data import gen_synthetic, split_by_counts
@@ -200,8 +200,8 @@ def test_score_images_zero_heads_give_half():
     for head in heads:
         for _, arr in head.parameters():
             arr[:] = 0.0
-    models = SourceModels([build_rcodean(d, 6, seed=s)
-                           for s, d in enumerate([1024] * 9 + [4096])], heads)
+    models = SourceModels.from_nets([build_rcodean(d, 6, seed=s)
+                                     for s, d in enumerate([1024] * 9 + [4096])], heads)
     img = preprocess(np.random.default_rng(17).integers(0, 256, size=(64, 64)))
     scores = score_images(models, img.a[None])
     assert scores.shape == (1, 10, 3)
@@ -223,7 +223,7 @@ def test_stacked_scores_equal_per_source_loop_bitwise(tiny_bundle, tmp_path):
     save_bundle(bundle, tmp_path / "model.rcbn")
     loaded = load_bundle(tmp_path / "model.rcbn")
     probes = _probe_stack(max(SCORE_SIZES))
-    pairs = list(zip(bundle.nets, bundle.heads))
+    pairs = per_source_models(bundle.sources)
     for n in SCORE_SIZES:
         expected = reference_score_images(pairs, probes[:n])
         for models in (bundle.sources, loaded.sources):
@@ -236,29 +236,28 @@ def test_stacked_scores_equal_per_source_loop_bitwise_at_l64():
              for s, d in enumerate([1024] * 9 + [4096])]
     probes = _probe_stack(max(SCORE_SIZES))
     expected = [reference_score_images(pairs, probes[:n]) for n in SCORE_SIZES]
-    models = SourceModels(*zip(*pairs))
+    models = SourceModels.from_nets(*zip(*pairs))
     for n, scores in zip(SCORE_SIZES, expected):
         assert np.array_equal(score_images(models, probes[:n]), scores), n
 
 
 def test_model_set_holds_each_weight_once(tiny_bundle, tmp_path):
+    # encoders and heads only, each weight in one array: the stacks, and
+    # the face encoder's own layers
     _, bundle, _ = tiny_bundle
     save_bundle(bundle, tmp_path / "model.rcbn")
     for models in (bundle.sources, load_bundle(tmp_path / "model.rcbn").sources):
-        assert isinstance(models, SourceModels) and len(models) == N_SOURCES
-        encoders, heads = models.patch_encoders, models.stacked_heads
-        for s, (net, head) in enumerate(models):
-            assert net is models.nets[s] and head is models.heads[s]
-            for i, lid in enumerate(("enc1", "enc2", "enc3")):
-                if s < 9:
-                    assert net.layer(lid).weight.base is encoders.encoder[i].weight
-                    assert net.layer(lid).bias.base is encoders.encoder[i].bias
-                else:
-                    assert not np.shares_memory(net.layer(lid).weight,
-                                                encoders.encoder[i].weight)
-            for layer, stacked in zip(head.layers, heads.layers):
-                assert layer.weight.base is stacked.weight
-                assert layer.bias.base is stacked.bias
+        assert isinstance(models, SourceModels)
+        patches, face, heads = models.patch_encoders, models.face_encoder, models.heads
+        assert [layer.weight.shape for layer in patches.encoder] == [
+            (9, 8, 1024), (9, 8, 8), (9, 8, 8)]
+        assert [layer.weight.shape for layer in face.encoder] == [(8, 4096), (8, 8), (8, 8)]
+        assert [layer.weight.shape for layer in heads.layers] == [
+            (10, 4, 8), (10, 2, 4), (10, 3, 2)]
+        arrays = [arr for layer in [*patches.encoder, *face.encoder, *heads.layers]
+                  for arr in (layer.weight, layer.bias)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_stacking_refuses_mismatched_models():
@@ -266,12 +265,12 @@ def test_stacking_refuses_mismatched_models():
              for s, d in enumerate([1024] * 9 + [4096])]
     pairs[3] = (build_rcodean(1024, 7, seed=3), pairs[3][1])
     with pytest.raises(ShapeError):
-        SourceModels(*zip(*pairs))
+        SourceModels.from_nets(*zip(*pairs))
     with pytest.raises(ShapeError):
-        SourceModels(*zip(*pairs[:9]))
+        SourceModels.from_nets(*zip(*pairs[:9]))
     pairs[3] = (build_rcodean(1024, 6, seed=3, skip_layout=()), pairs[3][1])
     with pytest.raises(ConfigError, match="shortcuts"):
-        SourceModels(*zip(*pairs))
+        SourceModels.from_nets(*zip(*pairs))
 
 
 def test_non_finite_pixel_in_batch_is_numeric_error(tiny_bundle):
@@ -376,10 +375,12 @@ def test_train_stage1_rejects_empty_split():
 
 def test_tiny_bundle_structure(tiny_bundle):
     ds, bundle, histories = tiny_bundle
-    assert len(bundle.nets) == N_SOURCES
-    assert len(bundle.heads) == N_SOURCES
-    assert bundle.nets[0].input_dim == 1024
-    assert bundle.nets[9].input_dim == 4096
+    models = bundle.sources
+    assert models.patch_encoders.input_dim == 1024
+    assert models.patch_encoders.encoder[0].weight.shape[0] == N_SOURCES - 1
+    assert models.face_encoder.input_dim == 4096
+    assert models.face_encoder.encoder[0].weight.ndim == 2
+    assert models.heads.layers[0].weight.shape[0] == N_SOURCES
     assert bundle.k == 3
     assert len(histories) == N_SOURCES
     assert all(len(h) == _tiny_cfg().epochs + 1 for h in histories)
