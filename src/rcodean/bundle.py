@@ -16,10 +16,16 @@ float64. The autoencoders' decoders are not stored. Version-1 files,
 which held the whole autoencoders, are refused: retrain to get a
 version-2 bundle.
 
+The config's ``skip_layout`` records the shortcuts into and within the
+autoencoders. There is one layout, ``network.DEFAULT_SKIP_LAYOUT``; the
+loaded encoders run it, so the field must equal it.
+
 A passing checksum does not make a file trusted: a manifest other than
-the one the config implies, a non-finite array or a malformed tree is a
-``FormatError``. That is the only check the loaded values get; the
-encoders and heads use the arrays as they are.
+the one the config implies, a ``skip_layout`` other than the trained
+one, a non-finite array or a malformed tree is a ``FormatError``. That
+is the only check the loaded values get; the encoders and heads are
+built from the arrays as training builds them (``SourceModels.from_arrays``)
+and use them as they are.
 """
 
 from __future__ import annotations
@@ -33,12 +39,11 @@ from dataclasses import fields
 
 import numpy as np
 
-from .classifiers import (HEAD_ACTS, Forest, LinearSvm, Tree, assemble_mlp_head,
-                          head_dims)
+from .classifiers import HEAD_ACTS, Forest, LinearSvm, Tree, assemble_mlp_head, head_dims
 from .errors import CorruptionError, FormatError, VersionError
-from .network import ENCODER_IDS, assemble_encoder
+from .network import DEFAULT_SKIP_LAYOUT, ENCODER_IDS
 from .pipeline import (BUNDLE_FORMAT_VERSION, N_SOURCES, SOURCE_DIMS, ModelBundle,
-                       PatchWeights, SourceModels, is_number)
+                       PatchWeights, SourceModels, is_number, prefixed)
 
 BUNDLE_MAGIC = b"RCBN"
 
@@ -153,6 +158,9 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     if not (isinstance(names, list) and len(names) == config["k"]
             and all(isinstance(n, str) for n in names)):
         raise FormatError(f"{path}: attribute_names is not a list of k names")
+    # the encoders run the one layout training builds; the field records it
+    if config["skip_layout"] != [list(skip) for skip in DEFAULT_SKIP_LAYOUT]:
+        raise FormatError(f"{path}: config skip_layout is not the trained shortcut layout")
     return header, 8 + header_len
 
 
@@ -241,14 +249,6 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     """The bundle around ``arrays``, the file's arrays by manifest name,
     viewing its bytes: each is copied once, straight into the array the
     bundle keeps, so no bundle array views the file's bytes."""
-    def group(prefix: str) -> dict[str, np.ndarray]:
-        return {name[len(prefix) + 1:]: arr.copy() for name, arr in arrays.items()
-                if name.startswith(prefix + ".")}
-
-    layout = config["skip_layout"]
-    sources = SourceModels(assemble_encoder(group("patch_encoders"), layout),
-                           assemble_encoder(group("face_encoder"), layout),
-                           assemble_mlp_head(group("heads")))
     nodes, sizes = arrays["forest.nodes"], arrays["forest.sizes"]
     n_features = N_SOURCES * int(config["k"])
     _check_trees(nodes, sizes, n_features)
@@ -256,12 +256,13 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
                          left=nodes[:, 2].astype(np.int64), right=nodes[:, 3].astype(np.int64),
                          prob=nodes[:, 4].copy()),
                     sizes.astype(np.int64), n_features)
+    owned = {name: arr.copy() for name, arr in arrays.items() if not name.startswith("forest.")}
     return ModelBundle(
-        config=config, sources=sources,
-        patch_weights=PatchWeights(arrays["patch_weights"].copy()),
-        stage2_mlp=assemble_mlp_head(group("stage2_mlp")), forest=forest,
-        svm=LinearSvm(weights=arrays["svm.weights"].copy(),
-                      biases=arrays["svm.biases"].copy(), reg=float(config["svm_reg"])))
+        config=config, sources=SourceModels.from_arrays(owned),
+        patch_weights=PatchWeights(owned["patch_weights"]),
+        stage2_mlp=assemble_mlp_head(prefixed(owned, "stage2_mlp")), forest=forest,
+        svm=LinearSvm(weights=owned["svm.weights"], biases=owned["svm.biases"],
+                      reg=float(config["svm_reg"])))
 
 
 def load_bundle(path) -> ModelBundle:

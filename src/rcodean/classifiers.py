@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 from .layers import (DenseLayer, LayerCache, dense_backward, dense_backward_preact,
-                     dense_forward, glorot_uniform, stack_layers)
+                     dense_forward, glorot_uniform)
 from .optimizer import AdamState, adam_step
 from .tensor import Mat
 
@@ -64,31 +64,20 @@ def assemble_mlp_head(arrays) -> MlpHead:
                     for i, act in enumerate(HEAD_ACTS)])
 
 
-def head_dims(in_dim: int, k: int, hidden: tuple[int, int] | None = None) -> list[int]:
-    """The input, hidden and output sizes of a head; the hidden layers
-    are in/2 and in/4 wide unless ``hidden`` gives them."""
-    if hidden is None:
-        hidden = (max(1, in_dim // 2), max(1, in_dim // 4))
-    return [in_dim, *hidden, k]
+def head_dims(in_dim: int, k: int) -> list[int]:
+    """The input, hidden and output sizes of a head: the hidden layers
+    are in/2 and in/4 wide."""
+    return [in_dim, max(1, in_dim // 2), max(1, in_dim // 4), k]
 
 
-def build_mlp_head(in_dim: int, k: int, seed: int = 0,
-                   hidden: tuple[int, int] | None = None) -> MlpHead:
+def build_mlp_head(in_dim: int, k: int, seed: int = 0) -> MlpHead:
     rng = np.random.default_rng(seed)
-    dims = head_dims(in_dim, k, hidden)
+    dims = head_dims(in_dim, k)
     arrays = {}
     for i in range(len(HEAD_ACTS)):
         arrays[f"layer{i}.weight"] = glorot_uniform(rng, dims[i + 1], dims[i])
         arrays[f"layer{i}.bias"] = np.zeros((dims[i + 1], 1))
     return assemble_mlp_head(arrays)
-
-
-def stack_heads(heads: list[MlpHead]) -> MlpHead:
-    """One head whose layers stack those of same-shaped ``heads``, for
-    ``stacked_head_score``; each head is pointed at its slices."""
-    return MlpHead([stack_layers([head.layers[i] for head in heads],
-                                 f"head{i}x{len(heads)}")
-                    for i in range(len(HEAD_ACTS))])
 
 
 def _head_forward(head: MlpHead, x: np.ndarray,
@@ -110,8 +99,9 @@ def head_score(head: MlpHead, code: Mat) -> Mat:
 
 
 def stacked_head_score(heads: MlpHead, codes: np.ndarray) -> np.ndarray:
-    """(heads, k, n) probabilities from a ``stack_heads`` head and an
-    (heads, l, n) code stack: ``head_score`` for every head at once."""
+    """(heads, k, n) probabilities from a head of (heads, out, in) stacked
+    layers and an (heads, l, n) code stack: ``head_score`` for every head
+    at once."""
     return _head_forward(heads, codes, keep_preact=False)[-1].output
 
 
@@ -133,8 +123,7 @@ def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray):
 
 
 def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
-               seed: int = 0, lr: float = 1e-2,
-               hidden: tuple[int, int] | None = None) -> MlpHead:
+               seed: int = 0, lr: float = 1e-2) -> MlpHead:
     """Fit a head on (dim, n) feature columns and (n, k) binary labels."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 2 or labels.shape[0] != features.cols:
@@ -147,7 +136,7 @@ def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
         col = labels[:, a]
         if col.min() == col.max():
             log.warning("attribute %d has a single class in the training set", a)
-    head = build_mlp_head(features.rows, k, seed=seed, hidden=hidden)
+    head = build_mlp_head(features.rows, k, seed=seed)
     y = labels.T
     state = AdamState(lr=lr)
     for _ in range(epochs):

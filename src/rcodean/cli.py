@@ -237,6 +237,7 @@ def _write_losses_csv(path: Path, histories: list[list[EpochStats]]) -> None:
 def cmd_train(args) -> int:
     cfg = _resolve_run_config(args)
     dataset = _load_dataset(cfg)
+    cfg.k = dataset.k  # an attribute list sets it
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
@@ -316,8 +317,7 @@ def cmd_report_weights(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError("gradcheck requires trials >= 1")
-    report = gradient_check(seed=args.seed, trials=args.trials,
-                            corrupt_cosine=args.corrupt_cosine)
+    report = gradient_check(seed=args.seed, trials=args.trials)
     print(json.dumps({"command": "gradcheck", "seed": args.seed,
                       "trials": args.trials}, sort_keys=True))
     for group in report.groups:
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--corrupt-cosine", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

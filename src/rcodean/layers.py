@@ -53,33 +53,6 @@ class LayerCache:
     output: np.ndarray
 
 
-def stack_arrays(owners, attr: str) -> np.ndarray:
-    """One (len(owners), ...) array of every owner's same-shaped ``attr``.
-
-    Each owner is pointed at its slice as it is copied, so every value is
-    held once and an owner's own array is freed as soon as nothing else
-    holds it.
-    """
-    shapes = {getattr(owner, attr).shape for owner in owners}
-    if len(shapes) != 1:
-        raise ShapeError(f"cannot stack {attr} arrays of shapes {sorted(shapes)}")
-    stack = np.empty((len(owners), *shapes.pop()))
-    for i, owner in enumerate(owners):
-        stack[i] = getattr(owner, attr)
-        setattr(owner, attr, stack[i])
-    return stack
-
-
-def stack_layers(layers: list[DenseLayer], name: str) -> DenseLayer:
-    """The stacked layer running ``layers`` (same shapes, same activation)
-    together; each layer is pointed at its slice, as in ``stack_arrays``."""
-    acts = {layer.act for layer in layers}
-    if len(acts) != 1:
-        raise ShapeError(f"layer {name}: cannot stack activations {sorted(acts)}")
-    return DenseLayer(stack_arrays(layers, "weight"), stack_arrays(layers, "bias"),
-                      acts.pop(), name)
-
-
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     """(out_dim, in_dim) weights drawn uniformly from +-sqrt(6/(in+out))."""
     bound = np.sqrt(6.0 / (in_dim + out_dim))

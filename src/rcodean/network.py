@@ -24,12 +24,12 @@ reconstruction and the code are ``Mat``s; everything else is an ndarray.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import (DenseLayer, LayerCache, dense_forward, dense_backward,
-                     glorot_uniform, stack_layers)
+from .layers import DenseLayer, LayerCache, dense_forward, dense_backward, glorot_uniform
 from .tensor import Mat
 
 LAYER_ORDER = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
@@ -201,14 +201,17 @@ def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
 
 @dataclass
 class Encoder:
-    """The three encoder layers and the shortcuts that end in them: all
-    that computing a code reads. The layers are one net's (out, in)
-    arrays, or same-shaped nets' arrays stacked as (nets, out, in), run
-    through the nets' own forward code, slice s as net s. Every encoder
-    output has the code dimension, so no shortcut into the encoder has a
-    projection."""
+    """The three encoder layers: all that computing a code reads. The
+    layers are one net's (out, in) arrays, or same-shaped nets' arrays
+    stacked as (nets, out, in), run through the nets' own forward code,
+    slice s as net s. The shortcuts into them are those of
+    ``DEFAULT_SKIP_LAYOUT``, the one layout training builds; every encoder
+    output has the code dimension, so none of them has a projection."""
     encoder: list[DenseLayer]
-    incoming: dict[str, list[SkipSpec]]
+    incoming: ClassVar[dict[str, tuple[SkipSpec, ...]]] = {
+        lid: tuple(SkipSpec(src, dst, kind) for src, dst, kind in DEFAULT_SKIP_LAYOUT
+                   if dst == lid)
+        for lid in ENCODER_IDS}
 
     @property
     def input_dim(self) -> int:
@@ -218,32 +221,11 @@ class Encoder:
         return self.encoder[ENCODER_IDS.index(layer_id)]
 
 
-def assemble_encoder(arrays, skip_layout) -> Encoder:
+def assemble_encoder(arrays) -> Encoder:
     """Build an encoder around the arrays named ``enc1.weight`` to
-    ``enc3.bias``, one net's or stacked, used as they are, not copied;
-    its shortcuts are those of ``skip_layout`` that end in the encoder."""
-    skips = [SkipSpec(src, dst, kind) for src, dst, kind in skip_layout]
+    ``enc3.bias``, one net's or stacked, used as they are, not copied."""
     return Encoder([DenseLayer(arrays[f"{lid}.weight"], arrays[f"{lid}.bias"], LAYER_ACTS[lid],
-                               name=lid) for lid in ENCODER_IDS],
-                   {lid: [spec for spec in skips if spec.dst == lid] for lid in ENCODER_IDS})
-
-
-def net_encoder(net: RCodeanNet) -> Encoder:
-    """The net's own encoder layers, not copies, and its shortcuts into them."""
-    return Encoder(list(net.encoder), {lid: net.incoming[lid] for lid in ENCODER_IDS})
-
-
-def stack_encoders(nets: list[RCodeanNet]) -> Encoder:
-    """Stack the encoders of ``nets``, which must agree in shapes and in
-    the shortcuts into their encoder; each net is pointed at its slices,
-    and the first net's shortcuts serve all."""
-    layout = lambda net: [(sp.src, sp.dst, sp.kind) for lid in ENCODER_IDS
-                          for sp in net.incoming[lid]]
-    if any(layout(net) != layout(nets[0]) for net in nets):
-        raise ConfigError("cannot stack nets whose shortcuts into the encoder differ")
-    encoder = [stack_layers([net.layer(lid) for net in nets], f"{lid}x{len(nets)}")
-               for lid in ENCODER_IDS]
-    return Encoder(encoder=encoder, incoming=net_encoder(nets[0]).incoming)
+                               name=lid) for lid in ENCODER_IDS])
 
 
 @dataclass
@@ -464,14 +446,11 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
 
 def gradient_check(seed: int = 0, trials: int = 20, d: int = 12, l: int = 8,
                    params: CodeanParams | None = None, h: float = 1e-6,
-                   abs_tol: float = 1e-6, rel_tol: float = 1e-4,
-                   corrupt_cosine: bool = False) -> GradCheckReport:
+                   abs_tol: float = 1e-6, rel_tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Each parameter entry passes when |analytic - numeric| is within
-    max(abs_tol, rel_tol * max(|analytic|, |numeric|)). ``corrupt_cosine``
-    drops the cosine contribution from the analytic side only, a mutation
-    hook proving the check can fail.
+    max(abs_tol, rel_tol * max(|analytic|, |numeric|)).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -481,13 +460,7 @@ def gradient_check(seed: int = 0, trials: int = 20, d: int = 12, l: int = 8,
     stats: dict[str, GradCheckGroup] = {}
     for _ in range(trials):
         net, x = _draw_checkable_net(rng, d, l, params)
-        if corrupt_cosine:
-            saved = net.params
-            net.params = CodeanParams(saved.alpha, 0.0, saved.lam)
-            analytic = loss_and_grads(net, x)[1]
-            net.params = saved
-        else:
-            analytic = loss_and_grads(net, x)[1]
+        analytic = loss_and_grads(net, x)[1]
         for name, arr in net.parameters():
             flat = arr.reshape(-1)
             g = analytic[name].reshape(-1)

@@ -20,15 +20,15 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .classifiers import (Forest, LinearSvm, MlpHead, ensemble_vote,
+from .classifiers import (Forest, LinearSvm, MlpHead, assemble_mlp_head, ensemble_vote,
                           forest_predict_proba, forest_train, head_score,
-                          head_train, stack_heads, stacked_head_score,
+                          head_train, stacked_head_score,
                           svm_decision, svm_train, PROB_THRESHOLD)
 from .data import AttributeDataset
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .network import (DEFAULT_SKIP_LAYOUT, CodeanParams, Encoder, RCodeanNet,
-                      build_rcodean, codean_loss, encode, loss_and_grads,
-                      net_encoder, net_forward, stack_encoders, stacked_encode)
+from .network import (DEFAULT_SKIP_LAYOUT, ENCODER_IDS, CodeanParams, Encoder, RCodeanNet,
+                      assemble_encoder, build_rcodean, codean_loss, encode,
+                      loss_and_grads, net_forward, stacked_encode)
 from .optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
 from .tensor import Mat, _sigmoid
 
@@ -281,6 +281,19 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
 # scoring and patch weights
 
 
+def prefixed(arrays, prefix: str) -> dict[str, np.ndarray]:
+    """The arrays named ``<prefix>.<name>``, by ``<name>``."""
+    return {name[len(prefix) + 1:]: arr for name, arr in arrays.items()
+            if name.startswith(prefix + ".")}
+
+
+def _stack(name: str, arrays: list[np.ndarray]) -> np.ndarray:
+    shapes = {arr.shape for arr in arrays}
+    if len(shapes) != 1:
+        raise ShapeError(f"cannot stack {name} arrays of shapes {sorted(shapes)}")
+    return np.stack(arrays)
+
+
 @dataclass
 class SourceModels:
     """The ten stage-1 models as ``score_images`` runs them, encoders and
@@ -294,14 +307,37 @@ class SourceModels:
     heads: MlpHead
 
     @classmethod
+    def from_arrays(cls, arrays) -> SourceModels:
+        """The models around ``arrays``, named as a bundle stores them
+        (``patch_encoders.enc1.weight`` ... ``face_encoder.*`` ...
+        ``heads.layer2.bias``; other names are ignored), used as they
+        are, not copied. Training and loading both build the models here."""
+        return cls(assemble_encoder(prefixed(arrays, "patch_encoders")),
+                   assemble_encoder(prefixed(arrays, "face_encoder")),
+                   assemble_mlp_head(prefixed(arrays, "heads")))
+
+    @classmethod
     def from_nets(cls, nets: list[RCodeanNet], heads: list[MlpHead]) -> SourceModels:
-        """The models of ten (net, head) pairs, source s at index s: the
-        patch encoders and the heads copied into stacks, and the face
-        net's encoder layers as they are."""
+        """The models of ten trained (net, head) pairs, source s at index
+        s: copies of the patch encoders' and the heads' arrays stacked, and
+        the face net's encoder arrays as they are. Every net must have the
+        shortcuts of ``DEFAULT_SKIP_LAYOUT``, the layout an ``Encoder`` runs."""
         if len(nets) != N_SOURCES or len(heads) != N_SOURCES:
             raise ShapeError(f"expected {N_SOURCES} nets and heads, "
                              f"got {len(nets)} and {len(heads)}")
-        return cls(stack_encoders(nets[:-1]), net_encoder(nets[-1]), stack_heads(heads))
+        if any([(sp.src, sp.dst, sp.kind) for sp in net.skips] != list(DEFAULT_SKIP_LAYOUT)
+               for net in nets):
+            raise ConfigError("cannot build the model set from nets whose shortcuts "
+                              "differ from DEFAULT_SKIP_LAYOUT")
+        net_arrays = [dict(net.parameters()) for net in nets]
+        head_arrays = [dict(head.parameters()) for head in heads]
+        arrays = {}
+        for name in (f"{lid}.{part}" for lid in ENCODER_IDS for part in ("weight", "bias")):
+            arrays[f"patch_encoders.{name}"] = _stack(name, [a[name] for a in net_arrays[:-1]])
+            arrays[f"face_encoder.{name}"] = net_arrays[-1][name]
+        for name in head_arrays[0]:
+            arrays[f"heads.{name}"] = _stack(name, [a[name] for a in head_arrays])
+        return cls.from_arrays(arrays)
 
 
 def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
@@ -394,18 +430,14 @@ def learn_patch_weights(scores: np.ndarray, labels: np.ndarray,
 
 
 def build_stage2_features(scores: np.ndarray, weights: PatchWeights) -> np.ndarray:
-    """Weighted, source-major flattening of a (10, k) or (n, 10, k) grid
-    into 10k-dim feature vectors."""
+    """Weighted, source-major flattening of an (n, 10, k) grid into
+    (n, 10k) feature vectors."""
     s = np.asarray(scores, dtype=np.float64)
-    single = s.ndim == 2
-    if single:
-        s = s[None]
-    if s.shape[1] != N_SOURCES or s.shape[2] != weights.values.shape[0]:
+    if s.ndim != 3 or s.shape[1] != N_SOURCES or s.shape[2] != weights.values.shape[0]:
         raise ShapeError(f"scores {s.shape} do not match weights "
                          f"{weights.values.shape}")
     weighted = s * weights.values.T[None, :, :]
-    flat = weighted.reshape(s.shape[0], -1)
-    return flat[0] if single else flat
+    return weighted.reshape(s.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,7 @@ def per_source_models(models):
                 for layer in layers]
 
     patches = models.patch_encoders
-    encoders = [Encoder(unstack(patches.encoder, s), patches.incoming)
-                for s in range(N_SOURCES - 1)] + [models.face_encoder]
+    encoders = [Encoder(unstack(patches.encoder, s)) for s in range(N_SOURCES - 1)] + [models.face_encoder]
     return [(encoder, MlpHead(unstack(models.heads.layers, s)))
             for s, encoder in enumerate(encoders)]
 

@@ -144,6 +144,13 @@ def _resize_arrays(prefix, edit):
     return mutate
 
 
+def _edit_skip_layout(edit):
+    def mutate(header, chunks):
+        config = header["config"]
+        config["skip_layout"] = edit(config["skip_layout"])
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     lambda header, chunks: header.pop("config"),
     lambda header, chunks: header.pop("arrays"),
@@ -168,11 +175,17 @@ def _resize_arrays(prefix, edit):
     lambda header, chunks: header["config"].update(forest_trees=True),
     lambda header, chunks: header["config"].update(alpha=float("nan")),
     lambda header, chunks: header["config"].update(svm_reg="1e-4"),
+    # the encoders run the one trained layout, so a header that records
+    # another one misstates the model
+    _edit_skip_layout(lambda layout: []),
+    _edit_skip_layout(lambda layout: [layout[0], *layout]),
+    _edit_skip_layout(lambda layout: (layout * 20_000)[:20_000]),
 ], ids=["no-config", "no-arrays", "arrays-not-list", "entry-no-shape",
         "no-net-bias", "no-face-weight", "no-head-weight", "no-tree", "no-svm-bias",
         "extra-array", "patch-stack-of-8", "heads-k-plus-1", "stage2-k-minus-1",
         "face-as-stack", "sizes-flat", "k-inf", "trees-fractional", "names-short", "shape-inf",
-        "trees-bool", "alpha-nan", "svm-reg-string"])
+        "trees-bool", "alpha-nan", "svm-reg-string", "skip-layout-empty",
+        "skip-layout-duplicate", "skip-layout-20000"])
 def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bundle_rewrite import rewrite_bundle, write_version1_bundle
+import rcodean.network
 from fuzzing import FUZZ, time_bound
 from rcodean.cli import main
 from rcodean.data import load_attr_list, load_gray_image
@@ -56,6 +58,11 @@ def test_train_outputs(run_dir):
     assert losses[0] == "source,epoch,total,euc,cos,reg,lr"
     # 10 sources x (epochs + baseline) rows
     assert len(losses) == 1 + 10 * 3
+
+
+def test_train_on_attribute_list_records_its_k(run_dir):
+    # the list has 2 attributes; RunConfig's default k is 4
+    assert json.loads((run_dir / "config.json").read_text())["k"] == 2
 
 
 def test_train_determinism_byte_identical_losses(tmp_path, synth_dir):
@@ -284,8 +291,13 @@ def test_gradcheck_passes(capsys):
     assert "worst overall" in out
 
 
-def test_gradcheck_detects_corrupted_backward(capsys):
-    rc = main(["gradcheck", "--trials", "1", "--corrupt-cosine"])
+def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):
+    # the analytic side alone drops the cosine term; the finite
+    # differences still see it
+    real = rcodean.network.loss_and_grads
+    monkeypatch.setattr(rcodean.network, "loss_and_grads", lambda net, x: real(
+        dataclasses.replace(net, params=dataclasses.replace(net.params, beta=0.0)), x))
+    rc = main(["gradcheck", "--trials", "1"])
     assert rc == 1
     assert "FAILED" in capsys.readouterr().err
 

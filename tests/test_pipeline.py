@@ -329,9 +329,9 @@ def test_build_stage2_features_identity_weighting():
     rng = np.random.default_rng(31)
     scores = rng.uniform(size=(N_SOURCES, 4))
     pw = PatchWeights(np.ones((4, N_SOURCES)))
-    feats = build_stage2_features(scores, pw)
-    assert feats.shape == (40,)
-    assert np.array_equal(feats, scores.reshape(-1))
+    feats = build_stage2_features(scores[None], pw)
+    assert feats.shape == (1, 40)
+    assert np.array_equal(feats[0], scores.reshape(-1))
 
 
 def test_build_stage2_features_masking_and_order():
@@ -340,7 +340,7 @@ def test_build_stage2_features_masking_and_order():
     values[0, 3] = 1.0
     values[1, 0] = 1.0
     pw = PatchWeights(values)
-    feats = build_stage2_features(scores, pw)
+    feats = build_stage2_features(scores[None], pw)[0]
     # feature layout is source-major: entry p*k + a
     expected = np.zeros(20)
     expected[3 * 2 + 0] = scores[3, 0]
@@ -357,7 +357,7 @@ def test_weighting_preserves_argmax_when_source_holds_both_maxima():
         scores[p_star, 0] = scores.max() + 0.1
         w[0, p_star] = 1.0
         w[0] /= w[0].max()
-        feats = build_stage2_features(scores, PatchWeights(w)).reshape(N_SOURCES, 1)
+        feats = build_stage2_features(scores[None], PatchWeights(w))[0].reshape(N_SOURCES, 1)
         assert int(np.argmax(feats[:, 0])) == p_star
 
 
