@@ -6,6 +6,16 @@ and take column-sample matrices (dim, n): a ``Mat`` at ``head_score`` and
 ``head_train``, plain ndarrays inside. The forest and SVM follow the
 usual classifier convention of row-sample matrices (n, dim). Labels are
 always (n, k) arrays over {0, 1}, one column per attribute.
+
+Stage-2 training runs as array programs over independent work. The
+forest grows all k x trees trees in lockstep: every tree keeps its own
+depth-first stack, bootstrap, candidate draws and node numbering, and
+each step pops the next node of every unfinished tree and scores all
+their candidate features in sorted blocks of at most ``FOREST_BLOCK``
+(sample, candidate) pairs, so memory does not grow with the tree count.
+The SVM steps all k attributes together, each on its own shuffle. Both
+give the trees and weights that growing one tree, or stepping one
+attribute, at a time gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -225,16 +235,6 @@ class Forest:
                 for row_ends, row_sizes in zip(ends, self.sizes)]
 
 
-def forest_of(trees: list[list[Tree]], n_features: int) -> Forest:
-    """The forest of ``trees``, indexed [attribute][tree] with the same
-    count per attribute, their nodes copied into one table."""
-    flat = [tree for per_attr in trees for tree in per_attr]
-    nodes = Tree(*(np.concatenate([getattr(tree, f.name) for tree in flat])
-                   for f in fields(Tree)))
-    sizes = np.array([[len(tree.feature) for tree in per_attr] for per_attr in trees])
-    return Forest(nodes, sizes, n_features)
-
-
 def _gini_pair(n_pos_left, n_left, n_pos_total, n_total):
     """Weighted Gini impurity of a left/right split, vectorized over cuts."""
     n_right = n_total - n_left
@@ -244,73 +244,131 @@ def _gini_pair(n_pos_left, n_left, n_pos_total, n_total):
             + n_right * 2 * p_right * (1 - p_right)) / n_total
 
 
-class _TreeBuilder:
-    def __init__(self, XT, y, rng, max_depth, n_candidates):
-        # XT is (features, samples), so a node's candidates are gathered by rows
-        self.XT, self.y, self.rng = XT, y, rng
-        self.max_depth, self.n_candidates = max_depth, n_candidates
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.prob = [], [], []
+# The most (sample, candidate) pairs that ``forest_train`` scores in one
+# sorted block, which bounds a step's working memory at any tree count. A
+# block holds whole (node, candidate) segments, so a node of more samples
+# than this scores each candidate in a block of its own.
+FOREST_BLOCK = 1 << 16
 
-    def _add_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.prob.append(0.0)
-        return len(self.feature) - 1
 
-    def grow(self, idx, depth):
-        node = self._add_node()
-        ysub = self.y[idx]
-        self.prob[node] = float(ysub.mean())
-        if depth >= self.max_depth or len(idx) < 2 or ysub.min() == ysub.max():
-            return node
-        n_feat = self.XT.shape[0]
-        candidates = self.rng.choice(n_feat, size=min(self.n_candidates, n_feat),
-                                     replace=False)
-        # Every candidate's cuts in one (candidates, n_node) block. The
-        # sort need not be stable: a valid cut ends a run of equal values,
-        # so its positive count, impurity and threshold do not depend on
-        # how ties are ordered, and other positions are set to +inf.
-        values = self.XT[candidates[:, None], idx]
-        order = np.argsort(values, axis=1)
-        vs = np.take_along_axis(values, order, axis=1)
-        cum_pos = np.cumsum(ysub[order], axis=1)
-        n = len(idx)
-        impurity = np.where(vs[:, :-1] < vs[:, 1:],
-                            _gini_pair(cum_pos[:, :-1], np.arange(1.0, n),
-                                       cum_pos[:, -1:], float(n)),
-                            np.inf)
-        # first minimum per candidate, then over candidates in draw order
-        cuts = np.argmin(impurity, axis=1)
-        c = int(np.argmin(impurity[np.arange(len(candidates)), cuts]))
-        cut = cuts[c]
-        if impurity[c, cut] == np.inf:
-            return node
-        f = int(candidates[c])
-        thr = (vs[c, cut] + vs[c, cut + 1]) / 2.0
-        go_left = self.XT[f, idx] <= thr
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self.grow(idx[go_left], depth + 1)
-        self.right[node] = self.grow(idx[~go_left], depth + 1)
-        return node
+@dataclass
+class _Ranked:
+    """Each feature's distinct values in ascending order, all features'
+    one after another in ``values`` (feature f's from ``first[f]``), and
+    every sample's rank among its feature's values, (features, samples)."""
+    values: np.ndarray
+    first: np.ndarray
+    ranks: np.ndarray
+    span: int  # the most distinct values of any feature
 
-    def build(self):
-        self.grow(np.arange(len(self.y)), 0)
-        return Tree(np.asarray(self.feature, dtype=np.int64),
-                    np.asarray(self.threshold, dtype=np.float64),
-                    np.asarray(self.left, dtype=np.int64),
-                    np.asarray(self.right, dtype=np.int64),
-                    np.asarray(self.prob, dtype=np.float64))
+    @classmethod
+    def of(cls, X):
+        uniques, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.T))
+        counts = np.array([len(u) for u in uniques])
+        return cls(np.concatenate(uniques), np.cumsum(counts) - counts,
+                   np.stack(ranks), int(counts.max()))
+
+
+def _score_block(ranked, rows, labels, start, size, n_pos, feature):
+    """Every cut of a block of (node, candidate) segments: segment i is
+    the ``size[i]`` samples of ``rows``/``labels`` from ``start[i]``, of
+    a node holding ``n_pos[i]`` positives, on ``feature[i]``. Returns each
+    segment's first least impurity (inf if its samples all tie) and the
+    values either side of that cut.
+
+    One sort of a packed (segment, rank, label) key orders every segment
+    by value. A valid cut ends a run of equal ranks inside its segment, so
+    its positive count, impurity and values do not depend on how ties are
+    ordered."""
+    n_seg = len(size)
+    ends = np.cumsum(size)
+    first = ends - size
+    span = ranked.span
+    src = np.arange(ends[-1]) + np.repeat(start - first, size)
+    key = np.repeat(np.arange(0, n_seg * span, span), size)
+    key += ranked.ranks.reshape(-1)[rows[src] + np.repeat(feature * ranked.ranks.shape[1], size)]
+    key <<= 1
+    key |= labels[src]
+    key.sort()
+    positives = np.cumsum(key & 1)
+    cut = (key[1:] ^ key[:-1]) > 1  # segment or rank changes
+    cut[ends[:-1] - 1] = False
+    cut = np.flatnonzero(cut)
+    # cuts come in segment order and, within a segment, in value order
+    runs = np.searchsorted(cut, first)
+    count = np.diff(runs, append=len(cut))
+    before = positives[first] - (key[first] & 1)
+    gini = _gini_pair((positives[cut] - np.repeat(before, count)).astype(np.float64),
+                      (cut - np.repeat(first - 1, count)).astype(np.float64),
+                      np.repeat(n_pos.astype(np.float64), count),
+                      np.repeat(size.astype(np.float64), count))
+    has = count > 0
+    impurity = np.full(n_seg, np.inf)
+    impurity[has] = np.minimum.reduceat(gini, runs[has])
+    at_min = np.flatnonzero(gini == np.repeat(impurity, count))
+    best = cut[at_min[np.searchsorted(at_min, runs[has])]]
+    at = ranked.first[feature[has]] - np.flatnonzero(has) * span
+    lo = np.zeros(n_seg)
+    hi = np.zeros(n_seg)
+    lo[has] = ranked.values[at + (key[best] >> 1)]
+    hi[has] = ranked.values[at + (key[best + 1] >> 1)]
+    return impurity, lo, hi
+
+
+def _best_splits(ranked, rows, labels, start, size, n_pos, candidates):
+    """For nodes whose samples are ``size`` entries of ``rows`` from
+    ``start`` and ``candidates`` (nodes, c) their features in draw order:
+    each node's split as (candidate index, threshold), the candidate index
+    -1 where no candidate can split. The first least impurity wins, in
+    candidate order and then in value order."""
+    m, c = candidates.shape
+    feature = candidates.reshape(-1)
+    seg_start, seg_size, seg_pos = (np.repeat(v, c) for v in (start, size, n_pos))
+    impurity, lo, hi = np.empty(m * c), np.empty(m * c), np.empty(m * c)
+    ends = np.cumsum(seg_size)
+    b = 0
+    while b < m * c:
+        e = max(b + 1, int(np.searchsorted(ends, ends[b] - seg_size[b] + FOREST_BLOCK,
+                                           side="right")))
+        impurity[b:e], lo[b:e], hi[b:e] = _score_block(
+            ranked, rows, labels, seg_start[b:e], seg_size[b:e], seg_pos[b:e], feature[b:e])
+        b = e
+    best = np.argmin(impurity.reshape(m, c), axis=1)
+    pick = np.arange(m) * c + best
+    lo, hi = lo[pick], hi[pick]
+    # the midpoint of two adjacent doubles can round up to the upper one,
+    # which would send every sample left; the lower value splits them too
+    threshold = (lo + hi) / 2.0
+    threshold = np.where(threshold < hi, threshold, lo)
+    return np.where(impurity[pick] < np.inf, best, -1), threshold
+
+
+def _partition(X, rows, size, feature, threshold):
+    """The samples of each node that splits (``feature`` >= 0), of nodes
+    that are ``size`` entries of ``rows`` one after another: a list of
+    their left children's samples and one of their right children's."""
+    splits = feature >= 0
+    node_rows = rows[np.repeat(splits, size)]
+    node_size = size[splits]
+    go_left = X[node_rows, np.repeat(feature[splits], node_size)] <= np.repeat(
+        threshold[splits], node_size)
+    n_left = np.add.reduceat(go_left, np.cumsum(node_size) - node_size, dtype=np.int64)
+    return [np.split(node_rows[side], np.cumsum(count)[:-1])
+            for side, count in ((go_left, n_left), (~go_left, node_size - n_left))]
 
 
 def forest_train(features: np.ndarray, labels: np.ndarray,
                  trees_per_attr: int = 32, max_depth: int = 8,
                  seed: int = 0) -> Forest:
     """Per attribute: bootstrap trees with sqrt-of-features candidate
-    sampling and Gini splits; leaves store the positive fraction."""
+    sampling and Gini splits; leaves store the positive fraction.
+
+    Tree t of attribute a draws its bootstrap and then, at each node it
+    tries to split, in preorder, its candidates from ``default_rng([seed,
+    a, t])``. Every tree keeps its own depth-first stack, and all trees
+    grow together: each step takes the next node of every unfinished tree
+    and scores the candidates of all those that split in blocks of at
+    most ``FOREST_BLOCK`` (sample, candidate) pairs."""
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -318,18 +376,75 @@ def forest_train(features: np.ndarray, labels: np.ndarray,
     n, n_feat = X.shape
     if n < 2:
         raise TrainingError("forest training requires at least 2 samples")
-    n_candidates = max(1, int(np.sqrt(n_feat)))
-    XT = np.ascontiguousarray(X.T)
-    trees = []
-    for a in range(Y.shape[1]):
-        per_attr = []
-        for t in range(trees_per_attr):
-            rng = np.random.default_rng([seed, a, t])
-            boot = rng.integers(0, n, size=n)
-            builder = _TreeBuilder(XT[:, boot], Y[boot, a], rng, max_depth, n_candidates)
-            per_attr.append(builder.build())
-        trees.append(per_attr)
-    return forest_of(trees, n_feat)
+    # the sort key packs the label as one bit, and ranks order NaN as a value
+    if not _is_binary(Y):
+        raise ValueError("labels must be binary")
+    if np.isnan(X).any():
+        raise ValueError("features must not be NaN")
+    n_candidates = min(max(1, int(np.sqrt(n_feat))), n_feat)
+    ranked = _Ranked.of(X)
+    bits = Y.T.astype(np.int64)
+    n_trees = Y.shape[1] * trees_per_attr
+    rngs = [np.random.default_rng([seed, *divmod(g, trees_per_attr)]) for g in range(n_trees)]
+    # a stacked node: its samples (rows of X, with repeats), its depth, its
+    # parent's number in its tree (-1 at the root) and whether it is the
+    # right child; a tree numbers its nodes in the order it pops them
+    stacks = [[(rng.integers(0, n, size=n), 0, -1, False)] for rng in rngs]
+    numbered = np.zeros(n_trees, dtype=np.int64)
+    steps = []
+    active = np.arange(n_trees)
+    while active.size:
+        rows, depth, parent, is_right = zip(*(stacks[g].pop() for g in active))
+        size = np.array([len(r) for r in rows])
+        rows = np.concatenate(rows)
+        start = np.cumsum(size) - size
+        y = bits[np.repeat(active // trees_per_attr, size), rows]
+        n_pos = np.add.reduceat(y, start)
+        number = numbered[active]
+        numbered[active] += 1
+        feature = np.full(len(active), -1)
+        threshold = np.zeros(len(active))
+        depth = np.array(depth)
+        split = np.flatnonzero((depth < max_depth) & (size >= 2)
+                               & (n_pos > 0) & (n_pos < size))
+        if split.size:
+            candidates = np.array([rngs[g].choice(n_feat, size=n_candidates, replace=False)
+                                   for g in active[split].tolist()])
+            best, thr = _best_splits(ranked, rows, y, start[split], size[split],
+                                     n_pos[split], candidates)
+            ok = best >= 0
+            split = split[ok]
+            feature[split] = candidates[ok, best[ok]]
+            threshold[split] = thr[ok]
+            # the right child goes on the stack first, so the left one is
+            # popped, and numbered, next
+            for g, d, parent_number, left, right in zip(
+                    active[split].tolist(), (depth[split] + 1).tolist(),
+                    number[split].tolist(), *_partition(X, rows, size, feature, threshold)):
+                stacks[g].append((right, d, parent_number, True))
+                stacks[g].append((left, d, parent_number, False))
+        steps.append((active, number, np.array(parent), np.array(is_right), feature,
+                      threshold, n_pos / size))
+        active = active[[bool(stacks[g]) for g in active.tolist()]]
+    return _forest_of_steps(steps, numbered, Y.shape[1], n_feat)
+
+
+def _forest_of_steps(steps, counts, k, n_feat):
+    """The forest of the nodes ``forest_train`` numbered, from its steps'
+    (tree, number, parent number, is right child, feature, threshold,
+    prob) arrays and each tree's node count."""
+    tree, number, parent, is_right, feature, threshold, prob = (
+        np.concatenate(col) for col in zip(*steps))
+    tree_start = (np.cumsum(counts) - counts)[tree]
+    at = tree_start + number
+    nodes = Tree(np.empty_like(feature), np.empty_like(threshold), np.full_like(feature, -1),
+                 np.full_like(feature, -1), np.empty_like(prob))
+    nodes.feature[at], nodes.threshold[at], nodes.prob[at] = feature, threshold, prob
+    child = parent >= 0
+    for side, right in ((nodes.left, False), (nodes.right, True)):
+        mine = child & (is_right == right)
+        side[tree_start[mine] + parent[mine]] = number[mine]
+    return Forest(nodes, counts.reshape(k, -1), n_feat)
 
 
 def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:
@@ -368,7 +483,12 @@ def svm_train(features: np.ndarray, labels: np.ndarray, epochs: int = 20,
     """Hinge loss + L2, minimized per attribute by stochastic subgradient
     descent on a deterministic shuffle with the 1/(reg*t) step schedule.
     The bias rides along as an augmented constant feature; a separately
-    scheduled bias blows up under the early 1/(reg*t) steps."""
+    scheduled bias blows up under the early 1/(reg*t) steps.
+
+    Attribute a shuffles each epoch with ``default_rng([seed, a])``, and
+    all attributes take their t-th step together: one stacked matmul
+    gives every margin, as ``w @ x`` would one at a time, and an
+    attribute's weights move only when its margin is below 1."""
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -376,24 +496,23 @@ def svm_train(features: np.ndarray, labels: np.ndarray, epochs: int = 20,
     n, n_feat = X.shape
     k = Y.shape[1]
     Xa = np.hstack([X, np.ones((n, 1))])
-    weights = np.zeros((k, n_feat))
-    biases = np.zeros(k)
-    for a in range(k):
-        y = np.where(Y[:, a] > 0, 1.0, -1.0)
-        rng = np.random.default_rng([seed, a])
-        w = np.zeros(n_feat + 1)
-        t = 0
-        for _ in range(epochs):
-            for i in rng.permutation(n):
-                t += 1
-                eta = 1.0 / (reg * t)
-                margin = y[i] * (w @ Xa[i])
-                w *= (1.0 - eta * reg)
-                if margin < 1.0:
-                    w += eta * y[i] * Xa[i]
-        weights[a] = w[:-1]
-        biases[a] = w[-1]
-    return LinearSvm(weights=weights, biases=biases, reg=reg)
+    sign = np.where(Y.T > 0, 1.0, -1.0)
+    rngs = [np.random.default_rng([seed, a]) for a in range(k)]
+    attrs = np.arange(k)[:, None]
+    w = np.zeros((k, n_feat + 1))
+    t = 0
+    for _ in range(epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        ys = sign[attrs, order]
+        for i in range(n):
+            t += 1
+            eta = 1.0 / (reg * t)
+            rows = Xa[order[:, i]]
+            y = ys[:, i]
+            margin = y * (w[:, None, :] @ rows[:, :, None])[:, 0, 0]
+            w *= (1.0 - eta * reg)
+            np.add(w, (eta * y)[:, None] * rows, out=w, where=(margin < 1.0)[:, None])
+    return LinearSvm(weights=w[:, :-1].copy(), biases=w[:, -1].copy(), reg=reg)
 
 
 def svm_decision(svm: LinearSvm, features: np.ndarray) -> np.ndarray:

@@ -97,8 +97,10 @@ def _best_split(values, y):
     cum_pos = np.cumsum(ys)
     impurity = _gini_pair(cum_pos[cuts], cuts + 1.0, cum_pos[-1], float(n))
     best = int(np.argmin(impurity))
-    cut = cuts[best]
-    return (vs[cut] + vs[cut + 1]) / 2.0, float(impurity[best])
+    lo, hi = vs[cuts[best]], vs[cuts[best] + 1]
+    # the midpoint of adjacent doubles can round up to the upper one
+    thr = (lo + hi) / 2.0
+    return (thr if thr < hi else lo), float(impurity[best])
 
 
 class ReferenceTreeGrower:
@@ -161,6 +163,35 @@ def reference_forest(features, labels, trees_per_attr, max_depth, seed):
                 "prob": np.array(cols[4], dtype=np.float64)})
         forest.append(per_attr)
     return forest
+
+
+def reference_svm(features, labels, epochs, reg, seed):
+    """(weights, biases) of ``rcodean.classifiers.svm_train``, one
+    attribute at a time and one sample at a time: the loop it ran before
+    it stepped all attributes together, kept verbatim."""
+    X = np.asarray(features, dtype=np.float64)
+    Y = np.asarray(labels, dtype=np.float64)
+    n, n_feat = X.shape
+    k = Y.shape[1]
+    Xa = np.hstack([X, np.ones((n, 1))])
+    weights = np.zeros((k, n_feat))
+    biases = np.zeros(k)
+    for a in range(k):
+        y = np.where(Y[:, a] > 0, 1.0, -1.0)
+        rng = np.random.default_rng([seed, a])
+        w = np.zeros(n_feat + 1)
+        t = 0
+        for _ in range(epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = 1.0 / (reg * t)
+                margin = y[i] * (w @ Xa[i])
+                w *= (1.0 - eta * reg)
+                if margin < 1.0:
+                    w += eta * y[i] * Xa[i]
+        weights[a] = w[:-1]
+        biases[a] = w[-1]
+    return weights, biases
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bundle_rewrite import replace_tree, rewrite_bundle
-from oracles import reference_forest
+from oracles import reference_forest, reference_svm
+from rcodean import classifiers
 from rcodean.bundle import load_bundle, save_bundle
-from rcodean.classifiers import (PROB_THRESHOLD, _head_forward, _head_grads,
+from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, _head_forward, _head_grads,
                                  assemble_mlp_head, build_mlp_head, ensemble_vote,
-                                 forest_of, forest_predict_proba, forest_train, head_score,
+                                 forest_predict_proba, forest_train, head_score,
                                  head_train, svm_decision, svm_train)
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import ShapeError, TrainingError
@@ -213,6 +216,16 @@ def _trained_forest():
     return forest_train(x, y, trees_per_attr=8, max_depth=5, seed=24)
 
 
+def _forest_of(trees, n_features):
+    """The forest of ``trees``, indexed [attribute][tree] with the same
+    count per attribute, their nodes copied into one table."""
+    flat = [tree for per_attr in trees for tree in per_attr]
+    nodes = Tree(*(np.concatenate([getattr(tree, f.name) for tree in flat])
+                   for f in dataclasses.fields(Tree)))
+    sizes = np.array([[len(tree.feature) for tree in per_attr] for per_attr in trees])
+    return Forest(nodes, sizes, n_features)
+
+
 def _mixed_depth_forest():
     """Per attribute a deep tree, stumps and a single leaf: walks that end
     at every depth from 0 to the deepest tree's."""
@@ -223,19 +236,26 @@ def _mixed_depth_forest():
              for labels, depth in ((y, 14), (y, 1), (np.ones_like(y), 6))]
     trees = [[tree for forest in grown for tree in forest.trees[a]] for a in range(2)]
     assert [len(tree.feature) for tree in trees[0]][-2:] == [1, 1]
-    forest = forest_of(trees, n_features=5)
+    forest = _forest_of(trees, n_features=5)
     assert forest.table.depth == 14
     return forest
 
 
-def _loaded_forest_deeper_than_its_config(tmp_path):
-    """A bundle's forest with one tree swapped for a valid chain ten levels
-    deeper than the bundle's forest_depth of 3, read by ``load_bundle``."""
+@pytest.fixture(scope="module")
+def small_bundle():
+    """A trained bundle of k=3, three trees per attribute and
+    forest_depth 3: its forest reads 30 features."""
     ds = gen_synthetic(110, 3, seed=3, splits=split_by_counts((60, 30, 20)))
     cfg = PipelineConfig(l=8, epochs=1, batch_size=32, head_epochs=5, weight_steps=5,
                          forest_trees=3, forest_depth=3, svm_epochs=1, seed=1)
+    return train_full(ds, cfg)[0]
+
+
+def _loaded_forest_deeper_than_its_config(bundle, tmp_path):
+    """A bundle's forest with one tree swapped for a valid chain ten levels
+    deeper than the bundle's forest_depth of 3, read by ``load_bundle``."""
     path = tmp_path / "model.rcbn"
-    save_bundle(train_full(ds, cfg)[0], path)
+    save_bundle(bundle, path)
     rng = np.random.default_rng(31)
     depth = 13
     rows = []
@@ -250,10 +270,10 @@ def _loaded_forest_deeper_than_its_config(tmp_path):
     return forest
 
 
-def test_forest_prediction_matches_tree_walk_oracle(tmp_path):
+def test_forest_prediction_matches_tree_walk_oracle(small_bundle, tmp_path):
     forests = {"trained": _trained_forest(), "mixed depths": _mixed_depth_forest(),
                "loaded deeper than its config": _loaded_forest_deeper_than_its_config(
-                   tmp_path)}
+                   small_bundle, tmp_path)}
     for name, forest in forests.items():
         probes = np.random.default_rng(23).uniform(size=(100, forest.n_features))
         # leaf probabilities averaged as a (trees, n) array, one walk per
@@ -275,26 +295,128 @@ def _tie_heavy(n, n_feat, seed):
     return x, y
 
 
-@pytest.mark.parametrize("x,y", [
-    _tie_heavy(300, 9, 40),
-    _tie_heavy(60, 4, 41),
-    # rounded to one decimal: many nodes of two or three samples whose
-    # candidates all tie, so they stay leaves with mixed labels
-    (np.round(np.random.default_rng(42).uniform(size=(120, 3)), 1),
-     np.random.default_rng(43).integers(0, 2, size=(120, 1))),
-    (np.array([[0.5, 1.0], [0.5, 2.0]]), np.array([[0], [1]])),
-    (np.array([[0.5, 1.0], [0.5, 1.0], [0.7, 1.0]]), np.array([[0], [1], [1]])),
-    (np.ones((10, 4)), np.array([[0], [1]] * 5)),
-], ids=["rounded-2dp", "rounded-small", "rounded-1dp", "n2", "n3", "no-split"])
-def test_forest_trees_match_per_feature_oracle(x, y):
-    forest = forest_train(x, y, trees_per_attr=6, max_depth=6, seed=44)
-    oracle = reference_forest(x, y, trees_per_attr=6, max_depth=6, seed=44)
+def _assert_trees_match_oracle(x, y, trees, depth, seed):
+    forest = forest_train(x, y, trees_per_attr=trees, max_depth=depth, seed=seed)
+    oracle = reference_forest(x, y, trees_per_attr=trees, max_depth=depth, seed=seed)
     for per_attr, ref_per_attr in zip(forest.trees, oracle, strict=True):
         for tree, ref in zip(per_attr, ref_per_attr, strict=True):
             for name, ref_values in ref.items():
                 values = getattr(tree, name)
                 assert values.dtype == ref_values.dtype
                 assert np.array_equal(values, ref_values), name
+    return forest
+
+
+def _many_tree_sizes():
+    rng = np.random.default_rng(45)
+    x = rng.uniform(size=(150, 7))
+    return x, (x[:, :1] + 0.4 * rng.uniform(size=(150, 1)) > 0.7).astype(np.int64)
+
+
+def _four_attributes():
+    rng = np.random.default_rng(47)
+    x = np.round(rng.uniform(size=(90, 12)), 2)
+    return x, np.column_stack([x[:, 0] > 0.5, x[:, 1] + x[:, 2] > 1.0,
+                               rng.integers(0, 2, size=90), np.ones(90)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("x,y,trees,depth,sizes", [
+    (*_tie_heavy(300, 9, 40), 6, 6, 1),
+    (*_tie_heavy(60, 4, 41), 6, 6, 1),
+    # rounded to one decimal: many nodes of two or three samples whose
+    # candidates all tie, so they stay leaves with mixed labels
+    (np.round(np.random.default_rng(42).uniform(size=(120, 3)), 1),
+     np.random.default_rng(43).integers(0, 2, size=(120, 1)), 6, 6, 1),
+    (np.array([[0.5, 1.0], [0.5, 2.0]]), np.array([[0], [1]]), 6, 6, 1),
+    (np.array([[0.5, 1.0], [0.5, 1.0], [0.7, 1.0]]), np.array([[0], [1], [1]]), 6, 6, 1),
+    (np.ones((10, 4)), np.array([[0], [1]] * 5), 6, 6, 1),
+    # trees that finish at different steps of the lockstep growth: the
+    # ones still growing must keep their own draws and numbering
+    (*_many_tree_sizes(), 20, 9, 10),
+    # four attributes, one of them single-class
+    (*_four_attributes(), 5, 7, 1),
+], ids=["rounded-2dp", "rounded-small", "rounded-1dp", "n2", "n3", "no-split",
+        "many-sizes", "k4"])
+def test_forest_trees_match_per_feature_oracle(x, y, trees, depth, sizes):
+    """``sizes``: the least number of distinct tree sizes the case grows."""
+    forest = _assert_trees_match_oracle(x, y, trees=trees, depth=depth, seed=44)
+    assert len(np.unique(forest.sizes)) >= sizes
+
+
+def test_forest_trees_scored_in_small_blocks_match_per_feature_oracle(monkeypatch):
+    """Blocks of 150 (sample, candidate) pairs: a root of 120 samples has
+    3 candidates of 120 pairs each, one block apiece, so a step spans many
+    blocks and a node is larger than a block; small nodes share blocks."""
+    seen = []
+    score_block = classifiers._score_block
+
+    def spy(ranked, rows, labels, start, size, n_pos, feature):
+        seen.append(size.sum())
+        return score_block(ranked, rows, labels, start, size, n_pos, feature)
+
+    monkeypatch.setattr(classifiers, "FOREST_BLOCK", 150)
+    monkeypatch.setattr(classifiers, "_score_block", spy)
+    rng = np.random.default_rng(49)
+    x = rng.uniform(size=(120, 9))
+    y = np.column_stack([x[:, 0] > 0.3, rng.integers(0, 2, size=120)]).astype(np.int64)
+    _assert_trees_match_oracle(x, y, trees=4, depth=5, seed=50)
+    assert max(seen) <= 150 and 120 in seen and min(seen) < 120
+
+
+def test_forest_split_between_adjacent_doubles_leaves_no_empty_child(small_bundle,
+                                                                     tmp_path):
+    """The midpoint of two adjacent doubles rounds to the upper one; as a
+    threshold it would send every sample left and leave a leaf of no
+    samples, with a NaN probability that no bundle may hold."""
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    upper = np.arange(40) % 3 == 0
+    x = np.where(upper[:, None], b, a) * np.ones((1, 30))
+    y = np.repeat(upper[:, None], 3, axis=1).astype(np.int64)
+    forest = forest_train(x, y, trees_per_attr=3, max_depth=3, seed=1)
+    internal = forest.nodes.feature >= 0
+    assert internal.any() and (forest.nodes.threshold[internal] == a).all()
+    assert np.isfinite(forest.nodes.prob).all()
+    path = tmp_path / "adjacent.rcbn"
+    save_bundle(dataclasses.replace(small_bundle, forest=forest), path)
+    loaded = load_bundle(path).forest
+    for name in ("feature", "threshold", "left", "right", "prob"):
+        assert np.array_equal(getattr(loaded.nodes, name), getattr(forest.nodes, name)), name
+
+
+@pytest.mark.parametrize("y", [np.full((10, 1), 2), np.full((10, 1), 0.5),
+                               np.full((10, 1), -1), np.full((10, 1), np.nan)],
+                         ids=["two", "half", "minus-one", "nan"])
+def test_forest_refuses_non_binary_labels(y):
+    x = np.random.default_rng(51).uniform(size=(10, 3))
+    with pytest.raises(ValueError, match="binary"):
+        forest_train(x, y, trees_per_attr=2, max_depth=2, seed=0)
+
+
+def test_forest_refuses_nan_features():
+    x = np.random.default_rng(52).uniform(size=(10, 3))
+    x[4, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        forest_train(x, np.arange(10).reshape(-1, 1) % 2, trees_per_attr=2, max_depth=2)
+
+
+def test_forest_memory_does_not_grow_with_tree_count():
+    """8x the trees keep 8x the stacked sample indices (64 trees of 1000
+    rows, 0.5 MB) but score their candidates in the same bounded blocks:
+    the traced peak may grow by half, not 8-fold."""
+    rng = np.random.default_rng(53)
+    x = rng.uniform(size=(1000, 64))
+    y = rng.integers(0, 2, size=(1000, 2))
+    peaks = {}
+    for trees in (4, 32):
+        tracemalloc.start()
+        try:
+            forest_train(x, y, trees_per_attr=trees, max_depth=8, seed=1)
+            peaks[trees] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] < 1.5 * peaks[4], peaks
 
 
 def test_forest_learns_separable_rule():
@@ -366,6 +488,25 @@ def test_svm_deterministic():
     b = svm_train(x, y, epochs=10, reg=1e-3, seed=37)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.biases, b.biases)
+
+
+@pytest.mark.parametrize("n,k,epochs,reg,seed", [
+    (60, 1, 5, 1e-3, 54),
+    (200, 8, 3, 1e-4, 55),
+    (2, 3, 4, 1e-4, 56),
+    (2, 1, 1, 0.1, 57),
+    (80, 4, 2, 3.0, 58),
+], ids=["k1", "k8", "n2", "n2-k1", "reg3"])
+def test_svm_matches_per_attribute_oracle(n, k, epochs, reg, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 6))
+    y = rng.integers(0, 2, size=(n, k))
+    y[:, 0] = 1  # a single-class attribute
+    svm = svm_train(x, y, epochs=epochs, reg=reg, seed=seed)
+    weights, biases = reference_svm(x, y, epochs=epochs, reg=reg, seed=seed)
+    assert svm.weights.shape == weights.shape and svm.biases.shape == biases.shape
+    assert svm.weights.tobytes() == weights.tobytes()
+    assert svm.biases.tobytes() == biases.tobytes()
 
 
 def test_svm_decision_shape():
