@@ -10,7 +10,7 @@ use the luma transform Y = 0.299 R + 0.587 G + 0.114 B.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,13 @@ class AttributeDataset:
     """Labeled image records with a fixed three-way split assignment.
 
     Either ``images`` (in-memory stack) or ``paths`` (files decoded on
-    access) backs the pixel data.
+    every access, never kept) backs the pixel data.
     """
     names: list[str]
     labels: np.ndarray  # (n, k) int64 over {0, 1}
     splits: dict[str, np.ndarray]
     images: np.ndarray | None = None
     paths: list[Path] | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -78,9 +77,7 @@ class AttributeDataset:
         """Raw grayscale pixels for record i, values in 0..255."""
         if self.images is not None:
             return self.images[i]
-        if i not in self._cache:
-            self._cache[i] = load_gray_image(self.paths[i])
-        return self._cache[i]
+        return load_gray_image(self.paths[i])
 
 
 def split_by_fractions(n: int, fractions=DEFAULT_SPLIT_FRACTIONS) -> dict[str, np.ndarray]:
@@ -240,6 +237,7 @@ def save_gray_image(path, image: np.ndarray) -> None:
 GLOBAL_SHIFT = 10.0    # raw gray levels added by the global attribute
 ILLUM_SIGMA = 18.0     # strength of the label-independent lighting nuisance
 _NOISE_SIGMA = 0.05 * 255.0
+SYNTH_BLOCK = 64       # images lit and noised at a time
 
 
 def _illumination_fields() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,9 +293,14 @@ def gen_synthetic(n: int, k: int, seed: int = 0,
                 _apply_primitive(images[i], a)
     tilt_x, tilt_y, bowl = _illumination_fields()
     gains = rng.normal(scale=ILLUM_SIGMA, size=(3, n, 1, 1))
-    images += gains[0] * tilt_x + gains[1] * tilt_y + gains[2] * bowl
-    images += rng.normal(scale=_NOISE_SIGMA, size=images.shape)
-    np.clip(images, 0.0, 255.0, out=images)
+    # a block at a time, so the temporaries are block-sized; the noise
+    # stream and every pixel's sums are those of one whole-stack pass
+    for j in range(0, n, SYNTH_BLOCK):
+        block = images[j:j + SYNTH_BLOCK]
+        g = gains[:, j:j + SYNTH_BLOCK]
+        block += g[0] * tilt_x + g[1] * tilt_y + g[2] * bowl
+        block += rng.normal(scale=_NOISE_SIGMA, size=block.shape)
+        np.clip(block, 0.0, 255.0, out=block)
     if splits is None:
         splits = split_by_fractions(n, split_fractions)
     return AttributeDataset(names=list(SYNTHETIC_ATTRIBUTES[:k]), labels=labels,

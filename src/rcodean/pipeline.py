@@ -359,6 +359,25 @@ def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(probs.transpose(2, 0, 1))
 
 
+SCORE_BLOCK = 256  # images preprocessed, tessellated and scored at a time
+
+
+def score_split(models: SourceModels, dataset: AttributeDataset,
+                indices: np.ndarray) -> np.ndarray:
+    """Stage-1 scores, (n, 10, k), of the dataset records at ``indices``,
+    ``SCORE_BLOCK`` images at a time: memory holds one block's images and
+    source matrices, not the split's. A split of at most one block is one
+    ``score_images`` call on the whole stack. Larger ones matched that
+    call bit for bit at every multiple of 256 up to 2304 and at n = 1000
+    and 2000; at other sizes a score may differ in its last bits (at most
+    5.6e-16 seen), as any change of batch width can with OpenBLAS."""
+    scores = np.empty((len(indices), N_SOURCES, models.heads.n_attributes))
+    for j in range(0, len(indices), SCORE_BLOCK):
+        block = _preprocessed_stack(dataset, indices[j:j + SCORE_BLOCK])
+        scores[j:j + len(block)] = score_images(models, block)
+    return scores
+
+
 @dataclass
 class PatchWeights:
     """Per-attribute source relevances, shape (k, 10), each row scaled so
@@ -473,7 +492,7 @@ def train_full(dataset: AttributeDataset,
     models, histories = train_stage1(dataset, cfg)
     clf_idx = dataset.splits["clf-train"]
     labels_clf = dataset.labels[clf_idx]
-    scores = score_images(models, _preprocessed_stack(dataset, clf_idx))
+    scores = score_split(models, dataset, clf_idx)
     weights = learn_patch_weights(scores, labels_clf,
                                   steps=cfg.weight_steps, lr=cfg.weight_lr)
     feats = build_stage2_features(scores, weights)
@@ -500,10 +519,10 @@ def _classifier_probs(bundle: ModelBundle, feats: np.ndarray):
     return mlp, forest, svm
 
 
-def predict_batch(bundle: ModelBundle, images: np.ndarray):
-    """Predicted bits and confidences for an (n, 64, 64) preprocessed
-    stack; also returns the three per-classifier bit arrays."""
-    scores = score_images(bundle.sources, images)
+def vote_on_scores(bundle: ModelBundle, scores: np.ndarray):
+    """Predicted bits and confidences for (n, 10, k) stage-1 scores, by
+    the stage-2 classifiers' vote; also returns the three per-classifier
+    bit arrays."""
     feats = build_stage2_features(scores, bundle.patch_weights)
     mlp_p, forest_p, svm_p = _classifier_probs(bundle, feats)
     mlp_bits = (mlp_p > PROB_THRESHOLD).astype(np.int64)
@@ -512,6 +531,12 @@ def predict_batch(bundle: ModelBundle, images: np.ndarray):
     bits = ensemble_vote(mlp_bits, forest_bits, svm_bits)
     conf = (mlp_p + forest_p + svm_p) / 3.0
     return bits, conf, {"mlp": mlp_bits, "forest": forest_bits, "svm": svm_bits}
+
+
+def predict_batch(bundle: ModelBundle, images: np.ndarray):
+    """Predicted bits and confidences for an (n, 64, 64) preprocessed
+    stack; also returns the three per-classifier bit arrays."""
+    return vote_on_scores(bundle, score_images(bundle.sources, images))
 
 
 def predict(bundle: ModelBundle, image) -> tuple[np.ndarray, np.ndarray]:
@@ -537,9 +562,8 @@ def evaluate(bundle: ModelBundle, dataset: AttributeDataset, split: str) -> Eval
     idx = dataset.splits[split]
     if len(idx) == 0:
         raise ConfigError(f"split {split!r} is empty")
-    images = _preprocessed_stack(dataset, idx)
     labels = dataset.labels[idx]
-    bits, _, per_clf = predict_batch(bundle, images)
+    bits, _, per_clf = vote_on_scores(bundle, score_split(bundle.sources, dataset, idx))
     acc = (bits == labels).mean(axis=0)
     clf_acc = {}
     for name, pred in per_clf.items():

@@ -9,6 +9,8 @@ must match bit for bit; each says so.
 import numpy as np
 
 from rcodean.classifiers import MlpHead, head_score
+from rcodean.data import (ILLUM_SIGMA, _NOISE_SIGMA, _apply_primitive,
+                          _illumination_fields)
 from rcodean.layers import DenseLayer
 from rcodean.network import Encoder, encode
 from rcodean.tensor import Mat
@@ -256,3 +258,27 @@ def reference_score_images(models, images: np.ndarray) -> np.ndarray:
         probs = head_score(head, encode(net, Mat(sources[s], copy=False)))
         out[:, s, :] = probs.a.T
     return out
+
+
+# ---------------------------------------------------------------------------
+# the synthetic generator as it was before it lit and noised the stack a
+# block at a time, kept verbatim; the primitives and the lighting basis
+# are the package's own
+
+
+def reference_gen_synthetic(n: int, k: int, seed: int = 0):
+    """The images and labels of ``gen_synthetic(n, k, seed)``, lit and
+    noised as one whole-stack pass."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=(n, k))
+    images = np.full((n, 64, 64), 80.0)
+    for i in range(n):
+        for a in range(k):
+            if labels[i, a]:
+                _apply_primitive(images[i], a)
+    tilt_x, tilt_y, bowl = _illumination_fields()
+    gains = rng.normal(scale=ILLUM_SIGMA, size=(3, n, 1, 1))
+    images += gains[0] * tilt_x + gains[1] * tilt_y + gains[2] * bowl
+    images += rng.normal(scale=_NOISE_SIGMA, size=images.shape)
+    np.clip(images, 0.0, 255.0, out=images)
+    return images, labels

@@ -1,13 +1,15 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fuzzing import FUZZ, time_bound
+from oracles import reference_gen_synthetic
 from rcodean.data import (AttributeDataset, gen_synthetic, load_attr_list,
                           load_gray_image, save_gray_image, split_by_counts,
-                          split_by_fractions, SYNTHETIC_ATTRIBUTES)
+                          split_by_fractions, SYNTH_BLOCK, SYNTHETIC_ATTRIBUTES)
 from rcodean.errors import ConfigError, FormatError, ParseError
 
 
@@ -308,3 +310,26 @@ def test_synthetic_illumination_is_globally_neutral():
     means = ds.images.mean(axis=(1, 2))
     gap = means[pos].mean() - means[~pos].mean()
     assert abs(gap - GLOBAL_SHIFT) < 1.5
+
+
+# one image, a block edge, the bench's stage-2 set-up shape
+@pytest.mark.parametrize("n, k, seed", [(1, 1, 5), (255, 3, 9), (256, 4, 0),
+                                        (257, 3, 9), (2400, 8, 7)])
+def test_block_wise_generator_equals_whole_stack_oracle_bitwise(n, k, seed):
+    ds = gen_synthetic(n, k, seed=seed)
+    images, labels = reference_gen_synthetic(n, k, seed=seed)
+    assert np.array_equal(ds.labels, labels)
+    assert ds.images.tobytes() == images.tobytes()
+
+
+def test_generator_peak_is_the_stack_plus_a_few_blocks():
+    n = 1000
+    tracemalloc.start()
+    try:
+        ds = gen_synthetic(n, 8, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = SYNTH_BLOCK * 64 * 64 * 8
+    # the whole-stack version held three (n, 64, 64) temporaries on top
+    assert peak <= ds.images.nbytes + 4 * block + (1 << 20)

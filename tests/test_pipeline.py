@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,16 @@ from oracles import (per_source_models, reference_bilinear_resize,
                      reference_score_images, reference_tessellate_batch)
 from rcodean.bundle import load_bundle, save_bundle
 from rcodean.classifiers import build_mlp_head
-from rcodean.data import gen_synthetic, split_by_counts
+from rcodean.data import gen_synthetic, load_attr_list, save_gray_image, split_by_counts
 from rcodean.errors import ConfigError, InputError, NumericError, ShapeError
 from rcodean.network import build_rcodean
 from rcodean.pipeline import (IMAGE_SIZE, N_SOURCES, PATCH_OFFSETS, PATCH_SIZE,
-                              PatchWeights, PipelineConfig, SourceModels,
+                              SCORE_BLOCK, PatchWeights, PipelineConfig, SourceModels,
                               build_stage2_features, evaluate,
                               learn_patch_weights, predict, predict_batch,
-                              preprocess, score_images, tessellate_batch,
+                              preprocess, score_images, score_split, tessellate_batch,
                               train_full, train_stage1, _bilinear_resize,
-                              _resize_plan)
+                              _preprocessed_stack, _resize_plan)
 
 
 def _tiny_cfg(seed=0, jobs=1):
@@ -239,6 +240,75 @@ def test_stacked_scores_equal_per_source_loop_bitwise_at_l64():
     models = SourceModels.from_nets(*zip(*pairs))
     for n, scores in zip(SCORE_SIZES, expected):
         assert np.array_equal(score_images(models, probes[:n]), scores), n
+
+
+@pytest.fixture(scope="module")
+def l64_split():
+    """Untrained models at the benchmark's code size and a 2100-image
+    split, its records in index order."""
+    pairs = [(build_rcodean(d, 64, seed=s), build_mlp_head(64, 4, seed=100 + s))
+             for s, d in enumerate([1024] * 9 + [4096])]
+    ds = gen_synthetic(2100, 3, seed=19, splits=split_by_counts((2100, 0, 0)))
+    return SourceModels.from_nets(*zip(*pairs)), ds, ds.splits["ae-train"]
+
+
+def test_blocked_scores_equal_whole_stack_bitwise(l64_split):
+    # one image, exactly one block, and whole blocks only (the bench's
+    # clf-train split), at the default BLAS threads
+    models, ds, idx = l64_split
+    for n in (1, SCORE_BLOCK, 2000):
+        whole = score_images(models, _preprocessed_stack(ds, idx[:n]))
+        assert np.array_equal(score_split(models, ds, idx[:n]), whole), n
+
+
+def test_blocked_scores_with_a_short_last_block_agree_to_1e15(l64_split):
+    # a narrower last block may pick another OpenBLAS kernel for its
+    # columns than the whole batch does: the last bit may differ
+    models, ds, idx = l64_split
+    for n in (SCORE_BLOCK + 1, 2100):
+        whole = score_images(models, _preprocessed_stack(ds, idx[:n]))
+        assert np.abs(score_split(models, ds, idx[:n]) - whole).max() <= 1e-15, n
+
+
+def test_scoring_peak_does_not_grow_with_the_split(l64_split):
+    models, ds, idx = l64_split
+    peaks = {}
+    for n in (512, 2048):
+        tracemalloc.start()
+        try:
+            score_split(models, ds, idx[:n])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # only the (n, 10, k) scores grow; the whole-stack pass grew by about
+    # 130 KB per image
+    extra_scores = (2048 - 512) * N_SOURCES * 4 * 8
+    assert peaks[2048] <= peaks[512] + extra_scores + (1 << 20)
+
+
+def test_path_backed_dataset_keeps_no_pixels_after_scoring(tmp_path):
+    rng = np.random.default_rng(31)
+    n, shape = 40, (218, 178)
+    lines = [str(n), "a b"]
+    for i in range(n):
+        save_gray_image(tmp_path / f"{i}.rcim", rng.integers(0, 256, size=shape))
+        lines.append(f"{i}.rcim 1 -1")
+    (tmp_path / "list_attr.txt").write_text("\n".join(lines) + "\n")
+    ds = load_attr_list(tmp_path / "list_attr.txt", tmp_path, split_fractions=(0.0, 1.0, 0.0))
+    models = SourceModels.from_nets(
+        [build_rcodean(d, 6, seed=s) for s, d in enumerate([1024] * 9 + [4096])],
+        [build_mlp_head(6, 2, seed=s) for s in range(N_SOURCES)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scores = score_split(models, ds, ds.splits["clf-train"])
+        del scores
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # each record is decoded when read and dropped after its preprocess:
+    # less than one decoded image outlives the pass
+    assert kept < shape[0] * shape[1] * 8
 
 
 def test_model_set_holds_each_weight_once(tiny_bundle, tmp_path):
