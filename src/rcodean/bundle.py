@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import struct
 import zlib
 from dataclasses import fields
@@ -42,10 +41,11 @@ import numpy as np
 from .classifiers import HEAD_ACTS, Forest, LinearSvm, Tree, assemble_mlp_head, head_dims
 from .errors import CorruptionError, FormatError, VersionError
 from .network import DEFAULT_SKIP_LAYOUT, ENCODER_IDS
-from .pipeline import (BUNDLE_FORMAT_VERSION, N_SOURCES, SOURCE_DIMS, ModelBundle,
-                       PatchWeights, SourceModels, is_number, prefixed)
+from .pipeline import (N_SOURCES, SOURCE_DIMS, ModelBundle, PatchWeights, SourceModels,
+                       is_number, prefixed)
 
 BUNDLE_MAGIC = b"RCBN"
+BUNDLE_FORMAT_VERSION = "2"
 
 
 def _manifest(config: dict) -> dict[str, tuple[int, ...]]:
@@ -96,7 +96,7 @@ def _stored_arrays(bundle: ModelBundle) -> dict[str, np.ndarray]:
 def save_bundle(bundle: ModelBundle, path) -> None:
     arrays = _stored_arrays(bundle)
     header = {
-        "format_version": bundle.version,
+        "format_version": BUNDLE_FORMAT_VERSION,
         "config": bundle.config,
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()],
     }
@@ -266,16 +266,10 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
 
 
 def load_bundle(path) -> ModelBundle:
-    """The bundle saved at ``path``. The file is mapped rather than read:
-    no buffer its size is allocated, and each array is copied once, from
-    the page cache into the bundle. As with any mapped file, truncating
-    it from another process during the load can end this process with
-    SIGBUS; replace a bundle by writing a new file and renaming it."""
+    """The bundle saved at ``path``. The file is read once, and each array
+    is copied once, from the file's bytes into the bundle."""
     with open(path, "rb") as fh:
-        try:
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # empty, or not a mappable file
-            data = fh.read()
+        data = fh.read()
     header, pos = _read_header(path, data)
     config = header["config"]
     arrays = _read_arrays(path, data, header["arrays"], pos, _manifest(config))

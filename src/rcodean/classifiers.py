@@ -2,10 +2,12 @@
 linear SVM, and the per-attribute majority vote that fuses them.
 
 Conventions differ by family on purpose. Heads follow the network code
-and take column-sample matrices (dim, n): a ``Mat`` at ``head_score`` and
-``head_train``, plain ndarrays inside. The forest and SVM follow the
+and take column-sample matrices (dim, n). The forest and SVM follow the
 usual classifier convention of row-sample matrices (n, dim). Labels are
-always (n, k) arrays over {0, 1}, one column per attribute.
+always (n, k) arrays over {0, 1}, one column per attribute. A ``Mat`` is a
+checked value entering the program or a scoring pass, such as
+``head_score``'s input; this module builds none, ``head_train`` checks
+its features once, and everything else is a plain float64 ndarray.
 
 Stage-2 training runs as array programs over independent work. The
 forest grows all k x trees trees in lockstep: every tree keeps its own
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ShapeError, TrainingError
+from .errors import NumericError, ShapeError, TrainingError
 from .layers import (DenseLayer, LayerCache, dense_backward, dense_backward_preact,
                      dense_forward, glorot_uniform)
 from .optimizer import AdamState, adam_step
@@ -101,17 +103,15 @@ def _head_forward(head: MlpHead, x: np.ndarray,
     return caches
 
 
-def head_score(head: MlpHead, code: Mat) -> Mat:
-    """Per-attribute probabilities for one or more code columns."""
-    if code.rows != head.in_dim:
-        raise ShapeError(f"code has {code.rows} rows, head expects {head.in_dim}")
-    return Mat(_head_forward(head, code.a)[-1].output, copy=False)
+def head_score(head: MlpHead, code: Mat) -> np.ndarray:
+    """Per-attribute (k, n) probabilities for a checked (in, n) code."""
+    return stacked_head_score(head, code.a)
 
 
 def stacked_head_score(heads: MlpHead, codes: np.ndarray) -> np.ndarray:
-    """(heads, k, n) probabilities from a head of (heads, out, in) stacked
-    layers and an (heads, l, n) code stack: ``head_score`` for every head
-    at once."""
+    """(k, n) probabilities of one head for (l, n) codes, or (heads, k, n)
+    from a head of (heads, out, in) stacked layers and an (heads, l, n)
+    code stack: the one scoring forward."""
     return _head_forward(heads, codes, keep_preact=False)[-1].output
 
 
@@ -132,13 +132,19 @@ def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray):
     return grads
 
 
-def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
+def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
                seed: int = 0, lr: float = 1e-2) -> MlpHead:
-    """Fit a head on (dim, n) feature columns and (n, k) binary labels."""
+    """Fit a head on (dim, n) float64 feature columns and (n, k) binary
+    labels; the features are checked here, once."""
+    if features.ndim != 2 or min(features.shape) < 1:
+        raise ShapeError(f"features must be a non-empty (dim, n) matrix, "
+                         f"got shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise NumericError("head features contain non-finite entries")
     labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim != 2 or labels.shape[0] != features.cols:
+    if labels.ndim != 2 or labels.shape[0] != features.shape[1]:
         raise ShapeError(
-            f"labels shape {labels.shape} does not match {features.cols} samples")
+            f"labels shape {labels.shape} does not match {features.shape[1]} samples")
     if not _is_binary(labels):
         raise ValueError("labels must be binary")
     k = labels.shape[1]
@@ -146,11 +152,11 @@ def head_train(features: Mat, labels: np.ndarray, epochs: int = 300,
         col = labels[:, a]
         if col.min() == col.max():
             log.warning("attribute %d has a single class in the training set", a)
-    head = build_mlp_head(features.rows, k, seed=seed)
+    head = build_mlp_head(features.shape[0], k, seed=seed)
     y = labels.T
     state = AdamState(lr=lr)
     for _ in range(epochs):
-        grads = _head_grads(head, _head_forward(head, features.a), y)
+        grads = _head_grads(head, _head_forward(head, features), y)
         adam_step(state, head.parameters(), grads)
     return head
 

@@ -206,7 +206,14 @@ def _load_dataset(cfg: RunConfig) -> AttributeDataset:
 # commands
 
 
+def _nonnegative_flag(name: str, value: int) -> None:
+    if value < 0:
+        raise UsageError(f"--{name} must be >= 0, got {value}")
+
+
 def cmd_gen_synth(args) -> int:
+    _nonnegative_flag("n", args.n)
+    _nonnegative_flag("seed", args.seed)
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     ds = gen_synthetic(args.n, args.k, seed=args.seed)
@@ -317,6 +324,7 @@ def cmd_report_weights(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError("gradcheck requires trials >= 1")
+    _nonnegative_flag("seed", args.seed)
     report = gradient_check(seed=args.seed, trials=args.trials)
     print(json.dumps({"command": "gradcheck", "seed": args.seed,
                       "trials": args.trials}, sort_keys=True))
@@ -410,6 +418,10 @@ def main(argv=None) -> int:
         # a path argument that cannot be read or written: missing, a
         # directory, not permitted
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a size flag too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

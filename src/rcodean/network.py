@@ -17,8 +17,10 @@ The cosine term uses true (unsquared) L2 norms, so it is the cosine of
 the angle between input and reconstruction and is invariant to positive
 rescaling of either vector; the Euclidean term is not. Everything here
 supports column-batched inputs: the two data terms are means over the
-sample columns, the regularizer is per-network. The input, the
-reconstruction and the code are ``Mat``s; everything else is an ndarray.
+sample columns, the regularizer is per-network. A ``Mat`` is a checked
+value entering the program or a scoring pass, such as ``encode``'s
+input; this module builds none, and everything it computes and returns
+is a plain float64 ndarray.
 """
 
 from __future__ import annotations
@@ -230,8 +232,8 @@ def assemble_encoder(arrays) -> Encoder:
 
 @dataclass
 class NetForward:
-    reconstruction: Mat
-    code: Mat
+    reconstruction: np.ndarray
+    code: np.ndarray
     caches: dict[str, LayerCache]
 
 
@@ -258,24 +260,24 @@ def _forward_caches(net: RCodeanNet | Encoder, x: np.ndarray, last: str,
     return caches
 
 
-def net_forward(net: RCodeanNet, x: Mat) -> NetForward:
+def net_forward(net: RCodeanNet, x: np.ndarray) -> NetForward:
     """Run the full stack; x columns are samples of normalized pixels."""
-    caches = _forward_caches(net, x.a, "dec3")
-    return NetForward(reconstruction=Mat(caches["dec3"].output, copy=False),
-                      code=Mat(caches["enc3"].output, copy=False), caches=caches)
+    caches = _forward_caches(net, x, "dec3")
+    return NetForward(reconstruction=caches["dec3"].output, code=caches["enc3"].output,
+                      caches=caches)
 
 
-def encode(net: RCodeanNet | Encoder, x: Mat) -> Mat:
+def encode(net: RCodeanNet | Encoder, x: Mat) -> np.ndarray:
     """Learned representation: the third encoder layer's output, including
     any incoming shortcut contributions; ``net`` is a net or the 2-D
-    ``Encoder`` of one."""
-    return Mat(_forward_caches(net, x.a, "enc3")["enc3"].output, copy=False)
+    ``Encoder`` of one, and ``x`` a checked (d, n) input."""
+    return stacked_encode(net, x.a)
 
 
-def stacked_encode(encoders: Encoder, x: np.ndarray) -> np.ndarray:
-    """Codes of an (nets, d, n) input stack through a stacked ``Encoder``,
-    slice s through net s's encoder: ``encode`` for every net at once,
-    relus applied in place."""
+def stacked_encode(encoders: RCodeanNet | Encoder, x: np.ndarray) -> np.ndarray:
+    """Codes of a (d, n) input through one net's encoder, or of an
+    (nets, d, n) input stack through a stacked ``Encoder``, slice s through
+    net s's encoder, relus applied in place: the one scoring forward."""
     return _forward_caches(encoders, x, "enc3", keep_preact=False)["enc3"].output
 
 
@@ -283,7 +285,7 @@ def _encoder_l1(net: RCodeanNet) -> float:
     return float(sum(np.sum(np.abs(net.layer(lid).weight)) for lid in ENCODER_IDS))
 
 
-def codean_loss(net: RCodeanNet, x: Mat, reconstruction: Mat) -> CodeanLoss:
+def codean_loss(net: RCodeanNet, x: np.ndarray, reconstruction: np.ndarray) -> CodeanLoss:
     """Loss terms for a batch and their gradient with respect to the
     reconstruction; euc and cos are means over sample columns.
 
@@ -300,13 +302,13 @@ def codean_loss(net: RCodeanNet, x: Mat, reconstruction: Mat) -> CodeanLoss:
     """
     if x.shape != reconstruction.shape:
         raise ShapeError(f"input {x.shape} and reconstruction {reconstruction.shape} differ")
-    xa, r = x.a, reconstruction.a
-    n = xa.shape[1]
-    diff = r - xa
+    r = reconstruction
+    n = x.shape[1]
+    diff = r - x
     euc_cols = np.einsum("ij,ij->j", diff, diff)
-    xx = np.einsum("ij,ij->j", xa, xa)
+    xx = np.einsum("ij,ij->j", x, x)
     rr = np.einsum("ij,ij->j", r, r)
-    xr = np.einsum("ij,ij->j", xa, r)
+    xr = np.einsum("ij,ij->j", x, r)
     x_norm, r_norm = np.sqrt(xx), np.sqrt(rr)
     ok = (x_norm > NORM_EPS) & (r_norm > NORM_EPS)
     # degenerate columns divide by 1 here and are zeroed below
@@ -322,7 +324,7 @@ def codean_loss(net: RCodeanNet, x: Mat, reconstruction: Mat) -> CodeanLoss:
     grad *= 2.0 * p.alpha / n
     scratch = np.multiply(r, c_r)
     grad += scratch
-    grad -= np.multiply(xa, c_x, out=scratch)
+    grad -= np.multiply(x, c_x, out=scratch)
     euc = float(np.mean(euc_cols))
     cos = float(np.mean(cos_cols))
     reg = _encoder_l1(net)
@@ -331,7 +333,7 @@ def codean_loss(net: RCodeanNet, x: Mat, reconstruction: Mat) -> CodeanLoss:
                       degenerate=bool((~ok).any()))
 
 
-def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache],
+def net_backward(net: RCodeanNet, x: np.ndarray, caches: dict[str, LayerCache],
                  recon_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Gradient of the total loss for every weight, bias, and projection,
     given d(total)/d(reconstruction) (``CodeanLoss.recon_grad``).
@@ -390,7 +392,7 @@ def net_backward(net: RCodeanNet, x: Mat, caches: dict[str, LayerCache],
     return grads
 
 
-def loss_and_grads(net: RCodeanNet, x: Mat) -> tuple[CodeanLoss, dict[str, np.ndarray]]:
+def loss_and_grads(net: RCodeanNet, x: np.ndarray) -> tuple[CodeanLoss, dict[str, np.ndarray]]:
     """Forward pass, loss terms, and full parameter gradient in one call."""
     fwd = net_forward(net, x)
     loss = codean_loss(net, x, fwd.reconstruction)
@@ -415,12 +417,12 @@ class GradCheckReport:
         return max(self.groups, key=lambda g: g.worst_rel)
 
 
-def _total_loss(net: RCodeanNet, x: Mat) -> float:
+def _total_loss(net: RCodeanNet, x: np.ndarray) -> float:
     return codean_loss(net, x, net_forward(net, x).reconstruction).total
 
 
 def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
-                        params: CodeanParams) -> tuple[RCodeanNet, Mat]:
+                        params: CodeanParams) -> tuple[RCodeanNet, np.ndarray]:
     """Rejection-sample a net and input away from non-smooth points.
 
     Central differences are meaningless where a relu pre-activation sits
@@ -429,7 +431,7 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
     """
     while True:
         net = build_rcodean(d, l, params, seed=int(rng.integers(2**31)))
-        x = Mat(rng.uniform(0.05, 1.0, size=(d, 1)), copy=False)
+        x = rng.uniform(0.05, 1.0, size=(d, 1))
         fwd = net_forward(net, x)
         near_kink = any(
             net.layer(lid).act == "relu"
@@ -439,7 +441,7 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
         near_crease = any(
             np.abs(net.layer(lid).weight).min() < 1e-4 for lid in ENCODER_IDS
         )
-        r_norm = float(np.linalg.norm(fwd.reconstruction.a))
+        r_norm = float(np.linalg.norm(fwd.reconstruction))
         if not near_kink and not near_crease and r_norm > 1e-6:
             return net, x
 

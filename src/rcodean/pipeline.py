@@ -88,7 +88,7 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def preprocess(image) -> Mat:
     """Resample a raw grayscale image to 64x64 and scale to [0, 1]."""
-    img = image.a if isinstance(image, Mat) else np.asarray(image, dtype=np.float64)
+    img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise InputError(f"expected a single-channel image, got shape {img.shape}")
     h, w = img.shape
@@ -194,19 +194,21 @@ class EpochStats:
 
 def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
                       seed) -> list[EpochStats]:
-    """Minibatch Adam with plateau decay; epoch 0 records the untrained
-    full-batch loss so relative improvement has a baseline."""
+    """Minibatch Adam with plateau decay on the (d, n) float64 columns
+    ``X``, checked here, once; epoch 0 records the untrained full-batch
+    loss so relative improvement has a baseline."""
     n = X.shape[1]
     if n == 0:
         raise ConfigError("autoencoder training split is empty")
+    if not np.isfinite(X).all():
+        raise NumericError("autoencoder training inputs contain non-finite entries")
     rng = np.random.default_rng(seed)
     state = AdamState(lr=cfg.lr)
     sched = PlateauScheduler(lr=cfg.lr, patience=cfg.patience, min_lr=cfg.min_lr)
     params = net.parameters()
-    x_all = Mat(X, copy=False)
 
     def full_batch_stats(epoch: int) -> EpochStats:
-        loss = codean_loss(net, x_all, net_forward(net, x_all).reconstruction)
+        loss = codean_loss(net, X, net_forward(net, X).reconstruction)
         return EpochStats(epoch, loss.total, loss.euc, loss.cos, loss.reg, state.lr)
 
     history = [full_batch_stats(0)]
@@ -215,8 +217,7 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
         sums = np.zeros(4)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = Mat(np.take(X, idx, axis=1), copy=False)
-            loss, grads = loss_and_grads(net, batch)
+            loss, grads = loss_and_grads(net, np.take(X, idx, axis=1))
             adam_step(state, params, grads)
             sums += np.array([loss.total, loss.euc, loss.cos, loss.reg]) * len(idx)
         total, euc, cos, reg = sums / n
@@ -349,7 +350,7 @@ def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
     """
     patches, face = tessellate_batch(images)
     # the face Mat holds every pixel: the batch's one finiteness check
-    face_code = encode(models.face_encoder, Mat(face, copy=False)).a
+    face_code = encode(models.face_encoder, Mat(face, copy=False))
     del face  # freed before the patch activations exist
     codes = np.concatenate([stacked_encode(models.patch_encoders, patches), face_code[None]])
     del patches
@@ -462,8 +463,6 @@ def build_stage2_features(scores: np.ndarray, weights: PatchWeights) -> np.ndarr
 # ---------------------------------------------------------------------------
 # the trained bundle and end-to-end prediction
 
-BUNDLE_FORMAT_VERSION = "2"
-
 
 @dataclass
 class ModelBundle:
@@ -474,7 +473,6 @@ class ModelBundle:
     stage2_mlp: MlpHead
     forest: Forest
     svm: LinearSvm
-    version: str = BUNDLE_FORMAT_VERSION
 
     @property
     def k(self) -> int:
@@ -496,8 +494,9 @@ def train_full(dataset: AttributeDataset,
     weights = learn_patch_weights(scores, labels_clf,
                                   steps=cfg.weight_steps, lr=cfg.weight_lr)
     feats = build_stage2_features(scores, weights)
-    stage2_mlp = head_train(Mat(feats.T, copy=False), labels_clf, epochs=cfg.head_epochs,
-                            seed=[cfg.seed, 3000], lr=cfg.head_lr)
+    # C-ordered columns: a product's summation order follows the layout
+    stage2_mlp = head_train(np.ascontiguousarray(feats.T), labels_clf,
+                            epochs=cfg.head_epochs, seed=[cfg.seed, 3000], lr=cfg.head_lr)
     forest = forest_train(feats, labels_clf, trees_per_attr=cfg.forest_trees,
                           max_depth=cfg.forest_depth, seed=cfg.seed)
     svm = svm_train(feats, labels_clf, epochs=cfg.svm_epochs,
@@ -513,7 +512,7 @@ def train_full(dataset: AttributeDataset,
 
 def _classifier_probs(bundle: ModelBundle, feats: np.ndarray):
     """(mlp, forest, svm) probability-like outputs for (n, 10k) features."""
-    mlp = head_score(bundle.stage2_mlp, Mat(feats.T, copy=False)).a.T
+    mlp = head_score(bundle.stage2_mlp, Mat(feats.T, copy=False)).T
     forest = forest_predict_proba(bundle.forest, feats)
     svm = _sigmoid(svm_decision(bundle.svm, feats))
     return mlp, forest, svm
@@ -525,11 +524,14 @@ def vote_on_scores(bundle: ModelBundle, scores: np.ndarray):
     bit arrays."""
     feats = build_stage2_features(scores, bundle.patch_weights)
     mlp_p, forest_p, svm_p = _classifier_probs(bundle, feats)
+    conf = (mlp_p + forest_p + svm_p) / 3.0
+    # finite loaded weights can still overflow to a NaN output
+    if not np.isfinite(conf).all():
+        raise NumericError("stage-2 outputs contain non-finite entries")
     mlp_bits = (mlp_p > PROB_THRESHOLD).astype(np.int64)
     forest_bits = (forest_p > PROB_THRESHOLD).astype(np.int64)
     svm_bits = (svm_p > PROB_THRESHOLD).astype(np.int64)
     bits = ensemble_vote(mlp_bits, forest_bits, svm_bits)
-    conf = (mlp_p + forest_p + svm_p) / 3.0
     return bits, conf, {"mlp": mlp_bits, "forest": forest_bits, "svm": svm_bits}
 
 

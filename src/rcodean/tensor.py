@@ -1,13 +1,16 @@
 """Dense float64 matrix type and the entrywise activations.
 
-``Mat`` is the validated 2-D value entering or leaving a model;
-construction checks dimensionality and finiteness. Everything computed
-inside a model is a plain float64 ndarray and is not re-checked: a NaN
-made there is caught when the model's result becomes a ``Mat``, or by
-the optimizer's gradient and epoch-loss checks. In-place arithmetic
-writes only into fresh intermediates that nothing else holds; the only
-sanctioned in-place mutation of a value a caller holds is the
-optimizer's documented parameter update.
+A ``Mat`` is a checked value entering the program or a scoring pass:
+``preprocess``'s result, the face matrix of a scoring batch, and the
+input of ``encode`` and ``head_score``; construction checks
+dimensionality and finiteness. The network and classifier code builds
+none. Everything computed inside a model is a plain float64 ndarray and
+is not re-checked: the trainers check their input once, and a NaN made
+inside is caught by the stage-1 score check or by the optimizer's
+gradient and epoch-loss checks. In-place arithmetic writes only into
+fresh intermediates that nothing else holds; the only sanctioned
+in-place mutation of a value a caller holds is the optimizer's
+documented parameter update.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class Mat:
 
     Wraps a C-contiguous ``np.ndarray`` exposed as ``.a``. Construction
     validates dimensionality and finiteness, so a NaN/Inf is refused where
-    a value enters or leaves a model.
+    a value enters the program or a scoring pass.
     """
 
     __slots__ = ("a",)

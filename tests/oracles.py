@@ -255,8 +255,8 @@ def reference_score_images(models, images: np.ndarray) -> np.ndarray:
     n = images.shape[0]
     out = np.empty((n, N_SOURCES, k))
     for s, (net, head) in enumerate(models):
-        probs = head_score(head, encode(net, Mat(sources[s], copy=False)))
-        out[:, s, :] = probs.a.T
+        probs = head_score(head, Mat(encode(net, Mat(sources[s], copy=False)), copy=False))
+        out[:, s, :] = probs.T
     return out
 
 

@@ -23,7 +23,6 @@ from rcodean.optimizer import PlateauScheduler, scheduler_update
 from rcodean.pipeline import (PipelineConfig, evaluate, learn_patch_weights,
                               predict_batch, preprocess, score_images,
                               train_full, train_stage1, _preprocessed_stack)
-from rcodean.tensor import Mat
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -60,21 +59,20 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_cosine_euclidean_contrast():
     t0 = time.time()
     rng = np.random.default_rng(2)
-    x = Mat(rng.uniform(0.1, 1.0, size=(40, 1)))
+    x = rng.uniform(0.1, 1.0, size=(40, 1))
     for beta in (0.5, 1.0):
         net = build_rcodean(40, 8, CodeanParams(alpha=1.0, beta=beta, lam=0.0), seed=2)
         for c in (0.5, 2.0, 5.0):
-            loss = codean_loss(net, x, Mat(c * x.a))
+            loss = codean_loss(net, x, c * x)
             assert abs(beta * loss.cos - (-beta)) < 1e-10
             assert loss.euc > 0.0
     # same-magnitude perturbed pair: small Euclidean error, nonzero angle
     net = build_rcodean(40, 8, CodeanParams(alpha=1.0, beta=1.0, lam=0.0), seed=3)
     u = rng.normal(size=(40, 1))
-    x_arr = x.a
-    perturbed = x_arr + 0.05 * u
-    perturbed *= np.linalg.norm(x_arr) / np.linalg.norm(perturbed)
-    loss = codean_loss(net, x, Mat(perturbed))
-    x_dot = float(np.vdot(x_arr, x_arr))
+    perturbed = x + 0.05 * u
+    perturbed *= np.linalg.norm(x) / np.linalg.norm(perturbed)
+    loss = codean_loss(net, x, perturbed)
+    x_dot = float(np.vdot(x, x))
     assert loss.euc < 0.02 * x_dot          # Euclidean term is small
     assert loss.cos > -1.0 + 1e-9           # cosine moved away from perfect
     seconds = time.time() - t0
@@ -95,7 +93,7 @@ def test_criterion_03_plain_autoencoder_reduction():
                                     [net.layer(l).bias for l in order])
         for _ in range(5):
             x = rng.uniform(size=(10, 1))
-            loss, grads = loss_and_grads(net, Mat(x))
+            loss, grads = loss_and_grads(net, x)
             ref_loss, gws, gbs = plain.loss_and_grads(x)
             worst = max(worst, abs(loss.total - ref_loss))
             for i, lid in enumerate(order):

@@ -14,7 +14,7 @@ from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, _head_forward, _h
                                  forest_predict_proba, forest_train, head_score,
                                  head_train, svm_decision, svm_train)
 from rcodean.data import gen_synthetic, split_by_counts
-from rcodean.errors import ShapeError, TrainingError
+from rcodean.errors import NumericError, ShapeError, TrainingError
 from rcodean.pipeline import PipelineConfig, train_full
 from rcodean.tensor import Mat
 
@@ -26,7 +26,7 @@ def _separable_codes(n, seed, k=2, dim=8):
     x[:k] = np.where(rng.uniform(size=(k, n)) < 0.5, -1.0, 1.0) * rng.uniform(
         0.5, 1.5, size=(k, n))
     labels = (x[:k] > 0).T.astype(np.int64)
-    return Mat(x), labels
+    return x, labels
 
 
 def test_zero_head_scores_half_everywhere():
@@ -35,28 +35,36 @@ def test_zero_head_scores_half_everywhere():
         arr[:] = 0.0
     rng = np.random.default_rng(0)
     out = head_score(head, Mat(rng.normal(size=(6, 5))))
-    assert np.array_equal(out.a, np.full((3, 5), 0.5))
+    assert np.array_equal(out, np.full((3, 5), 0.5))
 
 
 def test_head_learns_separable_codes():
     codes, labels = _separable_codes(500, seed=1)
     head = head_train(codes, labels, epochs=400, seed=2)
-    probs = head_score(head, codes).a
+    probs = head_score(head, Mat(codes))
     preds = (probs > 0.5).astype(np.int64).T
     assert (preds == labels).mean() >= 0.99
 
 
 def test_head_all_zero_labels():
     rng = np.random.default_rng(3)
-    codes = Mat(rng.normal(size=(6, 120)))
+    codes = rng.normal(size=(6, 120))
     labels = np.zeros((120, 2), dtype=np.int64)
     head = head_train(codes, labels, epochs=200, seed=4)
-    assert (head_score(head, codes).a < 0.5).all()
+    assert (head_score(head, Mat(codes)) < 0.5).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_head_train_refuses_non_finite_features(value):
+    codes, labels = _separable_codes(30, seed=3)
+    codes[4, 11] = value
+    with pytest.raises(NumericError):
+        head_train(codes, labels, epochs=5, seed=4)
 
 
 def test_head_single_class_warns_but_trains(caplog):
     rng = np.random.default_rng(5)
-    codes = Mat(rng.normal(size=(4, 50)))
+    codes = rng.normal(size=(4, 50))
     labels = np.zeros((50, 2), dtype=np.int64)
     labels[:, 1] = rng.integers(0, 2, size=50)
     with caplog.at_level("WARNING", logger="rcodean"):
@@ -74,7 +82,7 @@ def test_head_training_is_deterministic():
 
 def test_head_outputs_are_independent_probabilities():
     head = build_mlp_head(5, 3, seed=9)
-    out = head_score(head, Mat(np.random.default_rng(10).normal(size=(5, 7)))).a
+    out = head_score(head, Mat(np.random.default_rng(10).normal(size=(5, 7))))
     assert ((out > 0.0) & (out < 1.0)).all()
     assert not np.allclose(out.sum(axis=0), 1.0)  # multi-label, no softmax
 
@@ -94,7 +102,7 @@ def test_assemble_from_named_parameters_rebuilds_the_head():
     for (name_a, a), (name_b, b) in zip(head.parameters(), again.parameters()):
         assert name_a == name_b
         assert np.array_equal(a, b)
-    assert np.array_equal(head_score(head, codes).a, head_score(again, codes).a)
+    assert np.array_equal(head_score(head, Mat(codes)), head_score(again, Mat(codes)))
 
 
 def test_head_gradients_match_finite_differences():

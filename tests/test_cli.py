@@ -308,6 +308,22 @@ def test_gradcheck_zero_trials_is_usage_error(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-synth", "--out", "o", "--n", "-1"],
+    ["gen-synth", "--out", "o", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    # numpy refuses these 29 TiB label arrays without allocating them
+    ["train", "--synthetic", "1000000000000", "--k", "4"],
+    ["gen-synth", "--out", "o", "--n", "1000000000000"],
+])
+def test_out_of_range_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # gen-synth makes its --out directory first
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err.splitlines()[-1] and "Traceback" not in err, err
+
+
 def test_invalid_log_level(monkeypatch, capsys):
     monkeypatch.setenv("RCODEAN_LOG", "verbose")
     rc = main(["gradcheck", "--trials", "1"])

@@ -15,7 +15,7 @@ from rcodean.tensor import Mat
 
 
 def _column(values):
-    return Mat(np.reshape(values, (-1, 1)))
+    return np.reshape(np.asarray(values, dtype=np.float64), (-1, 1))
 
 
 def test_forward_zero_parameters_give_zero_reconstruction():
@@ -25,21 +25,21 @@ def test_forward_zero_parameters_give_zero_reconstruction():
     for spec in net.skips:
         if spec.projection is not None:
             spec.projection[:] = 0.0
-    out = net_forward(net, Mat(np.random.default_rng(0).uniform(size=(6, 1))))
-    assert np.count_nonzero(out.reconstruction.a) == 0
-    assert np.count_nonzero(out.code.a) == 0
+    out = net_forward(net, np.random.default_rng(0).uniform(size=(6, 1)))
+    assert np.count_nonzero(out.reconstruction) == 0
+    assert np.count_nonzero(out.code) == 0
 
 
 def test_forward_without_skips_is_plain_stack():
     rng = np.random.default_rng(97)
     net = build_rcodean(7, 5, seed=2, skip_layout=())
     x = rng.uniform(size=(7, 1))
-    out = net_forward(net, Mat(x))
+    out = net_forward(net, x)
     a = x
     for lid in ("enc1", "enc2", "enc3", "dec1", "dec2"):
         a = _relu(net.layer(lid).weight @ a + net.layer(lid).bias)
     a = net.layer("dec3").weight @ a + net.layer("dec3").bias
-    assert np.allclose(out.reconstruction.a, a, rtol=1e-15, atol=0)
+    assert np.allclose(out.reconstruction, a, rtol=1e-15, atol=0)
 
 
 def test_forward_matches_straight_line_oracle():
@@ -47,10 +47,10 @@ def test_forward_matches_straight_line_oracle():
     for seed in range(5):
         net = build_rcodean(12, 8, seed=seed)
         x = rng.uniform(size=(12, 3))
-        out = net_forward(net, Mat(x))
+        out = net_forward(net, x)
         recon, code = straight_line_forward(net, x)
-        assert np.allclose(out.reconstruction.a, recon, rtol=1e-13, atol=0)
-        assert np.allclose(out.code.a, code, rtol=1e-13, atol=0)
+        assert np.allclose(out.reconstruction, recon, rtol=1e-13, atol=0)
+        assert np.allclose(out.code, code, rtol=1e-13, atol=0)
 
 
 def test_default_skip_layout_and_projection():
@@ -76,8 +76,8 @@ def test_skip_validation_errors():
 def test_encode_matches_forward_code():
     rng = np.random.default_rng(103)
     net = build_rcodean(10, 6, seed=5)
-    x = Mat(rng.uniform(size=(10, 2)))
-    assert np.array_equal(encode(net, x).a, net_forward(net, x).code.a)
+    x = rng.uniform(size=(10, 2))
+    assert np.array_equal(encode(net, Mat(x)), net_forward(net, x).code)
 
 
 def test_assemble_from_named_parameters_rebuilds_the_net():
@@ -92,15 +92,15 @@ def test_assemble_from_named_parameters_rebuilds_the_net():
         [name for name, _ in net.parameters()]
     for (_, a), (_, b) in zip(net.parameters(), again.parameters()):
         assert np.array_equal(a, b)
-    x = Mat(rng.uniform(size=(10, 3)))
-    assert np.array_equal(net_forward(net, x).reconstruction.a,
-                          net_forward(again, x).reconstruction.a)
+    x = rng.uniform(size=(10, 3))
+    assert np.array_equal(net_forward(net, x).reconstruction,
+                          net_forward(again, x).reconstruction)
 
 
 def test_input_dimension_check():
     net = build_rcodean(6, 4, seed=6)
     with pytest.raises(ShapeError):
-        net_forward(net, Mat(np.zeros((5, 1))))
+        net_forward(net, np.zeros((5, 1)))
     with pytest.raises(ShapeError):
         encode(net, Mat(np.zeros((7, 1))))
 
@@ -120,7 +120,7 @@ def test_loss_perfect_reconstruction():
 def test_loss_pure_scaling_gives_cosine_minus_one():
     net = build_rcodean(4, 3, CodeanParams(alpha=0.0, beta=1.0, lam=0.0), seed=8)
     x = _column([0.3, 0.8, 0.2, 0.6])
-    loss = codean_loss(net, x, Mat(2.0 * x.a))
+    loss = codean_loss(net, x, 2.0 * x)
     assert loss.cos == pytest.approx(-1.0, abs=1e-12)
     assert loss.euc > 0.0  # magnitude error remains visible to the other term
 
@@ -138,25 +138,25 @@ def test_loss_orthogonal_vectors():
 def test_loss_cosine_scale_invariance():
     rng = np.random.default_rng(107)
     net = build_rcodean(9, 5, CodeanParams(alpha=0.0, beta=1.0, lam=0.0), seed=10)
-    x = Mat(rng.uniform(0.1, 1.0, size=(9, 1)))
-    r = Mat(rng.uniform(0.1, 1.0, size=(9, 1)))
+    x = rng.uniform(0.1, 1.0, size=(9, 1))
+    r = rng.uniform(0.1, 1.0, size=(9, 1))
     base = codean_loss(net, x, r).cos
     for c, cp in [(0.5, 3.0), (2.0, 0.25), (7.0, 7.0)]:
-        scaled = codean_loss(net, Mat(c * x.a), Mat(cp * r.a)).cos
+        scaled = codean_loss(net, c * x, cp * r).cos
         assert abs(scaled - base) < 1e-10
 
 
 def test_loss_euclidean_not_scale_invariant():
     net = build_rcodean(3, 2, seed=11)
     x = _column([0.5, 0.4, 0.3])
-    loss = codean_loss(net, x, Mat(2.0 * x.a))
+    loss = codean_loss(net, x, 2.0 * x)
     assert loss.euc == pytest.approx(0.25 + 0.16 + 0.09)
 
 
 def test_loss_degenerate_reconstruction_skips_cosine():
     net = build_rcodean(3, 2, CodeanParams(alpha=1.0, beta=1.0, lam=0.0), seed=12)
     x = _column([0.5, 0.4, 0.3])
-    loss = codean_loss(net, x, Mat(np.zeros((3, 1))))
+    loss = codean_loss(net, x, np.zeros((3, 1)))
     assert loss.degenerate
     assert loss.cos == 0.0
     assert loss.total == pytest.approx(loss.euc)
@@ -165,7 +165,7 @@ def test_loss_degenerate_reconstruction_skips_cosine():
 def test_loss_requires_matching_shapes():
     net = build_rcodean(3, 2, seed=13)
     with pytest.raises(ShapeError):
-        codean_loss(net, Mat(np.zeros((3, 1))), Mat(np.zeros((3, 2))))
+        codean_loss(net, np.zeros((3, 1)), np.zeros((3, 2)))
 
 
 def test_params_validation():
@@ -186,7 +186,7 @@ def test_backward_mse_mode_matches_plain_autoencoder_oracle():
          ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")])
     for _ in range(10):
         x = rng.uniform(size=(8, 1))
-        loss, grads = loss_and_grads(net, Mat(x))
+        loss, grads = loss_and_grads(net, x)
         ref_loss, gws, gbs = plain.loss_and_grads(x)
         assert abs(loss.total - ref_loss) < 1e-10
         for i, lid in enumerate(("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")):
@@ -200,11 +200,11 @@ def test_backward_perfect_reconstruction_zero_euclidean_gradient():
     # reconstruction to equal x by zeroing everything and feeding zero
     net = build_rcodean(4, 4, CodeanParams(alpha=1.0, beta=0.0, lam=0.0),
                         seed=15, skip_layout=())
-    x = Mat(np.zeros((4, 1)))
+    x = np.zeros((4, 1))
     for name, arr in net.parameters():
         arr[:] = 0.0
     out = net_forward(net, x)
-    assert np.array_equal(out.reconstruction.a, x.a)
+    assert np.array_equal(out.reconstruction, x)
     loss = codean_loss(net, x, out.reconstruction)
     assert np.count_nonzero(loss.recon_grad) == 0
     grads = net_backward(net, x, out.caches, loss.recon_grad)
@@ -220,9 +220,9 @@ def test_batch_gradient_is_mean_of_column_gradients():
         net.layer(lid).bias[:] = rng.uniform(0.05, 0.2, size=net.layer(lid).bias.shape)
     x = rng.uniform(0.05, 1.0, size=(12, 5))
     x[:, 1] = 0.0
-    loss, grads = loss_and_grads(net, Mat(x))
+    loss, grads = loss_and_grads(net, x)
     assert loss.degenerate
-    columns = [loss_and_grads(net, Mat(x[:, j:j + 1]))[1] for j in range(5)]
+    columns = [loss_and_grads(net, x[:, j:j + 1])[1] for j in range(5)]
     for name, g in grads.items():
         mean = sum(col[name] for col in columns) / 5
         assert np.abs(g - mean).max() < 1e-12, name
@@ -256,7 +256,7 @@ def test_loss_decreases_under_adam_for_most_seeds():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         net = build_rcodean(10, 6, seed=seed)
-        x = Mat(rng.uniform(size=(10, 8)))
+        x = rng.uniform(size=(10, 8))
         state = AdamState(lr=1e-3)
         first = loss_and_grads(net, x)[0].total
         for _ in range(50):
@@ -277,7 +277,7 @@ def test_trained_codes_are_brightness_tolerant():
     net = build_rcodean(d, 16, CodeanParams(alpha=1.0, beta=1.0, lam=0.001), seed=16)
     state = AdamState(lr=1e-3)
     for _ in range(150):
-        _, grads = loss_and_grads(net, Mat(base))
+        _, grads = loss_and_grads(net, base)
         adam_step(state, net.parameters(), grads)
 
     def cos(u, v):
@@ -287,10 +287,10 @@ def test_trained_codes_are_brightness_tolerant():
     for i in range(100):
         x = base[:, i]
         c = float(rng.uniform(0.6, 1.4))
-        code_x = encode(net, _column(x)).a.ravel()
-        code_s = encode(net, _column(np.clip(c * x, 0.0, 1.0))).a.ravel()
+        code_x = encode(net, Mat(_column(x))).ravel()
+        code_s = encode(net, Mat(_column(np.clip(c * x, 0.0, 1.0)))).ravel()
         j = (i + 7) % n
-        code_o = encode(net, _column(base[:, j])).a.ravel()
+        code_o = encode(net, Mat(_column(base[:, j]))).ravel()
         scaled_sims.append(cos(code_x, code_s))
         cross_sims.append(cos(code_x, code_o))
     assert np.mean(scaled_sims) > np.mean(cross_sims)

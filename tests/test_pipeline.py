@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from oracles import (per_source_models, reference_bilinear_resize,
                      reference_score_images, reference_tessellate_batch)
 from rcodean.bundle import load_bundle, save_bundle
-from rcodean.classifiers import build_mlp_head
+from rcodean.classifiers import assemble_mlp_head, build_mlp_head
 from rcodean.data import gen_synthetic, load_attr_list, save_gray_image, split_by_counts
 from rcodean.errors import ConfigError, InputError, NumericError, ShapeError
 from rcodean.network import build_rcodean
@@ -16,8 +17,9 @@ from rcodean.pipeline import (IMAGE_SIZE, N_SOURCES, PATCH_OFFSETS, PATCH_SIZE,
                               build_stage2_features, evaluate,
                               learn_patch_weights, predict, predict_batch,
                               preprocess, score_images, score_split, tessellate_batch,
-                              train_full, train_stage1, _bilinear_resize,
-                              _preprocessed_stack, _resize_plan)
+                              train_autoencoder, train_full, train_stage1,
+                              _bilinear_resize, _preprocessed_stack, _resize_plan)
+from rcodean.tensor import Mat
 
 
 def _tiny_cfg(seed=0, jobs=1):
@@ -352,6 +354,15 @@ def test_non_finite_pixel_in_batch_is_numeric_error(tiny_bundle):
             predict_batch(bundle, stack)
 
 
+def test_non_finite_stage2_output_is_numeric_error(tiny_bundle):
+    _, bundle, _ = tiny_bundle
+    arrays = {name: arr.copy() for name, arr in bundle.stage2_mlp.parameters()}
+    arrays["layer0.weight"][:] = 1e308  # finite, but the products overflow
+    broken = dataclasses.replace(bundle, stage2_mlp=assemble_mlp_head(arrays))
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        predict_batch(broken, _probe_stack(2))
+
+
 def test_learn_patch_weights_identical_sources_stay_uniform():
     rng = np.random.default_rng(19)
     base = rng.uniform(0.2, 0.8, size=(300, 1, 2))
@@ -441,6 +452,29 @@ def test_train_stage1_rejects_empty_split():
         "test": np.arange(0)})
     with pytest.raises(ConfigError):
         train_stage1(ds, _tiny_cfg())
+
+
+def test_train_autoencoder_builds_no_mat(monkeypatch):
+    made = []
+    init = Mat.__init__
+
+    def counted(obj, *args, **kwargs):
+        made.append(1)
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(Mat, "__init__", counted)
+    X = np.random.default_rng(43).uniform(size=(12, 40))
+    history = train_autoencoder(build_rcodean(12, 4, seed=43), X, _tiny_cfg(), seed=43)
+    assert len(history) == 3
+    assert made == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_autoencoder_refuses_non_finite_input(value):
+    X = np.random.default_rng(44).uniform(size=(12, 40))
+    X[5, 17] = value
+    with pytest.raises(NumericError):
+        train_autoencoder(build_rcodean(12, 4, seed=44), X, _tiny_cfg(), seed=44)
 
 
 def test_tiny_bundle_structure(tiny_bundle):
