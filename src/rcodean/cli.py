@@ -98,14 +98,8 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_PIPELINE_FLAGS = [
-    ("l", int), ("alpha", float), ("beta", float), ("lam", float),
-    ("lr", float), ("epochs", int), ("batch_size", int), ("patience", int),
-    ("seed", int), ("head_epochs", int), ("head_lr", float),
-    ("weight_steps", int), ("weight_lr", float), ("forest_trees", int),
-    ("forest_depth", int), ("svm_epochs", int), ("svm_reg", float),
-    ("jobs", int),
-]
+# one flag per PipelineConfig field, typed by its default
+_PIPELINE_FLAGS = [(f.name, type(f.default)) for f in dataclasses.fields(PipelineConfig)]
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:

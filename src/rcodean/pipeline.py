@@ -11,9 +11,12 @@ that the MLP, forest, and SVM consume before the final majority vote.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import logging
 import numbers
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -160,7 +163,6 @@ class PipelineConfig:
     forest_depth: int = 8
     svm_epochs: int = 20
     svm_reg: float = 1e-4
-    jobs: int = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -170,7 +172,7 @@ class PipelineConfig:
                                   f"got {value!r}")
         # below these a run crashes, or the forest has no trees to average
         for name, low in (("l", 1), ("batch_size", 1), ("patience", 1), ("seed", 0),
-                          ("forest_trees", 1), ("jobs", 1)):
+                          ("forest_trees", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lr", "svm_reg"):
@@ -246,13 +248,26 @@ def _train_one_source(source: int, X_ae: np.ndarray, labels_ae: np.ndarray,
     return net, head, history
 
 
+def _stage1_workers() -> int:
+    """Threads that train the sources: the usable cores, at most one per
+    source."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, N_SOURCES)
+
+
 def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
-    """Train the ten (autoencoder, head) pairs.
+    """Train the ten (autoencoder, head) pairs, one source per thread on
+    ``_stage1_workers()`` threads.
 
     Autoencoders and their scoring heads both fit the ae-train split (the
     autoencoders unsupervised, the heads on frozen codes against labels),
     keeping the disjoint clf-train split unseen so the downstream patch
     weights and ensemble learn from honest out-of-sample scores.
+    Every source has its own seeds, so the thread count changes no
+    output; the BLAS thread count can (``train_full`` pins it).
     Returns (models, histories): models is the ``SourceModels`` of the
     trained encoders and heads; the decoders go with the nets.
     """
@@ -263,19 +278,42 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     patches, face = tessellate_batch(_preprocessed_stack(dataset, ae_idx))
     sources_ae = [*patches, face]
     labels_ae = dataset.labels[ae_idx]
-
-    def work(s):
-        return _train_one_source(s, sources_ae[s], labels_ae, cfg)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(work, range(N_SOURCES)))
-    else:
-        results = [work(s) for s in range(N_SOURCES)]
+    # the threads allocate from malloc arenas of their own, so the memory
+    # this thread has freed would stay resident beside theirs, unused
+    _release_free_heap()
+    with ThreadPoolExecutor(max_workers=_stage1_workers()) as pool:
+        # the face costs about 4.6 patches a step: submitted last, it
+        # would run alone at the end
+        futures = {s: pool.submit(_train_one_source, s, sources_ae[s], labels_ae, cfg)
+                   for s in (N_SOURCES - 1, *range(N_SOURCES - 1))}
+        results = [futures[s].result() for s in range(N_SOURCES)]
     models = SourceModels.from_nets([net for net, _, _ in results],
                                     [head for _, head, _ in results])
     histories = [h for _, _, h in results]
+    # the nets go, freed into the threads' arenas, which no later
+    # allocation of this thread reuses
+    del futures, results
+    _release_free_heap()
     return models, histories
+
+
+@functools.cache
+def _malloc_trim():
+    """The C library's malloc_trim (glibc), or None where it has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Hand the free pages of every malloc arena back to the system (glibc;
+    elsewhere this does nothing)."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +473,17 @@ def learn_patch_weights(scores: np.ndarray, labels: np.ndarray,
         x = logits[:, :, a]  # (n, 10)
         w = np.full(N_SOURCES, _WEIGHT_INIT)
         b = 0.0
-        for _ in range(steps):
-            z = x @ (w * w) + b
-            gz = (_sigmoid(z) - y) / n
-            w -= lr * (x.T @ gz) * 2.0 * w
-            b -= lr * float(gz.sum())
-        sq = w * w
+        # a diverging fit overflows; it is refused once, after its steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                z = x @ (w * w) + b
+                gz = (_sigmoid(z) - y) / n
+                w -= lr * (x.T @ gz) * 2.0 * w
+                b -= lr * float(gz.sum())
+            sq = w * w
+        if not (np.isfinite(sq).all() and np.isfinite(b)):
+            raise NumericError(f"the patch-weight fit of attribute {a} diverged; "
+                               f"lower weight_lr (got {lr!r})")
         peak = sq.max()
         if peak <= 0.0:
             log.warning("attribute %d learned all-zero weights; using uniform", a)
@@ -483,24 +526,76 @@ class ModelBundle:
         return list(self.config["attribute_names"])
 
 
+# OpenBLAS's thread-count getter and setter, by the names builds export
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy links,
+    or None where none is found. The symbols are looked up through numpy's
+    own extension module, whose dependencies the lookup searches."""
+    try:
+        from numpy._core import _multiarray_umath as ext
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as ext
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS pinned to one thread, the caller's count restored after.
+    A weight gradient summed over the samples adds in another order at two
+    threads, so unpinned a seed's model would depend on the machine; and
+    the stage-1 threads would oversubscribe the cores."""
+    blas = _openblas_threads()
+    if blas is None:
+        log.warning("no OpenBLAS found to pin to one thread: training runs at the "
+                    "BLAS's own thread count, and the model may depend on it")
+        yield
+        return
+    get, set_ = blas
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
 def train_full(dataset: AttributeDataset,
                cfg: PipelineConfig) -> tuple[ModelBundle, list[list[EpochStats]]]:
-    """Run the whole training pipeline; returns the bundle and the ten
-    per-source autoencoder loss histories."""
-    models, histories = train_stage1(dataset, cfg)
-    clf_idx = dataset.splits["clf-train"]
-    labels_clf = dataset.labels[clf_idx]
-    scores = score_split(models, dataset, clf_idx)
-    weights = learn_patch_weights(scores, labels_clf,
-                                  steps=cfg.weight_steps, lr=cfg.weight_lr)
-    feats = build_stage2_features(scores, weights)
-    # C-ordered columns: a product's summation order follows the layout
-    stage2_mlp = head_train(np.ascontiguousarray(feats.T), labels_clf,
-                            epochs=cfg.head_epochs, seed=[cfg.seed, 3000], lr=cfg.head_lr)
-    forest = forest_train(feats, labels_clf, trees_per_attr=cfg.forest_trees,
-                          max_depth=cfg.forest_depth, seed=cfg.seed)
-    svm = svm_train(feats, labels_clf, epochs=cfg.svm_epochs,
-                    reg=cfg.svm_reg, seed=cfg.seed)
+    """Run the whole training pipeline, with OpenBLAS on one thread;
+    returns the bundle and the ten per-source autoencoder loss histories."""
+    with _one_blas_thread():
+        models, histories = train_stage1(dataset, cfg)
+        clf_idx = dataset.splits["clf-train"]
+        labels_clf = dataset.labels[clf_idx]
+        scores = score_split(models, dataset, clf_idx)
+        weights = learn_patch_weights(scores, labels_clf,
+                                      steps=cfg.weight_steps, lr=cfg.weight_lr)
+        feats = build_stage2_features(scores, weights)
+        # C-ordered columns: a product's summation order follows the layout
+        stage2_mlp = head_train(np.ascontiguousarray(feats.T), labels_clf,
+                                epochs=cfg.head_epochs, seed=[cfg.seed, 3000],
+                                lr=cfg.head_lr)
+        forest = forest_train(feats, labels_clf, trees_per_attr=cfg.forest_trees,
+                              max_depth=cfg.forest_depth, seed=cfg.seed)
+        svm = svm_train(feats, labels_clf, epochs=cfg.svm_epochs,
+                        reg=cfg.svm_reg, seed=cfg.seed)
     config = asdict(cfg)
     config.update({"k": dataset.k, "attribute_names": list(dataset.names),
                    "source_dims": list(SOURCE_DIMS),

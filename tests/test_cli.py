@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 from bundle_rewrite import rewrite_bundle, write_version1_bundle
 import rcodean.network
 from fuzzing import FUZZ, time_bound
-from rcodean.cli import main
+from rcodean.cli import build_parser, main
 from rcodean.data import load_attr_list, load_gray_image
+from rcodean.pipeline import PipelineConfig
 
 
 TRAIN_FLAGS = ["--l", "8", "--epochs", "2", "--batch-size", "32",
@@ -176,7 +177,7 @@ def test_eval_refuses_training_settings_in_config_file(run_dir, synth_dir, tmp_p
             "--data", str(synth_dir / "list_attr.txt"),
             "--images", str(synth_dir / "images"), "--out", str(tmp_path / "eval")]
     cfg = tmp_path / "cfg.json"
-    for settings in ({"l": 999, "epochs": 7, "forest_trees": 1, "jobs": 3},
+    for settings in ({"l": 999, "epochs": 7, "forest_trees": 1, "min_lr": 1e-5},
                      {"seed": 5, "lr": 0.5}, {"seed": 5, "sead": 6}):
         cfg.write_text(json.dumps(settings))
         assert main([*args, "--config", str(cfg)]) == 2
@@ -377,6 +378,29 @@ def test_rerun_from_echoed_config_reproduces(tmp_path, synth_dir):
     assert (out1 / "losses.csv").read_bytes() == (out2 / "losses.csv").read_bytes()
 
 
+def test_every_pipeline_setting_has_one_train_flag():
+    parser = build_parser()
+    train = parser._subparsers._group_actions[0].choices["train"]
+    dests = [action.dest for action in train._actions]
+    for f in dataclasses.fields(PipelineConfig):
+        assert dests.count(f.name) == 1, f.name
+
+
+def test_min_lr_flag_reaches_the_run_config(tmp_path):
+    out = tmp_path / "run"
+    rc = main(["train", "--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
+               "--out", str(out), *TRAIN_FLAGS, "--min-lr", "1e-5"])
+    assert rc == 0
+    assert json.loads((out / "config.json").read_text())["pipeline"]["min_lr"] == 1e-5
+
+
+def test_diverging_patch_weight_fit_is_named(tmp_path, capsys):
+    rc = main(["train", "--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
+               "--out", str(tmp_path / "run"), *TRAIN_FLAGS, "--weight-lr", "1e300"])
+    _assert_usage_error(rc, capsys, "patch-weight fit of attribute 0 diverged")
+    assert not (tmp_path / "run" / "model.rcbn").exists()
+
+
 def test_synthetic_training_path(tmp_path):
     out = tmp_path / "synth_run"
     rc = main(["train", "--synthetic", "70", "--k", "2",
@@ -424,7 +448,7 @@ _FREE = {**{name: _mostly(st.integers())
                                  | st.lists(st.integers(0), min_size=3, max_size=3))}
 _SIZED = {"synthetic_n": _count(40), "k": _count(9), "l": _count(4), "epochs": _count(2),
           "head_epochs": _count(5), "weight_steps": _count(5), "forest_trees": _count(2),
-          "svm_epochs": _count(3), "jobs": _count(2)}
+          "svm_epochs": _count(3)}
 _FLAGS = {"synthetic_n": "--synthetic", "split_fractions": "--split-fractions",
           "split_counts": "--split-counts"}
 _UNKNOWN = st.text(min_size=1, max_size=6).filter(

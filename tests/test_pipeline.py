@@ -1,13 +1,15 @@
 import dataclasses
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import (per_source_models, reference_bilinear_resize,
                      reference_score_images, reference_tessellate_batch)
-from rcodean.bundle import load_bundle, save_bundle
+from rcodean import pipeline
+from rcodean.bundle import _stored_arrays, load_bundle, save_bundle
 from rcodean.classifiers import assemble_mlp_head, build_mlp_head
 from rcodean.data import gen_synthetic, load_attr_list, save_gray_image, split_by_counts
 from rcodean.errors import ConfigError, InputError, NumericError, ShapeError
@@ -22,10 +24,10 @@ from rcodean.pipeline import (IMAGE_SIZE, N_SOURCES, PATCH_OFFSETS, PATCH_SIZE,
 from rcodean.tensor import Mat
 
 
-def _tiny_cfg(seed=0, jobs=1):
+def _tiny_cfg(seed=0):
     return PipelineConfig(l=8, epochs=2, batch_size=32, head_epochs=40,
                           weight_steps=80, forest_trees=4, forest_depth=4,
-                          svm_epochs=5, seed=seed, jobs=jobs)
+                          svm_epochs=5, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +398,15 @@ def test_learn_patch_weights_single_class_uniform(caplog):
     assert any("single class" in r.message for r in caplog.records)
 
 
+def test_learn_patch_weights_names_a_diverging_attribute():
+    rng = np.random.default_rng(31)
+    scores = rng.uniform(0.1, 0.9, size=(40, N_SOURCES, 2))
+    labels = np.column_stack([np.ones(40), rng.integers(0, 2, 40)])
+    # attribute 0 has one class and is skipped; attribute 1 diverges
+    with pytest.raises(NumericError, match="attribute 1 diverged"):
+        learn_patch_weights(scores, labels, steps=20, lr=1e300)
+
+
 def test_patch_weights_contract():
     pw_values = np.array([[0.2, 0.4, 1.0, 0.0, 0.5, 0.1, 0.3, 0.9, 0.8, 0.6]])
     pw = PatchWeights(pw_values)
@@ -452,6 +463,23 @@ def test_train_stage1_rejects_empty_split():
         "test": np.arange(0)})
     with pytest.raises(ConfigError):
         train_stage1(ds, _tiny_cfg())
+
+
+def test_train_stage1_trims_the_heap_once_its_nets_are_freed(monkeypatch):
+    nets, dead_at_trim = [], []
+
+    def build(*args, **kwargs):
+        net = build_rcodean(*args, **kwargs)
+        nets.append(weakref.ref(net))
+        return net
+
+    monkeypatch.setattr(pipeline, "build_rcodean", build)
+    monkeypatch.setattr(pipeline, "_malloc_trim",
+                        lambda: lambda pad: dead_at_trim.append([r() is None for r in nets]))
+    ds = gen_synthetic(60, 2, seed=41, splits=split_by_counts((30, 20, 10)))
+    train_stage1(ds, _tiny_cfg())
+    # once before the threads start, once after every net is gone
+    assert dead_at_trim == [[], [True] * N_SOURCES]
 
 
 def test_train_autoencoder_builds_no_mat(monkeypatch):
@@ -520,19 +548,44 @@ def test_scores_bounded_open_interval(tiny_bundle):
     assert ((scores > 0.0) & (scores < 1.0)).all()
 
 
-def test_pipeline_deterministic_and_parallel_equivalent():
+def test_pipeline_deterministic_and_parallel_equivalent(monkeypatch):
+    # every array and loss history is the same at any stage-1 thread count,
+    # and with the caller's BLAS on one thread or on two
     ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
-    b1, h1 = train_full(ds, _tiny_cfg(seed=7))
-    b2, h2 = train_full(ds, _tiny_cfg(seed=7))
-    b3, _ = train_full(ds, _tiny_cfg(seed=7, jobs=4))
-    imgs = np.stack([preprocess(ds.image(int(i))).a for i in ds.splits["test"]])
-    p1 = predict_batch(b1, imgs)[0]
-    p2 = predict_batch(b2, imgs)[0]
-    p3 = predict_batch(b3, imgs)[0]
-    assert np.array_equal(p1, p2)
-    assert np.array_equal(p1, p3)
-    for e1, e2 in zip(h1[0], h2[0]):
-        assert e1.total == e2.total
+    blas = pipeline._openblas_threads()
+    caller = blas[0]() if blas else None
+    runs = []
+    try:
+        for blas_threads in (1, 2):
+            if blas:
+                blas[1](blas_threads)
+            for workers in (1, 2, 10):
+                monkeypatch.setattr(pipeline, "_stage1_workers", lambda: workers)
+                bundle, histories = train_full(ds, _tiny_cfg(seed=7))
+                if blas:  # the caller's count is back
+                    assert blas[0]() == blas_threads
+                runs.append((bundle.config, _stored_arrays(bundle), histories))
+    finally:
+        if blas:
+            blas[1](caller)
+    config, arrays, histories = runs[0]
+    assert len(histories) == N_SOURCES
+    for other_config, other_arrays, other_histories in runs[1:]:
+        assert other_config == config
+        assert list(other_arrays) == list(arrays)
+        for name, arr in arrays.items():
+            assert np.array_equal(other_arrays[name], arr), name
+        assert other_histories == histories
+
+
+def test_train_full_without_openblas_warns_once(monkeypatch, caplog):
+    monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+    ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
+    with caplog.at_level(logging.WARNING, logger="rcodean"):
+        bundle, _ = train_full(ds, _tiny_cfg(seed=7))
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and "OpenBLAS" in warnings[0].getMessage()
+    assert bundle.patch_weights.values.shape == (2, N_SOURCES)
 
 
 def test_overlapping_source_scores_high_on_planted_attribute(medium_bundle):
