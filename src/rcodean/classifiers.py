@@ -9,6 +9,12 @@ checked value entering the program or a scoring pass, such as
 ``head_score``'s input; this module builds none, ``head_train`` checks
 its features once, and everything else is a plain float64 ndarray.
 
+``head_train`` keeps a head's six arrays as views into one flat buffer
+and writes their gradients into views of another, so each epoch ends in
+one finiteness check and one ``adam_step`` over that one pair, with the
+values six per-array steps give. Its many small numpy calls are why the
+stage-1 threads train their heads one at a time.
+
 Stage-2 training runs as array programs over independent work. The
 forest grows all k x trees trees in lockstep: every tree keeps its own
 depth-first stack, bootstrap, candidate draws and node numbering, and
@@ -115,27 +121,40 @@ def stacked_head_score(heads: MlpHead, codes: np.ndarray) -> np.ndarray:
     return _head_forward(heads, codes, keep_preact=False)[-1].output
 
 
-def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray):
-    """Gradients of the mean binary cross-entropy, from a forward pass.
+def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray,
+                grads: dict[str, np.ndarray]) -> None:
+    """Write the gradients of the mean binary cross-entropy, from a forward
+    pass, into ``grads``, arrays named as ``head.parameters()`` names them.
 
     The output layer is differentiated at its pre-activation, where the
     sigmoid + cross-entropy gradient collapses to (p - y) / n and stays
     finite even at saturated probabilities.
     """
+    def out(i):
+        return grads[f"layer{i}.weight"], grads[f"layer{i}.bias"]
+
     probs = caches[-1].output
-    grads: dict[str, np.ndarray] = {}
-    upstream, grads["layer2.weight"], grads["layer2.bias"], _ = dense_backward_preact(
-        head.layers[2], caches[2], (probs - y) / probs.shape[1])
+    upstream = dense_backward_preact(head.layers[2], caches[2],
+                                     (probs - y) / probs.shape[1], out=out(2))[0]
     for i in (1, 0):
-        upstream, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"], _ = dense_backward(
-            head.layers[i], caches[i], upstream, input_grad=i > 0)
-    return grads
+        upstream = dense_backward(head.layers[i], caches[i], upstream,
+                                  input_grad=i > 0, out=out(i))[0]
+
+
+def _flat_views(arrays: list[tuple[str, np.ndarray]], flat: np.ndarray) -> dict:
+    """Views into ``flat``, one after another, shaped and named as ``arrays``."""
+    views, start = {}, 0
+    for name, arr in arrays:
+        views[name] = flat[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
 
 
 def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
                seed: int = 0, lr: float = 1e-2) -> MlpHead:
     """Fit a head on (dim, n) float64 feature columns and (n, k) binary
-    labels; the features are checked here, once."""
+    labels; the features are checked here, once. The returned head's
+    arrays are views into one flat buffer (see the module docstring)."""
     if features.ndim != 2 or min(features.shape) < 1:
         raise ShapeError(f"features must be a non-empty (dim, n) matrix, "
                          f"got shape {features.shape}")
@@ -152,12 +171,16 @@ def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
         col = labels[:, a]
         if col.min() == col.max():
             log.warning("attribute %d has a single class in the training set", a)
-    head = build_mlp_head(features.shape[0], k, seed=seed)
-    y = labels.T
+    drawn = build_mlp_head(features.shape[0], k, seed=seed).parameters()
+    flat = np.concatenate([arr.ravel() for _, arr in drawn])
+    flat_grad = np.empty_like(flat)
+    head = assemble_mlp_head(_flat_views(drawn, flat))
+    grads = _flat_views(drawn, flat_grad)
+    y = np.ascontiguousarray(labels.T)
     state = AdamState(lr=lr)
     for _ in range(epochs):
-        grads = _head_grads(head, _head_forward(head, features), y)
-        adam_step(state, head.parameters(), grads)
+        _head_grads(head, _head_forward(head, features), y, grads)
+        adam_step(state, [("head", flat)], {"head": flat_grad})
     return head
 
 

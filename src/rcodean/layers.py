@@ -90,7 +90,7 @@ def dense_forward(layer: DenseLayer, x: np.ndarray,
 
 
 def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,
-                   input_grad: bool = True) -> tuple[np.ndarray | None, ...]:
+                   input_grad: bool = True, out=None) -> tuple[np.ndarray | None, ...]:
     """Chain rule through one relu or linear layer.
 
     delta = grad_out * act'(z): grad_out itself for a linear layer, and
@@ -99,8 +99,10 @@ def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,
     grad_skip); grad_bias sums delta over sample columns, and grad_skip
     is delta itself since the skip enters the pre-activation additively.
     grad_in is None when ``input_grad`` is false (a first layer, whose
-    input gradient nothing reads). Any other layer is differentiated at
-    its pre-activation with ``dense_backward_preact``.
+    input gradient nothing reads). ``out``, a (weight, bias) pair of
+    arrays, receives grad_weight and grad_bias in place of new arrays. Any
+    other layer is differentiated at its pre-activation with
+    ``dense_backward_preact``.
     """
     if grad_out.shape != cache.output.shape:
         raise ShapeError(
@@ -115,26 +117,28 @@ def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,
         raise ValueError(f"layer {layer.name}: dense_backward differentiates relu and "
                          f"linear layers; pass the gradient at a {layer.act} layer's "
                          f"pre-activation to dense_backward_preact")
-    return _grads_from_delta(layer, cache, delta, input_grad)
+    return _grads_from_delta(layer, cache, delta, input_grad, out)
 
 
 def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
-                          delta: np.ndarray) -> tuple[np.ndarray, ...]:
+                          delta: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
     """Backward step given the gradient at the pre-activation directly.
 
     Used where the loss-activation pair has a simplified combined gradient
     (sigmoid output with cross-entropy), avoiding a 0/0 at saturation.
+    ``out`` is as for ``dense_backward``.
     """
     if delta.shape != cache.pre_activation.shape:
         raise ShapeError(
             f"layer {layer.name}: delta shape {delta.shape} does not match "
             f"pre-activation shape {cache.pre_activation.shape}"
         )
-    return _grads_from_delta(layer, cache, delta)
+    return _grads_from_delta(layer, cache, delta, out=out)
 
 
-def _grads_from_delta(layer, cache, delta, input_grad=True):
-    grad_weight = delta @ cache.input.T
-    grad_bias = delta.sum(axis=1, keepdims=True)
+def _grads_from_delta(layer, cache, delta, input_grad=True, out=None):
+    grad_weight, grad_bias = (None, None) if out is None else out
+    grad_weight = np.matmul(delta, cache.input.T, out=grad_weight)
+    grad_bias = np.sum(delta, axis=1, keepdims=True, out=grad_bias)
     grad_in = layer.weight.T @ delta if input_grad else None
     return grad_in, grad_weight, grad_bias, delta

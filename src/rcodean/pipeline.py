@@ -18,6 +18,7 @@ import logging
 import numbers
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -170,12 +171,15 @@ class PipelineConfig:
             if not is_number(value, integral=isinstance(f.default, int)):
                 raise ConfigError(f"{f.name} must be a finite {type(f.default).__name__}, "
                                   f"got {value!r}")
-        # below these a run crashes, or the forest has no trees to average
+        # below these a run crashes, trains a part not at all, or (at a
+        # negative rate) trains it in the wrong direction
         for name, low in (("l", 1), ("batch_size", 1), ("patience", 1), ("seed", 0),
-                          ("forest_trees", 1)):
+                          ("epochs", 1), ("head_epochs", 1), ("weight_steps", 1),
+                          ("forest_trees", 1), ("forest_depth", 1), ("svm_epochs", 1),
+                          ("min_lr", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("lr", "svm_reg"):
+        for name in ("lr", "head_lr", "weight_lr", "svm_reg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         self.codean_params()  # checks alpha, beta and lam
@@ -236,13 +240,18 @@ def _preprocessed_stack(dataset: AttributeDataset, indices: np.ndarray) -> np.nd
 
 
 def _train_one_source(source: int, X_ae: np.ndarray, labels_ae: np.ndarray,
-                      cfg: PipelineConfig):
+                      cfg: PipelineConfig, head_lock: threading.Lock):
+    """One source's autoencoder, then its head while holding ``head_lock``:
+    a head makes many small numpy calls, and two at once would hand the
+    GIL back and forth at each, where one overlaps the other threads'
+    autoencoders."""
     net = build_rcodean(SOURCE_DIMS[source], cfg.l, cfg.codean_params(),
                         seed=[cfg.seed, source])
     history = train_autoencoder(net, X_ae, cfg, seed=[cfg.seed, 1000 + source])
     codes = encode(net, Mat(X_ae, copy=False))
-    head = head_train(codes, labels_ae, epochs=cfg.head_epochs,
-                      seed=[cfg.seed, 2000 + source], lr=cfg.head_lr)
+    with head_lock:
+        head = head_train(codes, labels_ae, epochs=cfg.head_epochs,
+                          seed=[cfg.seed, 2000 + source], lr=cfg.head_lr)
     log.info("source %d trained: loss %.5f -> %.5f", source,
              history[0].total, history[-1].total)
     return net, head, history
@@ -260,7 +269,7 @@ def _stage1_workers() -> int:
 
 def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     """Train the ten (autoencoder, head) pairs, one source per thread on
-    ``_stage1_workers()`` threads.
+    ``_stage1_workers()`` threads, one head at a time.
 
     Autoencoders and their scoring heads both fit the ae-train split (the
     autoencoders unsupervised, the heads on frozen codes against labels),
@@ -281,10 +290,12 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     # the threads allocate from malloc arenas of their own, so the memory
     # this thread has freed would stay resident beside theirs, unused
     _release_free_heap()
+    head_lock = threading.Lock()
     with ThreadPoolExecutor(max_workers=_stage1_workers()) as pool:
         # the face costs about 4.6 patches a step: submitted last, it
         # would run alone at the end
-        futures = {s: pool.submit(_train_one_source, s, sources_ae[s], labels_ae, cfg)
+        futures = {s: pool.submit(_train_one_source, s, sources_ae[s], labels_ae, cfg,
+                                  head_lock)
                    for s in (N_SOURCES - 1, *range(N_SOURCES - 1))}
         results = [futures[s].result() for s in range(N_SOURCES)]
     models = SourceModels.from_nets([net for net, _, _ in results],

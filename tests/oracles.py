@@ -8,11 +8,12 @@ must match bit for bit; each says so.
 
 import numpy as np
 
-from rcodean.classifiers import MlpHead, head_score
+from rcodean.classifiers import MlpHead, _head_forward, build_mlp_head, head_score
 from rcodean.data import (ILLUM_SIGMA, _NOISE_SIGMA, _apply_primitive,
                           _illumination_fields)
 from rcodean.layers import DenseLayer
 from rcodean.network import Encoder, encode
+from rcodean.optimizer import AdamState, adam_step
 from rcodean.tensor import Mat
 
 
@@ -282,3 +283,27 @@ def reference_gen_synthetic(n: int, k: int, seed: int = 0):
     images += rng.normal(scale=_NOISE_SIGMA, size=images.shape)
     np.clip(images, 0.0, 255.0, out=images)
     return images, labels
+
+
+
+def reference_head_train(features, labels, epochs=300, seed=0, lr=1e-2):
+    """A kept copy of the earlier package ``head_train`` loop, which the
+    flat-buffer version must match bit for bit: every epoch, fresh
+    gradients of the six named head arrays, each its own array, through
+    ``adam_step``."""
+    labels = np.asarray(labels, dtype=np.float64)
+    head = build_mlp_head(features.shape[0], labels.shape[1], seed=seed)
+    y = labels.T
+    state = AdamState(lr=lr)
+    for _ in range(epochs):
+        caches = _head_forward(head, features)
+        probs = caches[-1].output
+        delta = (probs - y) / probs.shape[1]
+        grads = {}
+        for i in (2, 1, 0):
+            grads[f"layer{i}.weight"] = delta @ caches[i].input.T
+            grads[f"layer{i}.bias"] = delta.sum(axis=1, keepdims=True)
+            if i > 0:
+                delta = (head.layers[i].weight.T @ delta) * (caches[i - 1].pre_activation > 0)
+        adam_step(state, head.parameters(), grads)
+    return head

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bundle_rewrite import replace_tree, rewrite_bundle
-from oracles import reference_forest, reference_svm
+from oracles import reference_forest, reference_head_train, reference_svm
 from rcodean import classifiers
 from rcodean.bundle import load_bundle, save_bundle
 from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, _head_forward, _head_grads,
@@ -15,6 +15,7 @@ from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, _head_forward, _h
                                  head_train, svm_decision, svm_train)
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import NumericError, ShapeError, TrainingError
+from rcodean.optimizer import adam_step
 from rcodean.pipeline import PipelineConfig, train_full
 from rcodean.tensor import Mat
 
@@ -72,6 +73,50 @@ def test_head_single_class_warns_but_trains(caplog):
     assert any("single class" in r.message for r in caplog.records)
 
 
+def _single_class_codes():
+    codes, labels = _separable_codes(300, seed=21, k=3, dim=64)
+    labels[:, 1] = 1
+    return codes, labels
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _separable_codes(200, seed=17, k=4, dim=64),
+    lambda: _separable_codes(1000, seed=18, k=4, dim=64),
+    lambda: _separable_codes(2000, seed=19, k=8, dim=80),
+    lambda: _separable_codes(1, seed=20, k=4, dim=64),
+    _single_class_codes,
+], ids=["64x200k4", "64x1000k4", "80x2000k8", "n1", "single-class"])
+def test_flat_head_training_equals_the_per_array_loop_bitwise(make):
+    codes, labels = make()
+    head = head_train(codes, labels, seed=[5, 2003])
+    ref = reference_head_train(codes, labels, seed=[5, 2003])
+    assert [name for name, _ in head.parameters()] == [name for name, _ in ref.parameters()]
+    for (name, arr), (_, expected) in zip(head.parameters(), ref.parameters()):
+        assert np.array_equal(arr, expected), name
+
+
+def test_non_finite_head_gradient_stops_training_before_any_update(monkeypatch):
+    # finite features this large overflow the forward pass, and with it
+    # the first gradient (at 1e200 every gradient stays finite)
+    codes, labels = _separable_codes(40, seed=22)
+    codes = np.where(codes > 0, 1e308, -1e308)
+    steps = []
+
+    def spy(state, params, grads):
+        before = [arr.copy() for _, arr in params]
+        try:
+            adam_step(state, params, grads)
+        finally:
+            steps.append((state.t, all(np.array_equal(b, arr)
+                                       for b, (_, arr) in zip(before, params))))
+
+    monkeypatch.setattr(classifiers, "adam_step", spy)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingError, match="non-finite gradient"):
+        head_train(codes, labels, epochs=5, seed=23)
+    assert steps == [(0, True)]
+
+
 def test_head_training_is_deterministic():
     codes, labels = _separable_codes(100, seed=7)
     h1 = head_train(codes, labels, epochs=50, seed=8)
@@ -127,7 +172,8 @@ def test_head_gradients_match_finite_differences():
         p = _head_forward(head, x)[-1].output
         return float(-np.mean(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p), axis=0)))
 
-    grads = _head_grads(head, _head_forward(head, x), y)
+    grads = {name: np.empty_like(arr) for name, arr in head.parameters()}
+    _head_grads(head, _head_forward(head, x), y, grads)
     for name, arr in head.parameters():
         flat = arr.reshape(-1)
         g = grads[name].reshape(-1)

@@ -401,6 +401,20 @@ def test_diverging_patch_weight_fit_is_named(tmp_path, capsys):
     assert not (tmp_path / "run" / "model.rcbn").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--epochs", "-2"), ("--epochs", "0"), ("--head-epochs", "-5"), ("--weight-steps", "-1"),
+    ("--svm-epochs", "-3"), ("--forest-depth", "-1"), ("--head-lr", "-1"),
+    ("--head-lr", "0"), ("--weight-lr", "0"), ("--min-lr", "-1e-06")])
+def test_settings_that_would_train_nothing_are_refused(flag, value, tmp_path, capsys):
+    # each trained a part not at all, or the wrong way, and exited 0 or
+    # blamed another setting
+    rc = main(["train", "--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
+               "--out", str(tmp_path / "run"), *TRAIN_FLAGS, f"{flag}={value}"])
+    name = flag[2:].replace("-", "_")
+    _assert_usage_error(rc, capsys, f"{name} must be")
+    assert not (tmp_path / "run" / "model.rcbn").exists()
+
+
 def test_synthetic_training_path(tmp_path):
     out = tmp_path / "synth_run"
     rc = main(["train", "--synthetic", "70", "--k", "2",

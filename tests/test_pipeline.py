@@ -1,5 +1,8 @@
 import dataclasses
 import logging
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -576,6 +579,45 @@ def test_pipeline_deterministic_and_parallel_equivalent(monkeypatch):
         for name, arr in arrays.items():
             assert np.array_equal(other_arrays[name], arr), name
         assert other_histories == histories
+
+
+def test_stage1_heads_never_train_two_at_once(monkeypatch):
+    # a head's many small numpy calls hand the GIL back and forth when two
+    # train together, so the stage-1 threads take turns at their heads
+    ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
+    cfg = dataclasses.replace(_tiny_cfg(seed=7), epochs=1)
+    unspied, _ = train_full(ds, cfg)
+    head_train = pipeline.head_train
+    for workers in (2, 10):
+        guard = threading.Lock()
+        running, most = [0], [0]
+
+        def spy(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():  # the stage-2 MLP
+                return head_train(*args, **kwargs)
+            with guard:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.02)  # a window for another head to enter
+                return head_train(*args, **kwargs)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        monkeypatch.setattr(pipeline, "_stage1_workers", lambda: workers)
+        monkeypatch.setattr(pipeline, "head_train", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # threads swap often, so a race would show
+        try:
+            bundle, _ = train_full(ds, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1, workers
+        arrays, expected = _stored_arrays(bundle), _stored_arrays(unspied)
+        assert list(arrays) == list(expected)
+        for name, arr in expected.items():
+            assert np.array_equal(arrays[name], arr), name
 
 
 def test_train_full_without_openblas_warns_once(monkeypatch, caplog):
