@@ -12,9 +12,9 @@ from .errors import (ConfigError, CorruptionError, FormatError, InputError,
                      NumericError, ParseError, RCodeanError, ShapeError,
                      TrainingError, UsageError, VersionError)
 from .layers import DenseLayer, LayerCache, dense_backward, dense_forward
-from .network import (CodeanParams, RCodeanNet, SkipSpec, build_rcodean,
-                      codean_loss, encode, gradient_check, loss_and_grads,
-                      net_backward, net_forward)
+from .network import (CodeanParams, RCodeanNet, build_rcodean, codean_loss,
+                      encode, gradient_check, loss_and_grads, net_backward,
+                      net_forward)
 from .optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
 from .pipeline import (EvalReport, ModelBundle, PatchWeights, PipelineConfig,
                        build_stage2_features, evaluate, learn_patch_weights,

@@ -78,9 +78,8 @@ def _stored_arrays(bundle: ModelBundle) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for prefix, encoder in (("patch_encoders", models.patch_encoders),
                             ("face_encoder", models.face_encoder)):
-        for lid, layer in zip(ENCODER_IDS, encoder.encoder):
-            arrays[f"{prefix}.{lid}.weight"] = layer.weight
-            arrays[f"{prefix}.{lid}.bias"] = layer.bias
+        for name, arr in encoder.parameters():
+            arrays[f"{prefix}.{name}"] = arr
     arrays["patch_weights"] = bundle.patch_weights.values
     for prefix, head in (("heads", models.heads), ("stage2_mlp", bundle.stage2_mlp)):
         for name, arr in head.parameters():
@@ -261,8 +260,7 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
         config=config, sources=SourceModels.from_arrays(owned),
         patch_weights=PatchWeights(owned["patch_weights"]),
         stage2_mlp=assemble_mlp_head(prefixed(owned, "stage2_mlp")), forest=forest,
-        svm=LinearSvm(weights=owned["svm.weights"], biases=owned["svm.biases"],
-                      reg=float(config["svm_reg"])))
+        svm=LinearSvm(weights=owned["svm.weights"], biases=owned["svm.biases"]))
 
 
 def load_bundle(path) -> ModelBundle:

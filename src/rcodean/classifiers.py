@@ -504,7 +504,6 @@ def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:
 class LinearSvm:
     weights: np.ndarray  # (k, n_features)
     biases: np.ndarray   # (k,)
-    reg: float
 
 
 def svm_train(features: np.ndarray, labels: np.ndarray, epochs: int = 20,
@@ -541,7 +540,7 @@ def svm_train(features: np.ndarray, labels: np.ndarray, epochs: int = 20,
             margin = y * (w[:, None, :] @ rows[:, :, None])[:, 0, 0]
             w *= (1.0 - eta * reg)
             np.add(w, (eta * y)[:, None] * rows, out=w, where=(margin < 1.0)[:, None])
-    return LinearSvm(weights=w[:, :-1].copy(), biases=w[:, -1].copy(), reg=reg)
+    return LinearSvm(weights=w[:, :-1].copy(), biases=w[:, -1].copy())
 
 
 def svm_decision(svm: LinearSvm, features: np.ndarray) -> np.ndarray:

@@ -7,6 +7,12 @@ to the pre-activation of a later layer. Cross shortcuts stay within one
 half of the stack or bridge into the next; symmetric shortcuts pair
 encoder layer i with its mirror decoder layer.
 
+``RCodeanNet`` is the one autoencoder type. Training builds all six
+layers with ``build_rcodean``; a trained model keeps an ``RCodeanNet`` of
+the three encoder layers only, one net's or several nets' stacked, which
+``assemble_rcodean`` builds from the stored arrays. Both run the same
+forward code, through the shortcuts that end at the layers they hold.
+
 The training objective for input x with reconstruction r is
 
     total = alpha * ||x - r||^2
@@ -26,7 +32,6 @@ is a plain float64 ndarray.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -52,26 +57,6 @@ DEFAULT_SKIP_LAYOUT = (
 )
 
 NORM_EPS = 1e-12  # below this vector norm the cosine term is skipped
-
-
-@dataclass
-class SkipSpec:
-    src: str
-    dst: str
-    kind: str  # "cross" or "symmetric"
-    projection: np.ndarray | None = None
-
-    @property
-    def name(self) -> str:
-        return f"{self.src}->{self.dst}"
-
-    def __post_init__(self):
-        if self.src not in LAYER_ORDER or self.dst not in LAYER_ORDER:
-            raise ConfigError(f"skip {self.name}: unknown layer id")
-        if LAYER_ORDER.index(self.src) >= LAYER_ORDER.index(self.dst):
-            raise ConfigError(f"skip {self.name}: source must precede destination")
-        if self.kind not in ("cross", "symmetric"):
-            raise ConfigError(f"skip {self.name}: kind must be cross or symmetric")
 
 
 @dataclass
@@ -102,81 +87,53 @@ class CodeanLoss:
 
 @dataclass
 class RCodeanNet:
-    """The six layers and their shortcuts, as training uses them; a
-    trained model keeps only its ``Encoder``. ``incoming`` maps each layer
+    """The autoencoder: its layers by id, all six while training and the
+    three encoder layers in a stored encoder; its shortcuts as (src, dst,
+    kind) triples, ``DEFAULT_SKIP_LAYOUT`` or none; the projections of the
+    shortcuts that bridge two widths, by ``"src->dst"``; and its loss
+    weights. A stored encoder's layers are one net's (out, in) arrays, or
+    same-shaped nets' arrays stacked as (nets, out, in), run through the
+    nets' own forward code, slice s as net s. ``incoming`` maps each layer
     id to the shortcuts that end at it, in ``skips`` order; it is derived
     once here, so replace ``skips`` by building a new net."""
-    encoder: list[DenseLayer]
-    decoder: list[DenseLayer]
-    skips: list[SkipSpec]
+    layers: dict[str, DenseLayer]
+    skips: tuple[tuple[str, str, str], ...]
+    projections: dict[str, np.ndarray] = field(default_factory=dict)
     params: CodeanParams = field(default_factory=CodeanParams)
-    incoming: dict[str, list[SkipSpec]] = field(init=False, repr=False, compare=False)
+    incoming: dict[str, list[tuple[str, str, str]]] = field(init=False, repr=False,
+                                                           compare=False)
 
     def __post_init__(self):
-        if len(self.encoder) != 3 or len(self.decoder) != 3:
-            raise ConfigError("network requires exactly 3 encoder and 3 decoder layers")
-        l = self.encoder[0].out_dim
-        hidden = [self.encoder[1], self.encoder[2], self.decoder[0], self.decoder[1]]
-        if any(layer.out_dim != l for layer in hidden):
-            raise ConfigError("hidden layers must have one common dimension")
-        if self.decoder[2].out_dim != self.encoder[0].in_dim:
-            raise ConfigError("decoder output dimension must equal input dimension")
-        for spec in self.skips:
-            src_dim = self.layer(spec.src).out_dim
-            dst_dim = self.layer(spec.dst).out_dim
-            if src_dim == dst_dim:
-                if spec.projection is not None:
-                    raise ConfigError(
-                        f"skip {spec.name}: projection present but dimensions match"
-                    )
-            else:
-                if spec.projection is None:
-                    raise ConfigError(
-                        f"skip {spec.name}: dimensions {src_dim}->{dst_dim} require a projection"
-                    )
-                if spec.projection.shape != (dst_dim, src_dim):
-                    raise ConfigError(
-                        f"skip {spec.name}: projection shape {spec.projection.shape} "
-                        f"should be ({dst_dim}, {src_dim})"
-                    )
-        self.incoming = {lid: [spec for spec in self.skips if spec.dst == lid]
-                         for lid in LAYER_ORDER}
+        self.incoming = {lid: [(src, dst, kind) for src, dst, kind in self.skips if dst == lid]
+                         for lid in self.layers}
 
     @property
     def input_dim(self) -> int:
-        return self.encoder[0].in_dim
-
-    @property
-    def code_dim(self) -> int:
-        return self.encoder[2].out_dim
-
-    def layer(self, layer_id: str) -> DenseLayer:
-        idx = LAYER_ORDER.index(layer_id)
-        return self.encoder[idx] if idx < 3 else self.decoder[idx - 3]
+        return self.layers["enc1"].in_dim
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """Named references to every trainable array, in a fixed order."""
         out = []
-        for lid in LAYER_ORDER:
-            layer = self.layer(lid)
+        for lid, layer in self.layers.items():
             out.append((f"{lid}.weight", layer.weight))
             out.append((f"{lid}.bias", layer.bias))
-        for spec in self.skips:
-            if spec.projection is not None:
-                out.append((f"skip.{spec.name}.projection", spec.projection))
+        for name, projection in self.projections.items():
+            out.append((f"skip.{name}.projection", projection))
         return out
 
 
 def assemble_rcodean(arrays, skip_layout, params: CodeanParams) -> RCodeanNet:
     """Build a net around the arrays named as ``RCodeanNet.parameters()``
-    names them. The arrays are used as they are, not copied; a shortcut
-    gets a projection exactly when its array is present."""
-    layers = [DenseLayer(arrays[f"{lid}.weight"], arrays[f"{lid}.bias"], LAYER_ACTS[lid],
-                         name=lid)
-              for lid in LAYER_ORDER]
-    skips = [SkipSpec(src, dst, kind, arrays.get(f"skip.{src}->{dst}.projection"))
-             for src, dst, kind in skip_layout]
-    return RCodeanNet(encoder=layers[:3], decoder=layers[3:], skips=skips, params=params)
+    names them. The arrays are used as they are, not copied. The net has
+    the three encoder layers, plus each decoder layer whose arrays are
+    present; a shortcut gets a projection exactly when its array is."""
+    layers = {lid: DenseLayer(arrays[f"{lid}.weight"], arrays[f"{lid}.bias"], LAYER_ACTS[lid],
+                              name=lid)
+              for lid in LAYER_ORDER if lid in ENCODER_IDS or f"{lid}.weight" in arrays}
+    projections = {f"{src}->{dst}": arrays[f"skip.{src}->{dst}.projection"]
+                   for src, dst, _ in skip_layout
+                   if f"skip.{src}->{dst}.projection" in arrays}
+    return RCodeanNet(layers, tuple(skip_layout), projections, params)
 
 
 def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
@@ -202,42 +159,13 @@ def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
 
 
 @dataclass
-class Encoder:
-    """The three encoder layers: all that computing a code reads. The
-    layers are one net's (out, in) arrays, or same-shaped nets' arrays
-    stacked as (nets, out, in), run through the nets' own forward code,
-    slice s as net s. The shortcuts into them are those of
-    ``DEFAULT_SKIP_LAYOUT``, the one layout training builds; every encoder
-    output has the code dimension, so none of them has a projection."""
-    encoder: list[DenseLayer]
-    incoming: ClassVar[dict[str, tuple[SkipSpec, ...]]] = {
-        lid: tuple(SkipSpec(src, dst, kind) for src, dst, kind in DEFAULT_SKIP_LAYOUT
-                   if dst == lid)
-        for lid in ENCODER_IDS}
-
-    @property
-    def input_dim(self) -> int:
-        return self.encoder[0].in_dim
-
-    def layer(self, layer_id: str) -> DenseLayer:
-        return self.encoder[ENCODER_IDS.index(layer_id)]
-
-
-def assemble_encoder(arrays) -> Encoder:
-    """Build an encoder around the arrays named ``enc1.weight`` to
-    ``enc3.bias``, one net's or stacked, used as they are, not copied."""
-    return Encoder([DenseLayer(arrays[f"{lid}.weight"], arrays[f"{lid}.bias"], LAYER_ACTS[lid],
-                               name=lid) for lid in ENCODER_IDS])
-
-
-@dataclass
 class NetForward:
     reconstruction: np.ndarray
     code: np.ndarray
     caches: dict[str, LayerCache]
 
 
-def _forward_caches(net: RCodeanNet | Encoder, x: np.ndarray, last: str,
+def _forward_caches(net: RCodeanNet, x: np.ndarray, last: str,
                     keep_preact: bool = True) -> dict[str, LayerCache]:
     """Run the stack from enc1 through layer ``last``; ``keep_preact`` as
     in ``dense_forward``."""
@@ -246,15 +174,15 @@ def _forward_caches(net: RCodeanNet | Encoder, x: np.ndarray, last: str,
     caches: dict[str, LayerCache] = {}
     current = x
     for lid in LAYER_ORDER[:LAYER_ORDER.index(last) + 1]:
-        layer = net.layer(lid)
         skip_in = None
-        for spec in net.incoming[lid]:
-            src_out = caches[spec.src].output
-            contrib = src_out if spec.projection is None else spec.projection @ src_out
+        for src, dst, _ in net.incoming[lid]:
+            src_out = caches[src].output
+            projection = net.projections.get(f"{src}->{dst}")
+            contrib = src_out if projection is None else projection @ src_out
             # dense_forward only reads skip_in, so a lone contribution is
             # passed as it is, even where it is another layer's output
             skip_in = contrib if skip_in is None else skip_in + contrib
-        cache = dense_forward(layer, current, skip_in, keep_preact)
+        cache = dense_forward(net.layers[lid], current, skip_in, keep_preact)
         caches[lid] = cache
         current = cache.output
     return caches
@@ -267,22 +195,22 @@ def net_forward(net: RCodeanNet, x: np.ndarray) -> NetForward:
                       caches=caches)
 
 
-def encode(net: RCodeanNet | Encoder, x: Mat) -> np.ndarray:
+def encode(net: RCodeanNet, x: Mat) -> np.ndarray:
     """Learned representation: the third encoder layer's output, including
-    any incoming shortcut contributions; ``net`` is a net or the 2-D
-    ``Encoder`` of one, and ``x`` a checked (d, n) input."""
+    any incoming shortcut contributions; ``net`` is a whole net or a 2-D
+    stored encoder, and ``x`` a checked (d, n) input."""
     return stacked_encode(net, x.a)
 
 
-def stacked_encode(encoders: RCodeanNet | Encoder, x: np.ndarray) -> np.ndarray:
+def stacked_encode(encoders: RCodeanNet, x: np.ndarray) -> np.ndarray:
     """Codes of a (d, n) input through one net's encoder, or of an
-    (nets, d, n) input stack through a stacked ``Encoder``, slice s through
+    (nets, d, n) input stack through a stacked encoder, slice s through
     net s's encoder, relus applied in place: the one scoring forward."""
     return _forward_caches(encoders, x, "enc3", keep_preact=False)["enc3"].output
 
 
 def _encoder_l1(net: RCodeanNet) -> float:
-    return float(sum(np.sum(np.abs(net.layer(lid).weight)) for lid in ENCODER_IDS))
+    return float(sum(np.sum(np.abs(net.layers[lid].weight)) for lid in ENCODER_IDS))
 
 
 def codean_loss(net: RCodeanNet, x: np.ndarray, reconstruction: np.ndarray) -> CodeanLoss:
@@ -357,24 +285,23 @@ def net_backward(net: RCodeanNet, x: np.ndarray, caches: dict[str, LayerCache],
 
     for pos in range(len(LAYER_ORDER) - 1, -1, -1):
         lid = LAYER_ORDER[pos]
-        layer = net.layer(lid)
         # delta is the gradient at this layer's pre-activation, which is
         # exactly what each incoming shortcut contributed to; the chain
         # feeds every layer's output gradient before its turn. Nothing
         # reads enc1's input gradient, so it is not computed.
         grad_in, grads[f"{lid}.weight"], grads[f"{lid}.bias"], delta = dense_backward(
-            layer, caches[lid], out_grad[lid], input_grad=pos > 0)
-        for spec in net.incoming[lid]:
-            src_out = caches[spec.src].output
-            if spec.projection is not None:
-                grads[f"skip.{spec.name}.projection"] = delta @ src_out.T
-                extra = spec.projection.T @ delta
+            net.layers[lid], caches[lid], out_grad[lid], input_grad=pos > 0)
+        for src, dst, _ in net.incoming[lid]:
+            projection = net.projections.get(f"{src}->{dst}")
+            if projection is not None:
+                grads[f"skip.{src}->{dst}.projection"] = delta @ caches[src].output.T
+                extra = projection.T @ delta
             else:
                 extra = delta
-            if out_grad[spec.src] is None:
-                out_grad[spec.src] = extra.copy()
+            if out_grad[src] is None:
+                out_grad[src] = extra.copy()
             else:
-                out_grad[spec.src] += extra
+                out_grad[src] += extra
         if pos > 0:
             prev = LAYER_ORDER[pos - 1]
             if out_grad[prev] is None:
@@ -386,7 +313,7 @@ def net_backward(net: RCodeanNet, x: np.ndarray, caches: dict[str, LayerCache],
     lam = net.params.lam
     if lam != 0.0:
         for lid in ENCODER_IDS:
-            penalty = np.sign(net.layer(lid).weight)
+            penalty = np.sign(net.layers[lid].weight)
             penalty *= lam
             grads[f"{lid}.weight"] += penalty
     return grads
@@ -434,12 +361,12 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
         x = rng.uniform(0.05, 1.0, size=(d, 1))
         fwd = net_forward(net, x)
         near_kink = any(
-            net.layer(lid).act == "relu"
+            net.layers[lid].act == "relu"
             and np.abs(fwd.caches[lid].pre_activation).min() < 1e-3
             for lid in LAYER_ORDER
         )
         near_crease = any(
-            np.abs(net.layer(lid).weight).min() < 1e-4 for lid in ENCODER_IDS
+            np.abs(net.layers[lid].weight).min() < 1e-4 for lid in ENCODER_IDS
         )
         r_norm = float(np.linalg.norm(fwd.reconstruction))
         if not near_kink and not near_crease and r_norm > 1e-6:

@@ -30,8 +30,8 @@ from .classifiers import (Forest, LinearSvm, MlpHead, assemble_mlp_head, ensembl
                           svm_decision, svm_train, PROB_THRESHOLD)
 from .data import AttributeDataset
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .network import (DEFAULT_SKIP_LAYOUT, ENCODER_IDS, CodeanParams, Encoder, RCodeanNet,
-                      assemble_encoder, build_rcodean, codean_loss, encode,
+from .network import (DEFAULT_SKIP_LAYOUT, ENCODER_IDS, CodeanParams, RCodeanNet,
+                      assemble_rcodean, build_rcodean, codean_loss, encode,
                       loss_and_grads, net_forward, stacked_encode)
 from .optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
 from .tensor import Mat, _sigmoid
@@ -276,7 +276,8 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     keeping the disjoint clf-train split unseen so the downstream patch
     weights and ensemble learn from honest out-of-sample scores.
     Every source has its own seeds, so the thread count changes no
-    output; the BLAS thread count can (``train_full`` pins it).
+    output. OpenBLAS runs on one thread, as in ``train_full``, and the
+    caller's count is restored after.
     Returns (models, histories): models is the ``SourceModels`` of the
     trained encoders and heads; the decoders go with the nets.
     """
@@ -291,7 +292,7 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     # this thread has freed would stay resident beside theirs, unused
     _release_free_heap()
     head_lock = threading.Lock()
-    with ThreadPoolExecutor(max_workers=_stage1_workers()) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=_stage1_workers()) as pool:
         # the face costs about 4.6 patches a step: submitted last, it
         # would run alone at the end
         futures = {s: pool.submit(_train_one_source, s, sources_ae[s], labels_ae, cfg,
@@ -349,11 +350,12 @@ class SourceModels:
     """The ten stage-1 models as ``score_images`` runs them, encoders and
     heads only: the nine patch encoders stacked as (9, out, in), patch s
     as slice s; the face encoder, source 9; and the ten heads stacked as
-    (10, out, in), source s as slice s. This is what a bundle stores; the
+    (10, out, in), source s as slice s. Each encoder is an ``RCodeanNet``
+    of the three encoder layers. This is what a bundle stores; the
     autoencoders' decoders serve training only and are not kept.
     """
-    patch_encoders: Encoder
-    face_encoder: Encoder
+    patch_encoders: RCodeanNet
+    face_encoder: RCodeanNet
     heads: MlpHead
 
     @classmethod
@@ -362,8 +364,10 @@ class SourceModels:
         (``patch_encoders.enc1.weight`` ... ``face_encoder.*`` ...
         ``heads.layer2.bias``; other names are ignored), used as they
         are, not copied. Training and loading both build the models here."""
-        return cls(assemble_encoder(prefixed(arrays, "patch_encoders")),
-                   assemble_encoder(prefixed(arrays, "face_encoder")),
+        return cls(assemble_rcodean(prefixed(arrays, "patch_encoders"), DEFAULT_SKIP_LAYOUT,
+                                    CodeanParams()),
+                   assemble_rcodean(prefixed(arrays, "face_encoder"), DEFAULT_SKIP_LAYOUT,
+                                    CodeanParams()),
                    assemble_mlp_head(prefixed(arrays, "heads")))
 
     @classmethod
@@ -371,12 +375,11 @@ class SourceModels:
         """The models of ten trained (net, head) pairs, source s at index
         s: copies of the patch encoders' and the heads' arrays stacked, and
         the face net's encoder arrays as they are. Every net must have the
-        shortcuts of ``DEFAULT_SKIP_LAYOUT``, the layout an ``Encoder`` runs."""
+        shortcuts of ``DEFAULT_SKIP_LAYOUT``, the layout a stored encoder runs."""
         if len(nets) != N_SOURCES or len(heads) != N_SOURCES:
             raise ShapeError(f"expected {N_SOURCES} nets and heads, "
                              f"got {len(nets)} and {len(heads)}")
-        if any([(sp.src, sp.dst, sp.kind) for sp in net.skips] != list(DEFAULT_SKIP_LAYOUT)
-               for net in nets):
+        if any(net.skips != DEFAULT_SKIP_LAYOUT for net in nets):
             raise ConfigError("cannot build the model set from nets whose shortcuts "
                               "differ from DEFAULT_SKIP_LAYOUT")
         net_arrays = [dict(net.parameters()) for net in nets]
@@ -547,8 +550,9 @@ _OPENBLAS_THREAD_SYMBOLS = (
 @functools.cache
 def _openblas_threads():
     """The (get, set) thread-count functions of the OpenBLAS numpy links,
-    or None where none is found. The symbols are looked up through numpy's
-    own extension module, whose dependencies the lookup searches."""
+    or None where none is found, which is logged here, once. The symbols
+    are looked up through numpy's own extension module, whose dependencies
+    the lookup searches."""
     try:
         from numpy._core import _multiarray_umath as ext
     except ImportError:  # numpy 1
@@ -556,13 +560,15 @@ def _openblas_threads():
     try:
         lib = ctypes.CDLL(ext.__file__)
     except OSError:
-        return None
+        lib = None
     for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
         get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
         if get is not None and set_ is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
             return get, set_
+    log.warning("no OpenBLAS found to pin to one thread: training runs at the "
+                "BLAS's own thread count, and the model may depend on it")
     return None
 
 
@@ -574,8 +580,6 @@ def _one_blas_thread():
     the stage-1 threads would oversubscribe the cores."""
     blas = _openblas_threads()
     if blas is None:
-        log.warning("no OpenBLAS found to pin to one thread: training runs at the "
-                    "BLAS's own thread count, and the model may depend on it")
         yield
         return
     get, set_ = blas

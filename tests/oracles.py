@@ -12,7 +12,7 @@ from rcodean.classifiers import MlpHead, _head_forward, build_mlp_head, head_sco
 from rcodean.data import (ILLUM_SIGMA, _NOISE_SIGMA, _apply_primitive,
                           _illumination_fields)
 from rcodean.layers import DenseLayer
-from rcodean.network import Encoder, encode
+from rcodean.network import DEFAULT_SKIP_LAYOUT, RCodeanNet, encode
 from rcodean.optimizer import AdamState, adam_step
 from rcodean.tensor import Mat
 
@@ -26,21 +26,19 @@ def straight_line_forward(net, x):
     layers, relu on all but the last (linear), each shortcut adding
     (projection @ source_output) to the destination pre-activation."""
     order = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
-    W = {lid: net.layer(lid).weight for lid in order}
-    b = {lid: net.layer(lid).bias for lid in order}
-    proj = {s.name: (s.projection if s.projection is not None else None)
-            for s in net.skips}
+    W = {lid: net.layers[lid].weight for lid in order}
+    b = {lid: net.layers[lid].bias for lid in order}
     by_dst = {}
-    for s in net.skips:
-        by_dst.setdefault(s.dst, []).append(s)
+    for src, dst, _ in net.skips:
+        by_dst.setdefault(dst, []).append(src)
 
     outs = {}
     a = x
     for lid in order:
         z = W[lid] @ a + b[lid]
-        for s in by_dst.get(lid, []):
-            p = proj[s.name]
-            z = z + (p @ outs[s.src] if p is not None else outs[s.src])
+        for src in by_dst.get(lid, []):
+            p = net.projections.get(f"{src}->{lid}")
+            z = z + (p @ outs[src] if p is not None else outs[src])
         a = z if lid == "dec3" else _relu(z)
         outs[lid] = a
     return outs["dec3"], outs["enc3"]
@@ -242,7 +240,10 @@ def per_source_models(models):
                 for layer in layers]
 
     patches = models.patch_encoders
-    encoders = [Encoder(unstack(patches.encoder, s)) for s in range(N_SOURCES - 1)] + [models.face_encoder]
+    encoders = [RCodeanNet({layer.name: layer
+                            for layer in unstack(patches.layers.values(), s)},
+                           DEFAULT_SKIP_LAYOUT)
+                for s in range(N_SOURCES - 1)] + [models.face_encoder]
     return [(encoder, MlpHead(unstack(models.heads.layers, s)))
             for s, encoder in enumerate(encoders)]
 

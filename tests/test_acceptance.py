@@ -89,8 +89,8 @@ def test_criterion_03_plain_autoencoder_reduction():
         net = build_rcodean(10, 6, CodeanParams(alpha=1.0, beta=0.0, lam=0.0),
                             seed=seed, skip_layout=())
         order = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
-        plain = PlainMseAutoencoder([net.layer(l).weight for l in order],
-                                    [net.layer(l).bias for l in order])
+        plain = PlainMseAutoencoder([net.layers[l].weight for l in order],
+                                    [net.layers[l].bias for l in order])
         for _ in range(5):
             x = rng.uniform(size=(10, 1))
             loss, grads = loss_and_grads(net, x)

@@ -42,7 +42,7 @@ def test_round_trip_identical_predictions(trained):
 def _model_arrays(bundle):
     """Every weight and bias prediction reads, in a fixed order."""
     models = bundle.sources
-    layers = [*models.patch_encoders.encoder, *models.face_encoder.encoder,
+    layers = [*models.patch_encoders.layers.values(), *models.face_encoder.layers.values(),
               *models.heads.layers, *bundle.stage2_mlp.layers]
     return [arr for layer in layers for arr in (layer.weight, layer.bias)]
 
@@ -55,8 +55,8 @@ def test_round_trip_preserves_config_and_weights(trained):
     # the encoder and head stacks, the stage-2 MLP, the SVM and the forest
     for a, b in zip(_model_arrays(bundle), _model_arrays(loaded), strict=True):
         assert a.shape == b.shape and np.array_equal(a, b)
-    assert bundle.sources.patch_encoders.encoder[0].weight.shape == (9, 8, 1024)
-    assert bundle.sources.face_encoder.encoder[0].weight.shape == (8, 4096)
+    assert bundle.sources.patch_encoders.layers["enc1"].weight.shape == (9, 8, 1024)
+    assert bundle.sources.face_encoder.layers["enc1"].weight.shape == (8, 4096)
     assert bundle.sources.heads.layers[2].weight.shape == (10, 3, 2)
     assert np.array_equal(bundle.svm.weights, loaded.svm.weights)
     assert np.array_equal(bundle.svm.biases, loaded.svm.biases)

@@ -6,10 +6,10 @@ import pytest
 import rcodean.network
 from oracles import PlainMseAutoencoder, straight_line_forward, _relu
 from rcodean.errors import ConfigError, ShapeError
-from rcodean.network import (DEFAULT_SKIP_LAYOUT, CodeanParams, RCodeanNet, SkipSpec,
+from rcodean.network import (DEFAULT_SKIP_LAYOUT, ENCODER_IDS, CodeanParams,
                              assemble_rcodean, build_rcodean, codean_loss, encode,
                              gradient_check, loss_and_grads, net_backward,
-                             net_forward)
+                             net_forward, stacked_encode)
 from rcodean.optimizer import AdamState, adam_step
 from rcodean.tensor import Mat
 
@@ -22,9 +22,6 @@ def test_forward_zero_parameters_give_zero_reconstruction():
     net = build_rcodean(6, 4, seed=1)
     for name, arr in net.parameters():
         arr[:] = 0.0
-    for spec in net.skips:
-        if spec.projection is not None:
-            spec.projection[:] = 0.0
     out = net_forward(net, np.random.default_rng(0).uniform(size=(6, 1)))
     assert np.count_nonzero(out.reconstruction) == 0
     assert np.count_nonzero(out.code) == 0
@@ -37,8 +34,8 @@ def test_forward_without_skips_is_plain_stack():
     out = net_forward(net, x)
     a = x
     for lid in ("enc1", "enc2", "enc3", "dec1", "dec2"):
-        a = _relu(net.layer(lid).weight @ a + net.layer(lid).bias)
-    a = net.layer("dec3").weight @ a + net.layer("dec3").bias
+        a = _relu(net.layers[lid].weight @ a + net.layers[lid].bias)
+    a = net.layers["dec3"].weight @ a + net.layers["dec3"].bias
     assert np.allclose(out.reconstruction, a, rtol=1e-15, atol=0)
 
 
@@ -55,22 +52,48 @@ def test_forward_matches_straight_line_oracle():
 
 def test_default_skip_layout_and_projection():
     net = build_rcodean(12, 8, seed=3)
-    names = {(s.src, s.dst, s.kind) for s in net.skips}
-    assert names == {("enc1", "enc3", "cross"), ("enc2", "dec1", "cross"),
-                     ("enc3", "dec2", "cross"), ("enc1", "dec3", "symmetric"),
-                     ("enc2", "dec2", "symmetric"), ("enc3", "dec1", "symmetric")}
-    with_proj = [s for s in net.skips if s.projection is not None]
-    assert [s.name for s in with_proj] == ["enc1->dec3"]
-    assert with_proj[0].projection.shape == (12, 8)
+    assert net.skips == DEFAULT_SKIP_LAYOUT
+    assert set(net.skips) == {("enc1", "enc3", "cross"), ("enc2", "dec1", "cross"),
+                              ("enc3", "dec2", "cross"), ("enc1", "dec3", "symmetric"),
+                              ("enc2", "dec2", "symmetric"), ("enc3", "dec1", "symmetric")}
+    assert list(net.layers) == ["enc1", "enc2", "enc3", "dec1", "dec2", "dec3"]
+    # each layer's incoming shortcuts, in layout order
+    assert {lid: [src for src, _, _ in skips] for lid, skips in net.incoming.items()} == {
+        "enc1": [], "enc2": [], "enc3": ["enc1"], "dec1": ["enc2", "enc3"],
+        "dec2": ["enc3", "enc2"], "dec3": ["enc1"]}
+    # only the shortcut into the d-wide reconstruction bridges two widths
+    assert list(net.projections) == ["enc1->dec3"]
+    assert net.projections["enc1->dec3"].shape == (12, 8)
+    # a hand-built net without that projection fails at its first forward
+    bare = assemble_rcodean({name: arr for name, arr in net.parameters()
+                             if not name.startswith("skip.")}, DEFAULT_SKIP_LAYOUT, net.params)
+    with pytest.raises(ShapeError, match="skip input"):
+        net_forward(bare, np.ones((12, 1)))
 
 
-def test_skip_validation_errors():
-    with pytest.raises(ConfigError, match="precede"):
-        SkipSpec("dec1", "enc3", "cross")
-    net = build_rcodean(6, 4, seed=4)
-    bad = SkipSpec("enc1", "enc3", "cross", projection=np.zeros((4, 4)))
-    with pytest.raises(ConfigError, match="enc1->enc3"):
-        RCodeanNet(net.encoder, net.decoder, [bad], net.params)
+def test_stored_encoder_equals_the_trained_nets_encoder():
+    # a stored encoder is the net's three encoder layers, one net's or
+    # several nets' stacked, run through the same forward code
+    rng = np.random.default_rng(105)
+    nets = [build_rcodean(12, 8, seed=s) for s in (6, 7)]
+    xs = [rng.uniform(size=(12, 5)) for _ in nets]
+    names = [f"{lid}.{part}" for lid in ENCODER_IDS for part in ("weight", "bias")]
+    for net, x in zip(nets, xs):
+        arrays = dict(net.parameters())
+        stored = assemble_rcodean({name: arrays[name] for name in names},
+                                  DEFAULT_SKIP_LAYOUT, CodeanParams())
+        assert list(stored.layers) == list(ENCODER_IDS)
+        assert stored.projections == {}
+        assert stored.incoming == {"enc1": [], "enc2": [], "enc3": [("enc1", "enc3", "cross")]}
+        assert [name for name, _ in stored.parameters()] == names
+        assert np.array_equal(stacked_encode(stored, x), net_forward(net, x).code)
+    arrays = [dict(net.parameters()) for net in nets]
+    stacked = assemble_rcodean({name: np.stack([a[name] for a in arrays]) for name in names},
+                               DEFAULT_SKIP_LAYOUT, CodeanParams())
+    assert stacked.incoming["enc3"] == [("enc1", "enc3", "cross")]
+    codes = stacked_encode(stacked, np.stack(xs))
+    for s, (net, x) in enumerate(zip(nets, xs)):
+        assert np.array_equal(codes[s], net_forward(net, x).code)
 
 
 def test_encode_matches_forward_code():
@@ -86,8 +109,8 @@ def test_assemble_from_named_parameters_rebuilds_the_net():
     net = build_rcodean(10, 6, params, seed=5)
     again = assemble_rcodean(dict(net.parameters()), DEFAULT_SKIP_LAYOUT, params)
     assert again.params == params
-    assert [(s.src, s.dst, s.kind) for s in again.skips] == \
-        [(s.src, s.dst, s.kind) for s in net.skips]
+    assert again.skips == net.skips
+    assert list(again.layers) == list(net.layers)
     assert [name for name, _ in again.parameters()] == \
         [name for name, _ in net.parameters()]
     for (_, a), (_, b) in zip(net.parameters(), again.parameters()):
@@ -108,7 +131,7 @@ def test_input_dimension_check():
 def test_loss_perfect_reconstruction():
     net = build_rcodean(4, 3, CodeanParams(alpha=1.0, beta=1.0, lam=0.0), seed=7)
     for lid in ("enc1", "enc2", "enc3"):
-        net.layer(lid).weight[:] = 0.0
+        net.layers[lid].weight[:] = 0.0
     x = _column([0.2, 0.5, 0.1, 0.9])
     loss = codean_loss(net, x, x)
     assert loss.euc == 0.0
@@ -180,9 +203,9 @@ def test_backward_mse_mode_matches_plain_autoencoder_oracle():
     net = build_rcodean(8, 5, CodeanParams(alpha=1.0, beta=0.0, lam=0.0),
                         seed=14, skip_layout=())
     plain = PlainMseAutoencoder(
-        [net.layer(lid).weight for lid in
+        [net.layers[lid].weight for lid in
          ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")],
-        [net.layer(lid).bias for lid in
+        [net.layers[lid].bias for lid in
          ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")])
     for _ in range(10):
         x = rng.uniform(size=(8, 1))
@@ -217,7 +240,7 @@ def test_batch_gradient_is_mean_of_column_gradients():
     rng = np.random.default_rng(17)
     net = build_rcodean(12, 8, CodeanParams(alpha=1.0, beta=0.7, lam=0.01), seed=17)
     for lid in ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3"):
-        net.layer(lid).bias[:] = rng.uniform(0.05, 0.2, size=net.layer(lid).bias.shape)
+        net.layers[lid].bias[:] = rng.uniform(0.05, 0.2, size=net.layers[lid].bias.shape)
     x = rng.uniform(0.05, 1.0, size=(12, 5))
     x[:, 1] = 0.0
     loss, grads = loss_and_grads(net, x)

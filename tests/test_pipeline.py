@@ -326,12 +326,12 @@ def test_model_set_holds_each_weight_once(tiny_bundle, tmp_path):
     for models in (bundle.sources, load_bundle(tmp_path / "model.rcbn").sources):
         assert isinstance(models, SourceModels)
         patches, face, heads = models.patch_encoders, models.face_encoder, models.heads
-        assert [layer.weight.shape for layer in patches.encoder] == [
+        assert [layer.weight.shape for layer in patches.layers.values()] == [
             (9, 8, 1024), (9, 8, 8), (9, 8, 8)]
-        assert [layer.weight.shape for layer in face.encoder] == [(8, 4096), (8, 8), (8, 8)]
+        assert [layer.weight.shape for layer in face.layers.values()] == [(8, 4096), (8, 8), (8, 8)]
         assert [layer.weight.shape for layer in heads.layers] == [
             (10, 4, 8), (10, 2, 4), (10, 3, 2)]
-        arrays = [arr for layer in [*patches.encoder, *face.encoder, *heads.layers]
+        arrays = [arr for layer in [*patches.layers.values(), *face.layers.values(), *heads.layers]
                   for arr in (layer.weight, layer.bias)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
@@ -512,9 +512,9 @@ def test_tiny_bundle_structure(tiny_bundle):
     ds, bundle, histories = tiny_bundle
     models = bundle.sources
     assert models.patch_encoders.input_dim == 1024
-    assert models.patch_encoders.encoder[0].weight.shape[0] == N_SOURCES - 1
+    assert models.patch_encoders.layers["enc1"].weight.shape[0] == N_SOURCES - 1
     assert models.face_encoder.input_dim == 4096
-    assert models.face_encoder.encoder[0].weight.ndim == 2
+    assert models.face_encoder.layers["enc1"].weight.ndim == 2
     assert models.heads.layers[0].weight.shape[0] == N_SOURCES
     assert bundle.k == 3
     assert len(histories) == N_SOURCES
@@ -621,13 +621,46 @@ def test_stage1_heads_never_train_two_at_once(monkeypatch):
 
 
 def test_train_full_without_openblas_warns_once(monkeypatch, caplog):
-    monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+    # no build exports these names, so the lookup finds no OpenBLAS; train_full
+    # and the train_stage1 it calls both pin, and the lookup warns, once
+    monkeypatch.setattr(pipeline, "_OPENBLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))
+    pipeline._openblas_threads.cache_clear()
     ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
-    with caplog.at_level(logging.WARNING, logger="rcodean"):
-        bundle, _ = train_full(ds, _tiny_cfg(seed=7))
+    try:
+        with caplog.at_level(logging.WARNING, logger="rcodean"):
+            bundle, _ = train_full(ds, _tiny_cfg(seed=7))
+    finally:
+        pipeline._openblas_threads.cache_clear()  # the next lookup finds the real one
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1 and "OpenBLAS" in warnings[0].getMessage()
     assert bundle.patch_weights.values.shape == (2, N_SOURCES)
+
+
+def test_train_stage1_pins_blas_to_one_thread(monkeypatch):
+    # called on its own, stage 1 trains every autoencoder at one BLAS
+    # thread, not on top of the caller's threads, and hands the caller's
+    # count back
+    blas = pipeline._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS to pin")
+    get, set_ = blas
+    seen = []
+    train_autoencoder = pipeline.train_autoencoder
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return train_autoencoder(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_autoencoder", spy)
+    ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
+    caller = get()
+    set_(2)
+    try:
+        train_stage1(ds, dataclasses.replace(_tiny_cfg(seed=7), epochs=1))
+        assert get() == 2
+    finally:
+        set_(caller)
+    assert seen == [1] * N_SOURCES
 
 
 def test_overlapping_source_scores_high_on_planted_attribute(medium_bundle):

@@ -3,9 +3,11 @@
 Every import in a package module must be used in that module, and every
 top-level function or class must be referenced outside its own
 definition: elsewhere in its module, in another package module (the
-package exports count), or in a ``bench/`` script. The bench tracer
-wraps package functions by their names as strings, so bench scripts are
-searched as text rather than parsed.
+package exports count), or in a ``bench/`` script. Every method and
+property of a package class, dunder methods aside, must be read as an
+attribute somewhere in the package or be named in a ``bench/`` script.
+The bench tracer wraps package functions by their names as strings, so
+bench scripts are searched as text rather than parsed.
 """
 
 import ast
@@ -48,6 +50,14 @@ def _imported(module: ast.Module) -> dict[str, int]:
     return bound
 
 
+def _bench_text() -> str:
+    return "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+
+
+def _named_in(text: str, name: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
 def test_no_unused_imports():
     unused = []
     for name, module in _modules().items():
@@ -61,7 +71,7 @@ def test_no_unused_imports():
 
 def test_no_unreferenced_top_level_definitions():
     modules = _modules()
-    bench_text = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    bench_text = _bench_text()
     unreferenced = []
     for name, module in modules.items():
         elsewhere = _names_used(other for other_name, other in modules.items()
@@ -71,6 +81,24 @@ def test_no_unreferenced_top_level_definitions():
                 continue
             own = _names_used(other for other in module.body if other is not node)
             if (node.name not in own and node.name not in elsewhere
-                    and not re.search(rf"\b{re.escape(node.name)}\b", bench_text)):
+                    and not _named_in(bench_text, node.name)):
                 unreferenced.append(f"{name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_no_unread_class_members():
+    modules = _modules()
+    bench_text = _bench_text()
+    read = {sub.attr for module in modules.values() for sub in ast.walk(module)
+            if isinstance(sub, ast.Attribute)}
+    unread = []
+    for name, module in modules.items():
+        for cls in module.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))
+                        and node.name not in read and not _named_in(bench_text, node.name)):
+                    unread.append(f"{name}:{node.lineno} {cls.name}.{node.name}")
+    assert unread == []
