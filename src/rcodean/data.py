@@ -1,8 +1,11 @@
 """Dataset ingestion: attribute-list parsing, grayscale image files, and
 the synthetic planted-attribute generator used for desk-scale runs.
 
-Images are carried as (H, W) float64 arrays of raw 0..255 values; the
-pipeline's preprocess step handles resizing and normalization. Color
+Images are carried as (H, W) arrays of raw 0..255 values: uint8 as
+decoded from a file, float64 in the synthetic stack, whose pixels carry
+noise. Arithmetic on a decoded image wraps around at 256 unless the
+caller converts it first. The pipeline's preprocess step handles
+resizing and normalization of either. Color
 conversion happens upstream of this package; external converters should
 use the luma transform Y = 0.299 R + 0.587 G + 0.114 B.
 """
@@ -74,7 +77,9 @@ class AttributeDataset:
         return self.labels.shape[1]
 
     def image(self, i: int) -> np.ndarray:
-        """Raw grayscale pixels for record i, values in 0..255."""
+        """Raw grayscale pixels for record i, values in 0..255: the file's
+        uint8 pixels, decoded on this call and owned by the caller, or a
+        float64 view into the in-memory stack."""
         if self.images is not None:
             return self.images[i]
         return load_gray_image(self.paths[i])
@@ -195,18 +200,20 @@ def _read_packed(data: bytes, path) -> np.ndarray:
 
 
 def _pixels(data: bytes, pos: int, height: int, width: int, path) -> np.ndarray:
-    """The height x width u8 image whose rows start at ``pos``."""
+    """The height x width uint8 image whose rows start at ``pos``, copied
+    once out of ``data`` into a writable array of its own."""
     if height < 1 or width < 1:
         raise FormatError(f"{path}: image size {width}x{height} is not positive")
-    pixels = data[pos:pos + width * height]
-    if len(pixels) != width * height:
+    size = width * height
+    if len(data) - pos < size:
         raise FormatError(f"{path}: truncated pixel data, "
-                          f"{len(pixels)} of {width * height} bytes")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).astype(np.float64)
+                          f"{max(len(data) - pos, 0)} of {size} bytes")
+    return np.frombuffer(data, np.uint8, count=size, offset=pos).reshape(height, width).copy()
 
 
 def load_gray_image(path) -> np.ndarray:
-    """Decode a binary PGM (P5, maxval 255) or packed raw image file."""
+    """Decode a binary PGM (P5, maxval 255) or packed raw image file into
+    an (H, W) uint8 array."""
     path = Path(path)
     data = path.read_bytes()
     if data[:2] == b"P5":
@@ -219,7 +226,9 @@ def load_gray_image(path) -> np.ndarray:
 
 
 def save_gray_image(path, image: np.ndarray) -> None:
-    """Write the packed raw format: magic, u16 height, u16 width, u8 rows."""
+    """Write the packed raw format: magic, u16 height, u16 width, u8 rows.
+    Pixels are rounded and clipped to 0..255; a NaN or infinite one has no
+    such value and is refused before anything is written."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise FormatError(f"expected a 2-D image, got shape {img.shape}")
@@ -227,6 +236,10 @@ def save_gray_image(path, image: np.ndarray) -> None:
     if not (1 <= h <= 0xFFFF and 1 <= w <= 0xFFFF):
         raise FormatError(f"image {img.shape} needs 1 to 65535 rows and columns "
                           f"to fit the u16 size fields")
+    bad = ~np.isfinite(img)
+    if bad.any():
+        raise FormatError(f"image has {np.count_nonzero(bad)} NaN or infinite pixels, "
+                          f"which have no 0..255 value")
     payload = np.clip(np.rint(img), 0, 255).astype(np.uint8).tobytes()
     Path(path).write_bytes(PACKED_MAGIC + struct.pack("<HH", h, w) + payload)
 

@@ -64,14 +64,18 @@ def _axis_plan(size: int, out: int) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=32)
 def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
     """The gather indices and weights resampling h x w to out_h x out_w,
-    made once per shape; the cached arrays are read-only. Rows come as
-    every output row's upper source row, then every lower one, with their
-    (2 out_h, 1) weights; columns as the left and right source columns
-    with their (1, out_w) weights."""
+    made once per shape; the cached arrays are read-only. Each is a full
+    (2 out_h, out_w) array, every output row's upper source row, then
+    every lower one: the flat indices of the left and of the right source
+    pixel, the weights of the left and of the right one, and the row
+    weights. A plan holds five 64 KB arrays at 64x64 output, so the cache
+    holds at most about 10 MB."""
     y0, y1, wy0, wy1 = _axis_plan(h, out_h)
     x0, x1, wx0, wx1 = _axis_plan(w, out_w)
-    plan = (np.concatenate([y0, y1]), np.concatenate([wy0, wy1])[:, None],
-            x0, x1, wx0[None, :], wx1[None, :])
+    rows = np.concatenate([y0, y1])[:, None] * w
+    wy = np.concatenate([wy0, wy1])[:, None]
+    plan = (rows + x0, rows + x1) + tuple(
+        np.broadcast_to(weight, (2 * out_h, out_w)).copy() for weight in (wx0, wx1, wy))
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -79,20 +83,23 @@ def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ..
 
 def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Half-pixel-center bilinear resample with edge clamping. Both source
-    rows of every output row are gathered at once and interpolated along
-    the columns as one (2 out_h, out_w) block, then weighted and summed."""
-    rows, wy, x0, x1, wx0, wx1 = _resize_plan(*img.shape, out_h, out_w)
-    src = img[rows]
-    block = src[:, x0]
-    block *= wx0
-    block += src[:, x1] * wx1
+    rows of every output row are gathered at once, as two flat gathers of
+    the left and the right source pixels, interpolated along the columns
+    as one (2 out_h, out_w) block, then weighted and summed. Only the
+    gathered pixels are converted to float64, inside the multiplies."""
+    left, right, wx0, wx1, wy = _resize_plan(*img.shape, out_h, out_w)
+    block = img.take(left) * wx0
+    block += img.take(right) * wx1
     block *= wy
     return block[:out_h] + block[out_h:]
 
 
 def preprocess(image) -> Mat:
-    """Resample a raw grayscale image to 64x64 and scale to [0, 1]."""
-    img = np.asarray(image, dtype=np.float64)
+    """Resample a raw grayscale image to 64x64 and scale to [0, 1]. A
+    uint8 image is read as it is; any other is converted to float64."""
+    img = np.asarray(image)
+    if img.dtype != np.uint8:
+        img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise InputError(f"expected a single-channel image, got shape {img.shape}")
     h, w = img.shape
@@ -102,7 +109,7 @@ def preprocess(image) -> Mat:
         img = _bilinear_resize(img, IMAGE_SIZE, IMAGE_SIZE)
         img /= 255.0  # the resample is this call's own array
     else:
-        img = img / 255.0  # a new array: the caller's stays as it is
+        img = img / 255.0  # a new float64 array: the caller's stays as it is
     return Mat(img, copy=False)
 
 

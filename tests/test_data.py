@@ -111,7 +111,8 @@ def test_pgm_fixture(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
     img = load_gray_image(p)
-    assert img.tolist() == [[0.0, 255.0], [128.0, 64.0]]
+    assert img.dtype == np.uint8 and img.flags.writeable and img.flags.owndata
+    assert img.tolist() == [[0, 255], [128, 64]]
 
 
 def test_pgm_with_comment(tmp_path):
@@ -163,7 +164,20 @@ def test_packed_round_trip(tmp_path):
     img = rng.integers(0, 256, size=(31, 17)).astype(np.float64)
     p = tmp_path / "a.rcim"
     save_gray_image(p, img)
-    assert np.array_equal(load_gray_image(p), img)
+    back = load_gray_image(p)
+    assert back.dtype == np.uint8 and back.flags.writeable and back.flags.owndata
+    assert np.array_equal(back, img)
+    assert back.tobytes() == p.read_bytes()[8:]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_non_finite_pixels(tmp_path, bad):
+    img = np.full((4, 5), 7.0)
+    img[0, 0] = bad
+    p = tmp_path / "a.rcim"
+    with pytest.raises(FormatError, match="NaN or infinite"):
+        save_gray_image(p, img)
+    assert not p.exists()
 
 
 def test_packed_truncated(tmp_path):

@@ -56,13 +56,16 @@ def medium_bundle():
 
 
 def test_preprocess_identity_on_64():
-    rng = np.random.default_rng(0)
-    img = rng.integers(0, 256, size=(64, 64)).astype(np.float64)
-    before = img.copy()
-    out = preprocess(img)
-    assert np.array_equal(out.a, img / 255.0)
-    # scaled into a new array, never in the caller's
-    assert np.array_equal(img, before) and not np.shares_memory(out.a, img)
+    pixels = np.random.default_rng(0).integers(0, 256, size=(64, 64))
+    for dtype in (np.float64, np.uint8):  # as the synthetic stack, as decoded
+        img = pixels.astype(dtype)
+        before = img.copy()
+        out = preprocess(img)
+        assert out.a.dtype == np.float64
+        assert np.array_equal(out.a, pixels / 255.0)
+        # scaled into a new array, never in the caller's
+        assert img.dtype == dtype and np.array_equal(img, before)
+        assert not np.shares_memory(out.a, img)
 
 
 def test_preprocess_constant_downsample():
@@ -103,11 +106,28 @@ def test_preprocess_matches_bilinear_oracle():
                               "mixed", "up-non-square", "up-minimum", "minimum-side"])
 def test_resize_plan_matches_per_image_resize_bitwise(shape):
     rng = np.random.default_rng(sum(shape))
-    img = rng.integers(0, 256, size=shape).astype(np.float64)
-    for _ in range(2):  # a fresh plan, then the cached one
-        assert np.array_equal(_bilinear_resize(img, 64, 64),
-                              reference_bilinear_resize(img, 64, 64))
-    assert np.array_equal(preprocess(img).a, reference_bilinear_resize(img, 64, 64) / 255.0)
+    pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+    expected = reference_bilinear_resize(pixels.astype(np.float64), 64, 64)
+    # as decoded, as float, and as a column-major float (a transpose's
+    # layout), whose row-major flat order is not its memory order
+    column_major = np.asfortranarray(pixels, dtype=np.float64)
+    assert not column_major.flags.c_contiguous
+    for img in (pixels, pixels.astype(np.float64), column_major):
+        for _ in range(2):  # a fresh plan, then the cached one
+            assert np.array_equal(_bilinear_resize(img, 64, 64), expected)
+        assert np.array_equal(preprocess(img).a, expected / 255.0)
+
+
+def test_preprocess_makes_no_whole_image_float_copy():
+    img = np.random.default_rng(6).integers(0, 256, size=(2000, 1500)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        preprocess(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below the 3 MB image itself, one eighth of its 24 MB float64 copy
+    assert peak < img.nbytes
 
 
 def test_resize_plan_is_read_only():
