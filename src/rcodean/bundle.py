@@ -113,9 +113,10 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-# config fields that loading checks; l, k and forest_trees size the arrays
+# config fields that loading checks; l, k and forest_trees size the arrays.
+# Other keys are ignored, such as the settings older bundles recorded.
 _CONFIG_FIELDS = ("alpha", "beta", "lam", "l", "k", "attribute_names", "skip_layout",
-                  "forest_trees", "svm_reg")
+                  "forest_trees")
 
 
 def _read_header(path, data: bytes) -> tuple[dict, int]:
@@ -150,7 +151,7 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
         value = config[name]
         if not (is_number(value, integral=True) and value >= 1):
             raise FormatError(f"{path}: config {name} {value!r} is not a count")
-    for name in ("alpha", "beta", "lam", "svm_reg"):
+    for name in ("alpha", "beta", "lam"):
         if not is_number(config[name]):
             raise FormatError(f"{path}: config {name} {config[name]!r} is not a finite number")
     names = config["attribute_names"]

@@ -34,7 +34,7 @@ log = logging.getLogger("rcodean")
 @dataclass
 class RunConfig:
     """Resolved settings for a training run: data source, splits, output
-    location, and every pipeline hyperparameter."""
+    location, and the pipeline settings."""
     data: str | None = None
     images: str | None = None
     synthetic_n: int | None = None

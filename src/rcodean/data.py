@@ -240,7 +240,8 @@ def save_gray_image(path, image: np.ndarray) -> None:
     if bad.any():
         raise FormatError(f"image has {np.count_nonzero(bad)} NaN or infinite pixels, "
                           f"which have no 0..255 value")
-    payload = np.clip(np.rint(img), 0, 255).astype(np.uint8).tobytes()
+    # np.round keeps an integer image's dtype, where np.rint makes it float
+    payload = np.clip(np.round(img), 0, 255).astype(np.uint8).tobytes()
     Path(path).write_bytes(PACKED_MAGIC + struct.pack("<HH", h, w) + payload)
 
 

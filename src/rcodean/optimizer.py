@@ -1,4 +1,5 @@
-"""Adam optimizer and plateau-triggered learning-rate decay."""
+"""Adam optimizer and plateau-triggered learning-rate decay. The package
+trains one recipe: the constants below are fixed, not settings."""
 
 from __future__ import annotations
 
@@ -8,6 +9,12 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to the root of the second moment
+DECAY_FACTOR = 10.0  # a plateau divides the rate by this
+THRESHOLD = 1e-6  # an epoch loss must beat the best by more to improve
+
 
 @dataclass
 class AdamState:
@@ -16,10 +23,7 @@ class AdamState:
     Buffers are keyed by parameter name and created lazily on the first
     step so one state object can serve any named parameter collection.
     """
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -53,9 +57,8 @@ def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
 
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     size = max((p.size for _, p in params), default=0)
     s1, s2 = np.empty(size), np.empty(size)
     for name, p in params:
@@ -64,17 +67,17 @@ def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
             state.v[name] = np.zeros_like(p)
         g, m, v = grads[name], state.m[name], state.v[name]
         t1, t2 = s1[:p.size].reshape(p.shape), s2[:p.size].reshape(p.shape)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=t1)
-        v *= b2
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=t1)
+        v *= BETA2
         np.multiply(g, g, out=t1)
-        t1 *= 1.0 - b2
+        t1 *= 1.0 - BETA2
         v += t1
         np.divide(v, bc2, out=t1)
         np.sqrt(t1, out=t1)
-        t1 += eps
+        t1 += EPS
         np.divide(m, bc1, out=t2)
-        t2 *= lr
+        t2 *= state.lr
         t2 /= t1
         p -= t2
 
@@ -84,32 +87,30 @@ class PlateauScheduler:
     """Divides the learning rate when the training loss stops improving.
 
     An epoch counts as an improvement when its loss beats the best seen
-    by more than ``threshold``. After ``patience`` consecutive stale
-    epochs the rate is divided by ``factor``, never below ``min_lr``.
+    by more than ``THRESHOLD``. After ``patience`` consecutive stale
+    epochs the rate is divided by ``DECAY_FACTOR``, never below ``min_lr``.
     """
     lr: float = 1e-3
     patience: int = 5
-    factor: float = 10.0
     min_lr: float = 1e-6
-    threshold: float = 1e-6
     best: float = float("inf")
     stale: int = 0
 
     def __post_init__(self):
-        if self.patience < 1 or self.factor <= 1.0 or self.lr <= 0.0:
-            raise ValueError("scheduler requires patience >= 1, factor > 1, lr > 0")
+        if self.patience < 1 or self.lr <= 0.0:
+            raise ValueError("scheduler requires patience >= 1, lr > 0")
 
 
 def scheduler_update(s: PlateauScheduler, epoch_loss: float) -> float:
     """Record one epoch's training loss; return the rate to use next."""
     if not np.isfinite(epoch_loss):
         raise TrainingError(f"non-finite epoch loss {epoch_loss}")
-    if epoch_loss < s.best - s.threshold:
+    if epoch_loss < s.best - THRESHOLD:
         s.best = epoch_loss
         s.stale = 0
     else:
         s.stale += 1
         if s.stale >= s.patience:
-            s.lr = max(s.lr / s.factor, s.min_lr)
+            s.lr = max(s.lr / DECAY_FACTOR, s.min_lr)
             s.stale = 0
     return s.lr

@@ -153,24 +153,20 @@ def is_number(value, integral: bool = False) -> bool:
 
 @dataclass
 class PipelineConfig:
+    """The settings a training run may vary. Every other hyperparameter is
+    fixed, as the default of the one function that uses it, such as
+    ``head_train``'s rate or ``forest_train``'s depth."""
     l: int = 512
     alpha: float = 1.0
     beta: float = 1.0
     lam: float = 0.01
-    lr: float = 1e-3
     epochs: int = 50
     batch_size: int = 128
-    patience: int = 5
-    min_lr: float = 1e-6
     seed: int = 0
     head_epochs: int = 300
-    head_lr: float = 1e-2
     weight_steps: int = 500
-    weight_lr: float = 1.0
     forest_trees: int = 32
-    forest_depth: int = 8
     svm_epochs: int = 20
-    svm_reg: float = 1e-4
 
     def __post_init__(self):
         for f in fields(self):
@@ -178,17 +174,12 @@ class PipelineConfig:
             if not is_number(value, integral=isinstance(f.default, int)):
                 raise ConfigError(f"{f.name} must be a finite {type(f.default).__name__}, "
                                   f"got {value!r}")
-        # below these a run crashes, trains a part not at all, or (at a
-        # negative rate) trains it in the wrong direction
-        for name, low in (("l", 1), ("batch_size", 1), ("patience", 1), ("seed", 0),
-                          ("epochs", 1), ("head_epochs", 1), ("weight_steps", 1),
-                          ("forest_trees", 1), ("forest_depth", 1), ("svm_epochs", 1),
-                          ("min_lr", 0)):
+        # below these a run crashes or trains a part not at all
+        for name, low in (("l", 1), ("batch_size", 1), ("seed", 0), ("epochs", 1),
+                          ("head_epochs", 1), ("weight_steps", 1), ("forest_trees", 1),
+                          ("svm_epochs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("lr", "head_lr", "weight_lr", "svm_reg"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         self.codean_params()  # checks alpha, beta and lam
 
     def codean_params(self) -> CodeanParams:
@@ -216,8 +207,8 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
     if not np.isfinite(X).all():
         raise NumericError("autoencoder training inputs contain non-finite entries")
     rng = np.random.default_rng(seed)
-    state = AdamState(lr=cfg.lr)
-    sched = PlateauScheduler(lr=cfg.lr, patience=cfg.patience, min_lr=cfg.min_lr)
+    sched = PlateauScheduler()
+    state = AdamState(lr=sched.lr)
     params = net.parameters()
 
     def full_batch_stats(epoch: int) -> EpochStats:
@@ -255,10 +246,11 @@ def _train_one_source(source: int, X_ae: np.ndarray, labels_ae: np.ndarray,
     net = build_rcodean(SOURCE_DIMS[source], cfg.l, cfg.codean_params(),
                         seed=[cfg.seed, source])
     history = train_autoencoder(net, X_ae, cfg, seed=[cfg.seed, 1000 + source])
-    codes = encode(net, Mat(X_ae, copy=False))
+    # X_ae is C-contiguous float64, checked finite by train_autoencoder
+    codes = stacked_encode(net, X_ae)
     with head_lock:
         head = head_train(codes, labels_ae, epochs=cfg.head_epochs,
-                          seed=[cfg.seed, 2000 + source], lr=cfg.head_lr)
+                          seed=[cfg.seed, 2000 + source])
     log.info("source %d trained: loss %.5f -> %.5f", source,
              history[0].total, history[-1].total)
     return net, head, history
@@ -503,8 +495,8 @@ def learn_patch_weights(scores: np.ndarray, labels: np.ndarray,
                 b -= lr * float(gz.sum())
             sq = w * w
         if not (np.isfinite(sq).all() and np.isfinite(b)):
-            raise NumericError(f"the patch-weight fit of attribute {a} diverged; "
-                               f"lower weight_lr (got {lr!r})")
+            raise NumericError(f"the patch-weight fit of attribute {a} diverged "
+                               f"at lr {lr!r}")
         peak = sq.max()
         if peak <= 0.0:
             log.warning("attribute %d learned all-zero weights; using uniform", a)
@@ -607,17 +599,14 @@ def train_full(dataset: AttributeDataset,
         clf_idx = dataset.splits["clf-train"]
         labels_clf = dataset.labels[clf_idx]
         scores = score_split(models, dataset, clf_idx)
-        weights = learn_patch_weights(scores, labels_clf,
-                                      steps=cfg.weight_steps, lr=cfg.weight_lr)
+        weights = learn_patch_weights(scores, labels_clf, steps=cfg.weight_steps)
         feats = build_stage2_features(scores, weights)
         # C-ordered columns: a product's summation order follows the layout
         stage2_mlp = head_train(np.ascontiguousarray(feats.T), labels_clf,
-                                epochs=cfg.head_epochs, seed=[cfg.seed, 3000],
-                                lr=cfg.head_lr)
+                                epochs=cfg.head_epochs, seed=[cfg.seed, 3000])
         forest = forest_train(feats, labels_clf, trees_per_attr=cfg.forest_trees,
-                              max_depth=cfg.forest_depth, seed=cfg.seed)
-        svm = svm_train(feats, labels_clf, epochs=cfg.svm_epochs,
-                        reg=cfg.svm_reg, seed=cfg.seed)
+                              seed=cfg.seed)
+        svm = svm_train(feats, labels_clf, epochs=cfg.svm_epochs, seed=cfg.seed)
     config = asdict(cfg)
     config.update({"k": dataset.k, "attribute_names": list(dataset.names),
                    "source_dims": list(SOURCE_DIMS),

@@ -20,8 +20,7 @@ from rcodean.pipeline import (PipelineConfig, evaluate, predict_batch,
 def trained(tmp_path_factory):
     ds = gen_synthetic(110, 3, seed=3, splits=split_by_counts((60, 30, 20)))
     cfg = PipelineConfig(l=8, epochs=2, batch_size=32, head_epochs=30,
-                         weight_steps=60, forest_trees=3, forest_depth=3,
-                         svm_epochs=4, seed=1)
+                         weight_steps=60, forest_trees=3, svm_epochs=4, seed=1)
     bundle, _ = train_full(ds, cfg)
     path = tmp_path_factory.mktemp("bundle") / "model.rcbn"
     save_bundle(bundle, path)
@@ -37,6 +36,23 @@ def test_round_trip_identical_predictions(trained):
     bits_b, conf_b, _ = predict_batch(loaded, probes)
     assert np.array_equal(bits_a, bits_b)
     assert np.array_equal(conf_a, conf_b)
+
+
+def test_bundle_recording_deleted_settings_loads(trained, tmp_path):
+    # bundles trained before these settings were fixed record them in
+    # their config; the loader ignores keys it does not check
+    ds, _, path = trained
+    deleted = {"lr": 1e-3, "patience": 5, "min_lr": 1e-6, "head_lr": 1e-2,
+               "weight_lr": 1.0, "forest_depth": 8, "svm_reg": 1e-4}
+    old = load_bundle(rewrite_bundle(path, tmp_path / "old.rcbn",
+                                     lambda header, chunks: header["config"].update(deleted)))
+    new = load_bundle(path)
+    assert old.config == {**new.config, **deleted}
+    probes = np.stack([preprocess(ds.image(i)).a for i in range(ds.n)])
+    bits_old, conf_old, _ = predict_batch(old, probes)
+    bits_new, conf_new, _ = predict_batch(new, probes)
+    assert np.array_equal(bits_old, bits_new)
+    assert conf_old.tobytes() == conf_new.tobytes()
 
 
 def _model_arrays(bundle):
@@ -174,7 +190,7 @@ def _edit_skip_layout(edit):
     lambda header, chunks: header["arrays"][0].update(shape=[float("inf"), 1]),
     lambda header, chunks: header["config"].update(forest_trees=True),
     lambda header, chunks: header["config"].update(alpha=float("nan")),
-    lambda header, chunks: header["config"].update(svm_reg="1e-4"),
+    lambda header, chunks: header["config"].update(lam="1e-2"),
     # the encoders run the one trained layout, so a header that records
     # another one misstates the model
     _edit_skip_layout(lambda layout: []),
@@ -184,7 +200,7 @@ def _edit_skip_layout(edit):
         "no-net-bias", "no-face-weight", "no-head-weight", "no-tree", "no-svm-bias",
         "extra-array", "patch-stack-of-8", "heads-k-plus-1", "stage2-k-minus-1",
         "face-as-stack", "sizes-flat", "k-inf", "trees-fractional", "names-short", "shape-inf",
-        "trees-bool", "alpha-nan", "svm-reg-string", "skip-layout-empty",
+        "trees-bool", "alpha-nan", "lam-string", "skip-layout-empty",
         "skip-layout-duplicate", "skip-layout-20000"])
 def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
     _, _, path = trained
@@ -194,7 +210,7 @@ def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "lam", "k", "attribute_names",
-                                   "skip_layout", "forest_trees", "svm_reg", "l"])
+                                   "skip_layout", "forest_trees", "l"])
 def test_missing_config_field_is_format_error(trained, tmp_path, field):
     _, _, path = trained
     p = rewrite_bundle(path, tmp_path / "bad.rcbn",
@@ -250,16 +266,19 @@ def test_malformed_tree_is_format_error(trained, tmp_path, rows):
         load_bundle(p)
 
 
-@pytest.mark.parametrize("sizes", [[[0, 7, 7]], [[6, 7, 7]], [[6.5, 7.5, 7]], [[-1, 8, 14]]],
+# attribute 0's three tree sizes, edited from the trained (a, b, c)
+@pytest.mark.parametrize("sizes", [lambda a, b, c: [0, b, c], lambda a, b, c: [a - 1, b, c],
+                                   lambda a, b, c: [a - 0.5, b + 0.5, c],
+                                   lambda a, b, c: [-1, b, c + a + 1]],
                          ids=["empty-tree", "count-short", "fractional", "negative"])
 def test_node_counts_that_do_not_fit_the_table_are_format_error(trained, tmp_path, sizes):
     def mutate(header, chunks):
         arr = get_array(header, chunks, "forest.sizes")
-        arr[0] = sizes[0]
+        arr[0] = sizes(*arr[0])
         set_array(header, chunks, "forest.sizes", arr)
 
     _, bundle, path = trained
-    assert bundle.forest.sizes[0].tolist() == [7, 7, 7]  # 21 nodes in attribute 0
+    assert bundle.forest.sizes[0].min() > 1  # every tree of attribute 0 splits
     p = rewrite_bundle(path, tmp_path / "bad.rcbn", mutate)
     with pytest.raises(FormatError, match="forest.sizes"):
         load_bundle(p)
@@ -316,7 +335,7 @@ def test_config_guard_on_mismatched_dataset(trained):
 
 LOAD_SECONDS = 5.0
 LOADED_CONFIG_FIELDS = ["alpha", "beta", "lam", "l", "k", "attribute_names", "skip_layout",
-                        "forest_trees", "svm_reg"]
+                        "forest_trees"]
 
 # boundary values first, then arbitrary JSON; integers stay small enough
 # that a loader sizing something by one cannot exhaust memory in the bound

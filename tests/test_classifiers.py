@@ -297,17 +297,17 @@ def _mixed_depth_forest():
 
 @pytest.fixture(scope="module")
 def small_bundle():
-    """A trained bundle of k=3, three trees per attribute and
-    forest_depth 3: its forest reads 30 features."""
+    """A trained bundle of k=3 and three trees per attribute: its forest
+    reads 30 features."""
     ds = gen_synthetic(110, 3, seed=3, splits=split_by_counts((60, 30, 20)))
     cfg = PipelineConfig(l=8, epochs=1, batch_size=32, head_epochs=5, weight_steps=5,
-                         forest_trees=3, forest_depth=3, svm_epochs=1, seed=1)
+                         forest_trees=3, svm_epochs=1, seed=1)
     return train_full(ds, cfg)[0]
 
 
-def _loaded_forest_deeper_than_its_config(bundle, tmp_path):
-    """A bundle's forest with one tree swapped for a valid chain ten levels
-    deeper than the bundle's forest_depth of 3, read by ``load_bundle``."""
+def _loaded_forest_deeper_than_training_grows(bundle, tmp_path):
+    """A bundle's forest with one tree swapped for a valid chain five levels
+    deeper than the depth training grows (8), read by ``load_bundle``."""
     path = tmp_path / "model.rcbn"
     save_bundle(bundle, path)
     rng = np.random.default_rng(31)
@@ -326,7 +326,7 @@ def _loaded_forest_deeper_than_its_config(bundle, tmp_path):
 
 def test_forest_prediction_matches_tree_walk_oracle(small_bundle, tmp_path):
     forests = {"trained": _trained_forest(), "mixed depths": _mixed_depth_forest(),
-               "loaded deeper than its config": _loaded_forest_deeper_than_its_config(
+               "loaded deeper than training grows": _loaded_forest_deeper_than_training_grows(
                    small_bundle, tmp_path)}
     for name, forest in forests.items():
         probes = np.random.default_rng(23).uniform(size=(100, forest.n_features))

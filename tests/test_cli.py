@@ -11,15 +11,14 @@ from hypothesis import given, strategies as st
 from bundle_rewrite import rewrite_bundle, write_version1_bundle
 import rcodean.network
 from fuzzing import FUZZ, time_bound
-from rcodean.cli import build_parser, main
+from rcodean.cli import RunConfig, build_parser, main
 from rcodean.data import load_attr_list, load_gray_image
 from rcodean.pipeline import PipelineConfig
 
 
 TRAIN_FLAGS = ["--l", "8", "--epochs", "2", "--batch-size", "32",
                "--head-epochs", "30", "--weight-steps", "60",
-               "--forest-trees", "3", "--forest-depth", "3",
-               "--svm-epochs", "4", "--seed", "3"]
+               "--forest-trees", "3", "--svm-epochs", "4", "--seed", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -90,21 +89,21 @@ def test_train_missing_dataset(tmp_path, capsys):
     (tmp_path / "fractions.json").write_text('{"split_fractions": 5}')
     (tmp_path / "k.json").write_text('{"k": "x"}')
     (tmp_path / "n.json").write_text('{"synthetic_n": -5}')
-    (tmp_path / "bool.json").write_text('{"patience": true}')
+    (tmp_path / "bool.json").write_text('{"lam": true}')
     (tmp_path / "misspelt.json").write_text('{"epoch": 7, "lr_rate": 0.5, "l": 8}')
     (tmp_path / "counts.json").write_text('{"split_counts": [1000000000000, 0, 0]}')
     base = ["--split-counts", "40,20,10", "--out", str(tmp_path / "o"), *TRAIN_FLAGS]
     synthetic = ["--synthetic", "70", "--k", "2", *base]
     for args, message in [([*synthetic, "--batch-size", "0"], "batch_size"),
                           ([*synthetic, "--l", "0"], "l must be"),
-                          ([*synthetic, "--svm-reg", "0"], "svm_reg"),
+                          ([*synthetic, "--seed", "-1"], "seed must be"),
                           ([*synthetic, "--config", str(tmp_path / "truncated.json")], "JSON"),
                           ([*synthetic, "--config", str(tmp_path / "list.json")],
                            "not an object"),
                           ([*synthetic, "--config", str(tmp_path / "fractions.json")],
                            "split_fractions must be"),
                           ([*synthetic, "--config", str(tmp_path / "bool.json")],
-                           "patience must be"),
+                           "lam must be"),
                           ([*synthetic, "--config", str(tmp_path / "misspelt.json")],
                            "unknown keys 'epoch', 'lr_rate'"),
                           # refused before 10^12 split indices are allocated
@@ -177,8 +176,8 @@ def test_eval_refuses_training_settings_in_config_file(run_dir, synth_dir, tmp_p
             "--data", str(synth_dir / "list_attr.txt"),
             "--images", str(synth_dir / "images"), "--out", str(tmp_path / "eval")]
     cfg = tmp_path / "cfg.json"
-    for settings in ({"l": 999, "epochs": 7, "forest_trees": 1, "min_lr": 1e-5},
-                     {"seed": 5, "lr": 0.5}, {"seed": 5, "sead": 6}):
+    for settings in ({"l": 999, "epochs": 7, "forest_trees": 1, "svm_epochs": 2},
+                     {"seed": 5, "alpha": 0.5}, {"seed": 5, "sead": 6}):
         cfg.write_text(json.dumps(settings))
         assert main([*args, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -342,8 +341,7 @@ def test_config_file_with_flag_override(tmp_path, synth_dir):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
         "l": 8, "epochs": 1, "batch_size": 32, "head_epochs": 20,
-        "weight_steps": 40, "forest_trees": 2, "forest_depth": 3,
-        "svm_epochs": 3, "seed": 9,
+        "weight_steps": 40, "forest_trees": 2, "svm_epochs": 3, "seed": 9,
         "data": str(synth_dir / "list_attr.txt"),
         "images": str(synth_dir / "images"),
         "split_fractions": [0.5, 0.3, 0.2],
@@ -386,25 +384,30 @@ def test_every_pipeline_setting_has_one_train_flag():
         assert dests.count(f.name) == 1, f.name
 
 
-def test_min_lr_flag_reaches_the_run_config(tmp_path):
-    out = tmp_path / "run"
-    rc = main(["train", "--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
-               "--out", str(out), *TRAIN_FLAGS, "--min-lr", "1e-5"])
-    assert rc == 0
-    assert json.loads((out / "config.json").read_text())["pipeline"]["min_lr"] == 1e-5
+# fixed hyperparameters that were settings once; a bundle may still record them
+DELETED_SETTINGS = {"lr": 0.1, "patience": 3, "min_lr": 1e-5, "head_lr": 0.1,
+                    "weight_lr": 0.5, "forest_depth": 4, "svm_reg": 1e-3}
 
 
-def test_diverging_patch_weight_fit_is_named(tmp_path, capsys):
-    rc = main(["train", "--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
-               "--out", str(tmp_path / "run"), *TRAIN_FLAGS, "--weight-lr", "1e300"])
-    _assert_usage_error(rc, capsys, "patch-weight fit of attribute 0 diverged")
-    assert not (tmp_path / "run" / "model.rcbn").exists()
+@pytest.mark.parametrize("name", list(DELETED_SETTINGS))
+def test_deleted_settings_are_usage_errors(name, tmp_path, capsys):
+    train = ["train", "--synthetic", "70", "--k", "2", "--split-counts", "40,20,10",
+             "--out", str(tmp_path / "run"), *TRAIN_FLAGS]
+    flag = f"--{name.replace('_', '-')}"
+    with pytest.raises(SystemExit) as exc:
+        main([*train, flag, str(DELETED_SETTINGS[name])])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err and "Traceback" not in err
+    (tmp_path / "cfg.json").write_text(json.dumps({name: DELETED_SETTINGS[name]}))
+    _assert_usage_error(main([*train, "--config", str(tmp_path / "cfg.json")]), capsys,
+                        f"unknown keys {name!r}")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--epochs", "-2"), ("--epochs", "0"), ("--head-epochs", "-5"), ("--weight-steps", "-1"),
-    ("--svm-epochs", "-3"), ("--forest-depth", "-1"), ("--head-lr", "-1"),
-    ("--head-lr", "0"), ("--weight-lr", "0"), ("--min-lr", "-1e-06")])
+    ("--svm-epochs", "-3"), ("--forest-trees", "0")])
 def test_settings_that_would_train_nothing_are_refused(flag, value, tmp_path, capsys):
     # each trained a part not at all, or the wrong way, and exited 0 or
     # blamed another setting
@@ -451,12 +454,10 @@ def _count(high):
 # a tiny valid training that every drawn case starts from
 _BASE = {"synthetic_n": 24, "k": 2, "split_counts": [10, 8, 6], "l": 2, "epochs": 1,
          "batch_size": 16, "head_epochs": 3, "weight_steps": 3, "forest_trees": 1,
-         "forest_depth": 2, "svm_epochs": 1, "seed": 3}
+         "svm_epochs": 1, "seed": 3}
 # drawn over any range: these cost nothing to be large
-_FREE = {**{name: _mostly(st.integers())
-            for name in ("batch_size", "patience", "seed", "forest_depth")},
-         **{name: _mostly(_REAL) for name in ("alpha", "beta", "lam", "lr", "min_lr",
-                                              "head_lr", "weight_lr", "svm_reg")},
+_FREE = {**{name: _mostly(st.integers()) for name in ("batch_size", "seed")},
+         **{name: _mostly(_REAL) for name in ("alpha", "beta", "lam")},
          "split_fractions": _mostly(st.lists(_REAL, min_size=2, max_size=4)),
          "split_counts": _mostly(st.lists(st.integers(), min_size=2, max_size=4)
                                  | st.lists(st.integers(0), min_size=3, max_size=3))}
@@ -467,6 +468,18 @@ _FLAGS = {"synthetic_n": "--synthetic", "split_fractions": "--split-fractions",
           "split_counts": "--split-counts"}
 _UNKNOWN = st.text(min_size=1, max_size=6).filter(
     lambda key: key not in {*_FREE, *_SIZED, "data", "images", "out"})
+# RunConfig fields the fuzz draws apart from the tables above
+_DRAWN_APART = {"pipeline", "data", "images", "out"}
+
+
+def test_fuzz_tables_name_every_setting():
+    # a stale name would fuzz on as one more unknown key, and a new
+    # setting would never be drawn
+    settings = ({f.name for f in dataclasses.fields(PipelineConfig)}
+                | {f.name for f in dataclasses.fields(RunConfig)}) - _DRAWN_APART
+    assert {*_FREE, *_SIZED} == settings
+    assert not set(_FREE) & set(_SIZED)
+    assert set(_BASE) <= settings
 
 
 def _flag_text(value) -> str:

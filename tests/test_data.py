@@ -170,6 +170,24 @@ def test_packed_round_trip(tmp_path):
     assert back.tobytes() == p.read_bytes()[8:]
 
 
+_ROUNDING_IMAGES = {
+    "uint8": np.arange(256, dtype=np.uint8).reshape(16, 16),
+    "int64": np.arange(-300, 600, 5, dtype=np.int64).reshape(9, 20),
+    # .5 ties round to even; out-of-range values clip
+    "float64": np.concatenate([np.arange(-3.5, 4.0), np.arange(250.5, 258.0)]).reshape(4, 4),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ROUNDING_IMAGES))
+def test_save_writes_rounded_clipped_pixels(tmp_path, kind):
+    img = _ROUNDING_IMAGES[kind]
+    p = tmp_path / "a.rcim"
+    save_gray_image(p, img)
+    # the expression the writer used before it kept integer dtypes
+    old = np.clip(np.rint(img), 0, 255).astype(np.uint8).tobytes()
+    assert p.read_bytes()[8:] == old
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_refuses_non_finite_pixels(tmp_path, bad):
     img = np.full((4, 5), 7.0)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rcodean.errors import ShapeError, TrainingError
-from rcodean.optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
+from rcodean.optimizer import (BETA1, BETA2, DECAY_FACTOR, EPS, THRESHOLD, AdamState,
+                               PlateauScheduler, adam_step, scheduler_update)
 
 
 def test_zero_gradients_are_a_fixed_point():
@@ -51,7 +52,7 @@ def test_sign_flip_flips_updates_exactly():
 def test_non_finite_gradient_aborts_without_partial_update():
     w1 = np.array([[1.0]])
     w2 = np.array([[2.0]])
-    state = AdamState()
+    state = AdamState(lr=1e-3)
     grads = {"a": np.array([[0.5]]), "b": np.array([[np.nan]])}
     with pytest.raises(TrainingError, match="'b'"):
         adam_step(state, [("a", w1), ("b", w2)], grads)
@@ -59,7 +60,7 @@ def test_non_finite_gradient_aborts_without_partial_update():
 
 
 def test_gradient_shape_mismatch():
-    state = AdamState()
+    state = AdamState(lr=1e-3)
     with pytest.raises(ShapeError):
         adam_step(state, [("w", np.zeros((2, 2)))], {"w": np.zeros((2, 3))})
 
@@ -89,7 +90,7 @@ def test_in_place_update_matches_textbook_expression():
     m = {name: np.zeros(shape) for name, shape in shapes.items()}
     v = {name: np.zeros(shape) for name, shape in shapes.items()}
     state = AdamState(lr=0.02)
-    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    b1, b2, eps, lr = BETA1, BETA2, EPS, state.lr
     for t in range(1, 6):
         grads = {name: rng.normal(scale=t, size=shape) for name, shape in shapes.items()}
         adam_step(state, list(params.items()), grads)
@@ -144,8 +145,9 @@ def test_scheduler_stale_bounded_by_patience():
 
 
 def test_scheduler_improvement_threshold():
-    s = PlateauScheduler(lr=0.001, patience=1, threshold=1e-6)
+    s = PlateauScheduler(lr=0.001, patience=1)
     scheduler_update(s, 1.0)
     # a drop smaller than the threshold is not an improvement
+    assert THRESHOLD > 1e-9
     lr = scheduler_update(s, 1.0 - 1e-9)
-    assert lr == pytest.approx(0.0001)
+    assert lr == pytest.approx(0.001 / DECAY_FACTOR)

@@ -29,8 +29,7 @@ from rcodean.tensor import Mat
 
 def _tiny_cfg(seed=0):
     return PipelineConfig(l=8, epochs=2, batch_size=32, head_epochs=40,
-                          weight_steps=80, forest_trees=4, forest_depth=4,
-                          svm_epochs=5, seed=seed)
+                          weight_steps=80, forest_trees=4, svm_epochs=5, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +44,7 @@ def medium_bundle():
     """Trained well enough for score quality to matter, still fast."""
     ds = gen_synthetic(400, 4, seed=1, splits=split_by_counts((250, 100, 50)))
     cfg = PipelineConfig(l=32, epochs=10, batch_size=64, head_epochs=200,
-                         weight_steps=300, forest_trees=8, forest_depth=5,
-                         svm_epochs=10, seed=1)
+                         weight_steps=300, forest_trees=8, svm_epochs=10, seed=1)
     bundle, _ = train_full(ds, cfg)
     return ds, bundle
 
