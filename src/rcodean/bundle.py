@@ -39,10 +39,10 @@ from dataclasses import fields
 import numpy as np
 
 from .classifiers import HEAD_ACTS, Forest, LinearSvm, Tree, assemble_mlp_head, head_dims
-from .errors import CorruptionError, FormatError, VersionError
+from .errors import ConfigError, CorruptionError, FormatError, VersionError
 from .network import DEFAULT_SKIP_LAYOUT, ENCODER_IDS
-from .pipeline import (N_SOURCES, SOURCE_DIMS, ModelBundle, PatchWeights, SourceModels,
-                       is_number, prefixed)
+from .pipeline import (N_SOURCES, SOURCE_DIMS, ModelBundle, PatchWeights, PipelineConfig,
+                       SourceModels, is_number, prefixed)
 
 BUNDLE_MAGIC = b"RCBN"
 BUNDLE_FORMAT_VERSION = "2"
@@ -113,8 +113,9 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-# config fields that loading checks; l, k and forest_trees size the arrays.
-# Other keys are ignored, such as the settings older bundles recorded.
+# config fields that loading requires; l, k and forest_trees size the arrays.
+# Every recorded PipelineConfig field is checked as training checks it; other
+# keys are ignored, such as the settings older bundles recorded.
 _CONFIG_FIELDS = ("alpha", "beta", "lam", "l", "k", "attribute_names", "skip_layout",
                   "forest_trees")
 
@@ -147,17 +148,15 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     missing = [f for f in _CONFIG_FIELDS if f not in config]
     if missing:
         raise FormatError(f"{path}: config lacks {', '.join(missing)}")
-    for name in ("l", "k", "forest_trees"):
-        value = config[name]
-        if not (is_number(value, integral=True) and value >= 1):
-            raise FormatError(f"{path}: config {name} {value!r} is not a count")
-    for name in ("alpha", "beta", "lam"):
-        if not is_number(config[name]):
-            raise FormatError(f"{path}: config {name} {config[name]!r} is not a finite number")
-    names = config["attribute_names"]
-    if not (isinstance(names, list) and len(names) == config["k"]
-            and all(isinstance(n, str) for n in names)):
-        raise FormatError(f"{path}: attribute_names is not a list of k names")
+    try:  # the recorded pipeline settings are checked as training checks them
+        PipelineConfig(**{f.name: config[f.name] for f in fields(PipelineConfig)
+                          if f.name in config})
+    except ConfigError as exc:
+        raise FormatError(f"{path}: config {exc}") from None
+    names, k = config["attribute_names"], config["k"]
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)
+            and is_number(k, integral=True) and k == len(names)):
+        raise FormatError(f"{path}: config k {k!r} is not the count of its attribute_names")
     # the encoders run the one layout training builds; the field records it
     if config["skip_layout"] != [list(skip) for skip in DEFAULT_SKIP_LAYOUT]:
         raise FormatError(f"{path}: config skip_layout is not the trained shortcut layout")

@@ -62,13 +62,6 @@ class RunConfig:
             self.split_counts = _nonnegative_triple("split_counts", self.split_counts,
                                                     integral=True)
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["split_fractions"] = list(self.split_fractions)
-        if self.split_counts is not None:
-            d["split_counts"] = list(self.split_counts)
-        return d
-
 
 def _nonnegative_triple(name: str, value, integral: bool = False) -> tuple:
     if not (isinstance(value, (list, tuple)) and len(value) == 3
@@ -96,83 +89,99 @@ def _fmt(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
-
-# one flag per PipelineConfig field, typed by its default
-_PIPELINE_FLAGS = [(f.name, type(f.default)) for f in dataclasses.fields(PipelineConfig)]
+# settings: which each command takes, and which each dataset source reads
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    for name, typ in _PIPELINE_FLAGS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
+def _triple(caster):
+    """The argparse type of a flag taking three comma-separated values."""
+    def triple(text: str) -> list:
+        try:
+            values = [caster(part) for part in text.split(",")]
+        except ValueError:
+            values = []
+        if len(values) == 3:
+            return values
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated numbers, got {text!r}")
+    return triple
 
 
-def _parse_triple(text: str, caster):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated values, got {text!r}")
+# every setting by its config key: its flag, the type of the flag's text
+# and the flag's help; a PipelineConfig field's flag is its name, typed by
+# its default
+SETTING_FLAGS = {
+    "data": ("--data", str, "attribute list file"),
+    "images": ("--images", str, "image directory"),
+    "synthetic_n": ("--synthetic", int, "an in-memory synthetic dataset of this size"),
+    "k": ("--k", int, "synthetic attribute count"),
+    "split_fractions": ("--split-fractions", _triple(float), "e.g. 0.8,0.1,0.1"),
+    "split_counts": ("--split-counts", _triple(int), "e.g. 1000,200,200"),
+    "out": ("--out", str, None),
+    **{f.name: (f"--{f.name.replace('_', '-')}", type(f.default), None)
+       for f in dataclasses.fields(PipelineConfig)},
+}
+# the settings each command takes. eval takes the model's from the bundle,
+# k included; of the pipeline settings only the seed, which generates a
+# --synthetic dataset, is its own
+COMMAND_SETTINGS = {
+    "train": tuple(SETTING_FLAGS),
+    "eval": ("data", "images", "synthetic_n", "split_fractions", "split_counts", "out",
+             "seed"),
+}
+# the settings each dataset source does not read, and why: given, they
+# would be recorded in the run's config but not used
+UNREAD_BY_SOURCE = {
+    "synthetic": (("data", "images"), "apply to --data attribute lists only; "
+                                      "--synthetic generates its dataset in memory"),
+    "list": (("k", "split_counts"), "apply to --synthetic datasets only; a --data "
+                                    "attribute list sets k and is split by split_fractions"),
+}
+
+
+def _add_setting_flags(p: argparse.ArgumentParser, command: str) -> None:
+    p.add_argument("--config", default=None, help="JSON config file")
+    for name in COMMAND_SETTINGS[command]:
+        flag, typ, help_text = SETTING_FLAGS[name]
+        p.add_argument(flag, dest=name, type=typ, default=None, help=help_text)
+
+
+def _read_config_file(path: Path, command: str) -> dict:
+    if not path.exists():
+        raise UsageError(f"config file not found: {path}")
     try:
-        return tuple(caster(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"expected three comma-separated numbers, got {text!r}") from None
+        settings = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"config file {path} is not readable JSON: {exc}") from None
+    if not isinstance(settings, dict):
+        raise UsageError(f"config file {path} holds a JSON "
+                         f"{type(settings).__name__}, not an object")
+    # a misspelt key would otherwise leave its setting at the default
+    unknown = sorted(set(settings) - set(SETTING_FLAGS))
+    if unknown:
+        raise UsageError(f"config file {path}: unknown keys "
+                         f"{', '.join(map(repr, unknown))}")
+    # only eval takes fewer than every setting, the rest coming from its bundle
+    refused = sorted(set(settings) - set(COMMAND_SETTINGS[command]))
+    if refused:
+        raise UsageError(f"config file {path}: {command} takes "
+                         f"{', '.join(refused)} from the bundle")
+    return settings
 
 
 def _resolve_run_config(args) -> RunConfig:
-    """Defaults, then the config file, then explicit flags."""
-    settings: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"config file {path} is not readable JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {path} holds a JSON "
-                             f"{type(loaded).__name__}, not an object")
-        settings.update(loaded)
-    pipe_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    run_fields = {f.name for f in dataclasses.fields(RunConfig)} - {"pipeline"}
-    # a misspelt key would otherwise leave its setting at the default
-    unknown = sorted(set(settings) - pipe_fields - run_fields)
-    if unknown:
-        raise UsageError(f"config file {args.config}: unknown keys "
-                         f"{', '.join(map(repr, unknown))}")
-    pipe_kwargs = {k: v for k, v in settings.items() if k in pipe_fields}
-    # eval takes the model's settings from the bundle; of the pipeline
-    # settings only the seed, which generates a --synthetic dataset, is its own
-    refused = sorted(set(pipe_kwargs) - {"seed"}) if args.command == "eval" else []
-    if refused:
-        raise UsageError(f"config file {args.config}: eval takes "
-                         f"{', '.join(refused)} from the bundle")
-    run_kwargs = {k: v for k, v in settings.items() if k in run_fields}
-    for name, _ in _PIPELINE_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            pipe_kwargs[name] = value
-    split_fractions = getattr(args, "split_fractions", None)
-    split_counts = getattr(args, "split_counts", None)
-    for name, value in (
-            ("data", args.data), ("images", getattr(args, "images", None)),
-            ("synthetic_n", getattr(args, "synthetic", None)),
-            ("k", getattr(args, "k", None)),
-            ("split_fractions", None if split_fractions is None
-             else _parse_triple(split_fractions, float)),
-            ("split_counts", None if split_counts is None
-             else _parse_triple(split_counts, int)),
-            ("out", args.out)):
-        if value is not None:
-            run_kwargs[name] = value
-    cfg = RunConfig(**run_kwargs, pipeline=PipelineConfig(**pipe_kwargs))
-    # an attribute list sets k and is split by fractions; a given k or
-    # split_counts would be recorded in the run's config but not used
-    if cfg.synthetic_n is None and cfg.data is not None:
-        given = [name for name in ("k", "split_counts") if run_kwargs.get(name) is not None]
-        if given:
-            raise UsageError(f"{', '.join(given)} apply to --synthetic datasets only; "
-                             f"a --data attribute list sets k and is split by "
-                             f"split_fractions")
+    """Defaults, then the config file, then explicit flags, of the
+    settings the command takes; a setting its dataset source does not
+    read is refused."""
+    settings = _read_config_file(Path(args.config), args.command) if args.config else {}
+    flags = {name: getattr(args, name) for name in COMMAND_SETTINGS[args.command]}
+    settings.update({name: value for name, value in flags.items() if value is not None})
+    pipeline = {f.name: settings.pop(f.name) for f in dataclasses.fields(PipelineConfig)
+                if f.name in settings}
+    cfg = RunConfig(**settings, pipeline=PipelineConfig(**pipeline))
+    unread, reason = UNREAD_BY_SOURCE["list" if cfg.synthetic_n is None else "synthetic"]
+    given = [name for name in unread if settings.get(name) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} {reason}")
     return cfg
 
 
@@ -208,9 +217,10 @@ def _nonnegative_flag(name: str, value: int) -> None:
 def cmd_gen_synth(args) -> int:
     _nonnegative_flag("n", args.n)
     _nonnegative_flag("seed", args.seed)
+    # generated first, so a refused size leaves no directory behind
+    ds = gen_synthetic(args.n, args.k, seed=args.seed)
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
-    ds = gen_synthetic(args.n, args.k, seed=args.seed)
     lines = [str(ds.n), " ".join(ds.names)]
     for i in range(ds.n):
         name = f"img_{i:06d}.rcim"
@@ -241,8 +251,7 @@ def cmd_train(args) -> int:
     cfg.k = dataset.k  # an attribute list sets it
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.to_dict()
-    resolved["command"] = "train"
+    resolved = {**dataclasses.asdict(cfg), "command": "train"}  # a tuple dumps as a list
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     print(json.dumps(resolved, sort_keys=True))
     bundle, histories = train_full(dataset, cfg.pipeline)
@@ -260,7 +269,7 @@ def cmd_eval(args) -> int:
     report = evaluate(bundle, dataset, args.split)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.to_dict()
+    resolved = dataclasses.asdict(cfg)
     # the model's settings are the bundle's; of the eval's own pipeline
     # settings only the seed is used, to generate a synthetic dataset
     resolved.update({"command": "eval", "bundle": str(args.bundle),
@@ -355,32 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train the full pipeline")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--data", default=None, help="attribute list file")
-    p.add_argument("--images", default=None, help="image directory")
-    p.add_argument("--synthetic", type=int, default=None,
-                   help="train on an in-memory synthetic dataset of this size")
-    p.add_argument("--k", type=int, default=None, help="synthetic attribute count")
-    p.add_argument("--split-fractions", default=None, help="e.g. 0.8,0.1,0.1")
-    p.add_argument("--split-counts", default=None, help="e.g. 1000,200,200")
-    p.add_argument("--out", default=None)
-    _add_pipeline_flags(p)
+    _add_setting_flags(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a bundle on a dataset split")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--images", default=None)
-    p.add_argument("--synthetic", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--split-fractions", default=None)
-    p.add_argument("--split-counts", default=None)
     p.add_argument("--split", default="test")
-    p.add_argument("--out", default=None)
-    # the model's settings come from the bundle; the seed generates a
-    # --synthetic dataset
-    p.add_argument("--seed", type=int, default=None)
+    _add_setting_flags(p, "eval")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict attributes for one image")
@@ -405,12 +395,9 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except RCodeanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # a path argument that cannot be read or written: missing, a
-        # directory, not permitted
+    except (RCodeanError, OSError) as exc:
+        # OSError: a path argument that cannot be read or written: missing,
+        # a directory, not permitted
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

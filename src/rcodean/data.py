@@ -108,9 +108,10 @@ def split_by_counts(counts: tuple[int, int, int]) -> dict[str, np.ndarray]:
 def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) -> AttributeDataset:
     """Parse the standard attribute-list layout.
 
-    Line 1 is the record count, line 2 the attribute names, then one line
-    per image: filename followed by one value in {-1, 1} per attribute
-    (mapped here to {0, 1}).
+    Line 1 is the record count, line 2 the distinct attribute names, then
+    exactly that many lines, one per image: filename followed by one value
+    in {-1, 1} per attribute (mapped here to {0, 1}). Only blank lines may
+    follow the records.
     """
     path = Path(path)
     images_dir = Path(images_dir)
@@ -133,6 +134,9 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
     names = lines[1].split()
     if not names:
         raise ParseError("attribute-name header is empty", line=2)
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ParseError(f"attribute name {repeated!r} is repeated", line=2)
     k = len(names)
     if len(lines) < 2 + count:
         raise ParseError(
@@ -156,6 +160,9 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
             else:
                 raise ParseError(f"label value {tok!r} is not in {{-1, 1}}",
                                  line=lineno)
+    for lineno, line in enumerate(lines[2 + count:], start=3 + count):
+        if line.strip():
+            raise ParseError(f"file declares {count} records but has more", line=lineno)
     return AttributeDataset(names=names, labels=labels,
                             splits=split_by_fractions(count, split_fractions),
                             paths=paths)

@@ -191,6 +191,9 @@ def _edit_skip_layout(edit):
     lambda header, chunks: header["config"].update(forest_trees=True),
     lambda header, chunks: header["config"].update(alpha=float("nan")),
     lambda header, chunks: header["config"].update(lam="1e-2"),
+    # every recorded pipeline setting is checked as training checks it
+    lambda header, chunks: header["config"].update(alpha=-1.0),
+    lambda header, chunks: header["config"].update(epochs=0),
     # the encoders run the one trained layout, so a header that records
     # another one misstates the model
     _edit_skip_layout(lambda layout: []),
@@ -200,7 +203,8 @@ def _edit_skip_layout(edit):
         "no-net-bias", "no-face-weight", "no-head-weight", "no-tree", "no-svm-bias",
         "extra-array", "patch-stack-of-8", "heads-k-plus-1", "stage2-k-minus-1",
         "face-as-stack", "sizes-flat", "k-inf", "trees-fractional", "names-short", "shape-inf",
-        "trees-bool", "alpha-nan", "lam-string", "skip-layout-empty",
+        "trees-bool", "alpha-nan", "lam-string", "alpha-negative", "epochs-zero",
+        "skip-layout-empty",
         "skip-layout-duplicate", "skip-layout-20000"])
 def test_malformed_bundle_is_format_error(trained, tmp_path, mutate):
     _, _, path = trained

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from bundle_rewrite import rewrite_bundle, write_version1_bundle
 import rcodean.network
 from fuzzing import FUZZ, time_bound
-from rcodean.cli import RunConfig, build_parser, main
+from rcodean.cli import COMMAND_SETTINGS, SETTING_FLAGS, RunConfig, build_parser, main
 from rcodean.data import load_attr_list, load_gray_image
 from rcodean.pipeline import PipelineConfig
 
@@ -232,11 +232,40 @@ def test_attribute_list_refuses_k_and_split_counts(run_dir, synth_dir, tmp_path,
                         ([*train, "--k", "2"], "k"),
                         ([*train, "--config", str(tmp_path / "k.json")], "k"),
                         ([*train, "--config", str(tmp_path / "counts.json")], "split_counts"),
-                        ([*evaluate, "--k", "2"], "k"),
                         ([*evaluate, "--split-counts", "30,20,10"], "split_counts")]:
         _assert_usage_error(main(args), capsys, f"{given} apply to --synthetic datasets only")
+    # eval takes k from the bundle and has no --k
+    with pytest.raises(SystemExit) as exc:
+        main([*evaluate, "--k", "2"])
+    assert exc.value.code == 2 and "unrecognized arguments: --k 2" in capsys.readouterr().err
     assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
     # the k that eval takes from the bundle is not a given one
+    assert main(evaluate) == 0
+
+
+def test_settings_the_dataset_does_not_read_are_refused(run_dir, tmp_path, capsys):
+    # accepted, eval would score the bundle's k attributes whatever k was
+    # given, and train would record paths it never read
+    synthetic = ["--synthetic", "60", "--split-counts", "30,20,10"]
+    evaluate = ["eval", "--bundle", str(run_dir / "model.rcbn"), *synthetic,
+                "--out", str(tmp_path / "eval")]
+    with pytest.raises(SystemExit) as exc:
+        main([*evaluate, "--k", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("rcodean: error:") and "--k 3" in err
+    (tmp_path / "k.json").write_text('{"k": 3}')
+    _assert_usage_error(main([*evaluate, "--config", str(tmp_path / "k.json")]), capsys,
+                        "eval takes k from the bundle")
+    missing = tmp_path / "missing"
+    train = ["train", *synthetic, "--k", "2", "--out", str(tmp_path / "run"), *TRAIN_FLAGS]
+    _assert_usage_error(main([*train, "--data", str(missing / "list.txt"),
+                              "--images", str(missing / "img")]),
+                        capsys, "data, images apply to --data attribute lists only")
+    (tmp_path / "data.json").write_text(json.dumps({"images": str(missing)}))
+    _assert_usage_error(main([*train, "--config", str(tmp_path / "data.json")]), capsys,
+                        "images apply to --data attribute lists only")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
     assert main(evaluate) == 0
 
 
@@ -315,13 +344,15 @@ def test_gradcheck_zero_trials_is_usage_error(capsys):
     # numpy refuses these 29 TiB label arrays without allocating them
     ["train", "--synthetic", "1000000000000", "--k", "4"],
     ["gen-synth", "--out", "o", "--n", "1000000000000"],
+    ["gen-synth", "--out", "o", "--n", "5", "--k", "9"],
 ])
 def test_out_of_range_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # gen-synth makes its --out directory first
+    monkeypatch.chdir(tmp_path)  # where a relative --out would be made
     rc = main(argv)
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err.splitlines()[-1] and "Traceback" not in err, err
+    assert not any(tmp_path.iterdir())  # refused before any output is written
 
 
 def test_invalid_log_level(monkeypatch, capsys):
@@ -376,12 +407,19 @@ def test_rerun_from_echoed_config_reproduces(tmp_path, synth_dir):
     assert (out1 / "losses.csv").read_bytes() == (out2 / "losses.csv").read_bytes()
 
 
-def test_every_pipeline_setting_has_one_train_flag():
-    parser = build_parser()
-    train = parser._subparsers._group_actions[0].choices["train"]
-    dests = [action.dest for action in train._actions]
-    for f in dataclasses.fields(PipelineConfig):
-        assert dests.count(f.name) == 1, f.name
+def test_each_command_has_one_flag_per_setting_it_takes():
+    # train takes every run and pipeline setting; eval takes k and the
+    # model's settings from the bundle
+    settings = ({f.name for f in dataclasses.fields(PipelineConfig)}
+                | {f.name for f in dataclasses.fields(RunConfig)}) - {"pipeline"}
+    assert set(SETTING_FLAGS) == set(COMMAND_SETTINGS["train"]) == settings
+    assert set(COMMAND_SETTINGS["eval"]) == settings - {
+        f.name for f in dataclasses.fields(PipelineConfig) if f.name != "seed"} - {"k"}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command, takes in COMMAND_SETTINGS.items():
+        flags = {action.dest: action.option_strings for action in commands[command]._actions
+                 if action.dest not in ("help", "config", "bundle", "split")}
+        assert flags == {name: [SETTING_FLAGS[name][0]] for name in takes}, command
 
 
 # fixed hyperparameters that were settings once; a bundle may still record them
@@ -464,10 +502,7 @@ _FREE = {**{name: _mostly(st.integers()) for name in ("batch_size", "seed")},
 _SIZED = {"synthetic_n": _count(40), "k": _count(9), "l": _count(4), "epochs": _count(2),
           "head_epochs": _count(5), "weight_steps": _count(5), "forest_trees": _count(2),
           "svm_epochs": _count(3)}
-_FLAGS = {"synthetic_n": "--synthetic", "split_fractions": "--split-fractions",
-          "split_counts": "--split-counts"}
-_UNKNOWN = st.text(min_size=1, max_size=6).filter(
-    lambda key: key not in {*_FREE, *_SIZED, "data", "images", "out"})
+_UNKNOWN = st.text(min_size=1, max_size=6).filter(lambda key: key not in SETTING_FLAGS)
 # RunConfig fields the fuzz draws apart from the tables above
 _DRAWN_APART = {"pipeline", "data", "images", "out"}
 
@@ -503,16 +538,12 @@ def test_config_and_flag_values_exit_0_or_usage_error(run_dir, data):
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out")
         paths = st.sampled_from([str(Path(tmp) / "missing.txt"), tmp, ""])
-        settings = dict(_BASE) if command == "train" else {
-            name: _BASE[name] for name in ("synthetic_n", "split_counts", "seed")}
+        names = sorted(COMMAND_SETTINGS[command])
+        settings = {name: value for name, value in _BASE.items() if name in names}
         settings["out"] = out
         # a few settings dropped (only where the default is cheap) or redrawn
         strategies = {**_FREE, **_SIZED, "data": _mostly(paths), "images": _mostly(paths),
                       "out": _mostly(st.sampled_from([out, ""]))}
-        # eval takes no pipeline setting but the seed, and refuses the rest
-        names = sorted(strategies) if command == "train" else [
-            "seed", "synthetic_n", "k", "split_fractions", "split_counts", "data", "images",
-            "out"]
         for name in data.draw(st.lists(st.sampled_from(names), max_size=3, unique=True),
                               label="changed"):
             if name not in _SIZED and data.draw(st.booleans(), label=f"drop {name}"):
@@ -529,7 +560,7 @@ def test_config_and_flag_values_exit_0_or_usage_error(run_dir, data):
                               label="flags"):
             typed = strategies[name].map(_flag_text)
             text = st.text(max_size=5).filter(_small_or_not_integer)
-            flags += [_FLAGS.get(name, "--" + name.replace("_", "-")),
+            flags += [SETTING_FLAGS[name][0],
                       data.draw(st.integers(0, 2).flatmap(lambda i: typed if i else text),
                                 label=name)]
         config = Path(tmp) / "cfg.json"

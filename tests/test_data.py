@@ -46,6 +46,24 @@ def test_attr_list_declared_count_too_large(tmp_path):
         load_attr_list(path, tmp_path)
 
 
+def test_attr_list_records_beyond_the_declared_count(tmp_path):
+    # otherwise they would be dropped without a word
+    body = "2\nA\n" + "".join(f"i{j}.pgm 1\n" for j in range(5))
+    with pytest.raises(ParseError, match="declares 2 records") as err:
+        load_attr_list(_write_list(tmp_path, body), tmp_path)
+    assert err.value.line == 5
+    # trailing blank lines are not records
+    ds = load_attr_list(_write_list(tmp_path, "1\nA\ni.pgm 1\n\n  \n"), tmp_path)
+    assert ds.n == 1
+
+
+def test_attr_list_repeated_attribute_name(tmp_path):
+    # both columns would be reported under the one name
+    with pytest.raises(ParseError, match="'a' is repeated") as err:
+        load_attr_list(_write_list(tmp_path, "1\na b a\ni.pgm 1 1 -1\n"), tmp_path)
+    assert err.value.line == 2
+
+
 def test_attr_list_bad_count_line(tmp_path):
     for count in ("x", "-3"):
         path = _write_list(tmp_path, f"{count}\nA\na.pgm 1\n")
