@@ -9,11 +9,11 @@ checked value entering the program or a scoring pass, such as
 ``head_score``'s input; this module builds none, ``head_train`` checks
 its features once, and everything else is a plain float64 ndarray.
 
-``head_train`` keeps a head's six arrays as views into one flat buffer
-and writes their gradients into views of another, so each epoch ends in
-one finiteness check and one ``adam_step`` over that one pair, with the
-values six per-array steps give. Its many small numpy calls are why the
-stage-1 threads train their heads one at a time.
+``head_train`` fits one head, or m heads stacked as the stage-1 heads
+are scored and stored, keeping the six arrays as views into one flat
+buffer and their gradients in another: each epoch ends in one finiteness
+check and one ``adam_step`` over that one pair, with the values six
+per-array steps of each head on its own give.
 
 Stage-2 training runs as array programs over independent work. The
 forest grows all k x trees trees in lockstep: every tree keeps its own
@@ -135,7 +135,7 @@ def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray,
 
     probs = caches[-1].output
     upstream = dense_backward_preact(head.layers[2], caches[2],
-                                     (probs - y) / probs.shape[1], out=out(2))[0]
+                                     (probs - y) / probs.shape[-1], out=out(2))[0]
     for i in (1, 0):
         upstream = dense_backward(head.layers[i], caches[i], upstream,
                                   input_grad=i > 0, out=out(i))[0]
@@ -151,31 +151,37 @@ def _flat_views(arrays: list[tuple[str, np.ndarray]], flat: np.ndarray) -> dict:
 
 
 def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
-               seed: int = 0, lr: float = 1e-2) -> MlpHead:
+               seed=0, lr: float = 1e-2) -> MlpHead:
     """Fit a head on (dim, n) float64 feature columns and (n, k) binary
-    labels; the features are checked here, once. The returned head's
-    arrays are views into one flat buffer (see the module docstring)."""
-    if features.ndim != 2 or min(features.shape) < 1:
-        raise ShapeError(f"features must be a non-empty (dim, n) matrix, "
-                         f"got shape {features.shape}")
+    labels, or m stacked heads on an (m, dim, n) stack, head i drawn from
+    ``seed[i]`` and bit for bit what a 2-D call on slice i fits. The
+    features are checked here, once; the head's arrays are views into one
+    flat buffer (see the module docstring)."""
+    if features.ndim not in (2, 3) or min(features.shape) < 1:
+        raise ShapeError(f"features must be a non-empty (dim, n) matrix or "
+                         f"(m, dim, n) stack, got shape {features.shape}")
+    stack = features.shape[:-2]  # (m,) for m stacked heads, () for one
+    if stack and not (isinstance(seed, (list, tuple)) and len(seed) == stack[0]):
+        raise ValueError(f"{stack[0]} stacked heads take a list of {stack[0]} seeds, "
+                         f"got {seed!r}")
     if not np.isfinite(features).all():
         raise NumericError("head features contain non-finite entries")
     labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim != 2 or labels.shape[0] != features.shape[1]:
+    if labels.ndim != 2 or labels.shape[0] != features.shape[-1]:
         raise ShapeError(
-            f"labels shape {labels.shape} does not match {features.shape[1]} samples")
+            f"labels shape {labels.shape} does not match {features.shape[-1]} samples")
     if not _is_binary(labels):
         raise ValueError("labels must be binary")
-    k = labels.shape[1]
-    for a in range(k):
-        col = labels[:, a]
-        if col.min() == col.max():
-            log.warning("attribute %d has a single class in the training set", a)
-    drawn = build_mlp_head(features.shape[0], k, seed=seed).parameters()
-    flat = np.concatenate([arr.ravel() for _, arr in drawn])
+    for a in np.flatnonzero(labels.min(axis=0) == labels.max(axis=0)):
+        log.warning("attribute %d has a single class in the training set", a)
+    drawn = [build_mlp_head(features.shape[-2], labels.shape[1], seed=s).parameters()
+             for s in (seed if stack else [seed])]
+    arrays = [(same[0][0], np.stack([arr for _, arr in same]) if stack else same[0][1])
+              for same in zip(*drawn)]
+    flat = np.concatenate([arr.ravel() for _, arr in arrays])
     flat_grad = np.empty_like(flat)
-    head = assemble_mlp_head(_flat_views(drawn, flat))
-    grads = _flat_views(drawn, flat_grad)
+    head = assemble_mlp_head(_flat_views(arrays, flat))
+    grads = _flat_views(arrays, flat_grad)
     y = np.ascontiguousarray(labels.T)
     state = AdamState(lr=lr)
     for _ in range(epochs):

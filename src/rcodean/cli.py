@@ -209,14 +209,15 @@ def _load_dataset(cfg: RunConfig) -> AttributeDataset:
 # commands
 
 
-def _nonnegative_flag(name: str, value: int) -> None:
-    if value < 0:
-        raise UsageError(f"--{name} must be >= 0, got {value}")
+def _flag_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"--{name} must be >= {low}, got {value}")
 
 
 def cmd_gen_synth(args) -> int:
-    _nonnegative_flag("n", args.n)
-    _nonnegative_flag("seed", args.seed)
+    # a dataset of no records is one train and eval both refuse
+    _flag_at_least("n", args.n, 1)
+    _flag_at_least("seed", args.seed, 0)
     # generated first, so a refused size leaves no directory behind
     ds = gen_synthetic(args.n, args.k, seed=args.seed)
     out = Path(args.out)
@@ -325,9 +326,8 @@ def cmd_report_weights(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise UsageError("gradcheck requires trials >= 1")
-    _nonnegative_flag("seed", args.seed)
+    _flag_at_least("trials", args.trials, 1)
+    _flag_at_least("seed", args.seed, 0)
     report = gradient_check(seed=args.seed, trials=args.trials)
     print(json.dumps({"command": "gradcheck", "seed": args.seed,
                       "trials": args.trials}, sort_keys=True))

@@ -91,10 +91,7 @@ def split_by_fractions(n: int, fractions=DEFAULT_SPLIT_FRACTIONS) -> dict[str, n
         raise ConfigError(f"bad split fractions {fractions}")
     n_ae = int(n * fractions[0])
     n_clf = int(n * fractions[1])
-    idx = np.arange(n)
-    return {"ae-train": idx[:n_ae],
-            "clf-train": idx[n_ae:n_ae + n_clf],
-            "test": idx[n_ae + n_clf:]}
+    return split_by_counts((n_ae, n_clf, n - n_ae - n_clf))
 
 
 def split_by_counts(counts: tuple[int, int, int]) -> dict[str, np.ndarray]:

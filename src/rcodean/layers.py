@@ -5,8 +5,8 @@ Layers consume and produce column-sample matrices: an input of shape
 every sample column; with n == 1 all gradient formulas reduce to the
 single-sample chain rule exactly. A layer may also be a stack of
 same-shaped layers, weight (m, out_dim, in_dim) and bias (m, out_dim, 1),
-run on an (m, in_dim, n) input in one matmul: slice i of the result is
-layer i on input i, bit for bit what the 2-D product gives. Everything
+run forward and backward on an (m, in_dim, n) input: slice i of each
+result is layer i's on input i, bit for bit the 2-D call's. Everything
 here is a plain float64 ndarray; shapes are checked, never broadcast.
 """
 
@@ -138,7 +138,7 @@ def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
 
 def _grads_from_delta(layer, cache, delta, input_grad=True, out=None):
     grad_weight, grad_bias = (None, None) if out is None else out
-    grad_weight = np.matmul(delta, cache.input.T, out=grad_weight)
-    grad_bias = np.sum(delta, axis=1, keepdims=True, out=grad_bias)
-    grad_in = layer.weight.T @ delta if input_grad else None
+    grad_weight = np.matmul(delta, np.swapaxes(cache.input, -1, -2), out=grad_weight)
+    grad_bias = np.sum(delta, axis=-1, keepdims=True, out=grad_bias)
+    grad_in = np.swapaxes(layer.weight, -1, -2) @ delta if input_grad else None
     return grad_in, grad_weight, grad_bias, delta

@@ -18,7 +18,6 @@ import logging
 import numbers
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -237,23 +236,16 @@ def _preprocessed_stack(dataset: AttributeDataset, indices: np.ndarray) -> np.nd
     return out
 
 
-def _train_one_source(source: int, X_ae: np.ndarray, labels_ae: np.ndarray,
-                      cfg: PipelineConfig, head_lock: threading.Lock):
-    """One source's autoencoder, then its head while holding ``head_lock``:
-    a head makes many small numpy calls, and two at once would hand the
-    GIL back and forth at each, where one overlaps the other threads'
-    autoencoders."""
+def _train_one_source(source: int, X_ae: np.ndarray, cfg: PipelineConfig):
+    """One source's autoencoder and its (l, n) codes of ``X_ae``."""
     net = build_rcodean(SOURCE_DIMS[source], cfg.l, cfg.codean_params(),
                         seed=[cfg.seed, source])
     history = train_autoencoder(net, X_ae, cfg, seed=[cfg.seed, 1000 + source])
     # X_ae is C-contiguous float64, checked finite by train_autoencoder
     codes = stacked_encode(net, X_ae)
-    with head_lock:
-        head = head_train(codes, labels_ae, epochs=cfg.head_epochs,
-                          seed=[cfg.seed, 2000 + source])
     log.info("source %d trained: loss %.5f -> %.5f", source,
              history[0].total, history[-1].total)
-    return net, head, history
+    return net, codes, history
 
 
 def _stage1_workers() -> int:
@@ -267,8 +259,9 @@ def _stage1_workers() -> int:
 
 
 def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
-    """Train the ten (autoencoder, head) pairs, one source per thread on
-    ``_stage1_workers()`` threads, one head at a time.
+    """Train the ten autoencoders, one source per thread on
+    ``_stage1_workers()`` threads, then the ten scoring heads on this
+    thread as one stacked head on the stack of the ten sources' codes.
 
     Autoencoders and their scoring heads both fit the ae-train split (the
     autoencoders unsupervised, the heads on frozen codes against labels),
@@ -290,22 +283,21 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     # the threads allocate from malloc arenas of their own, so the memory
     # this thread has freed would stay resident beside theirs, unused
     _release_free_heap()
-    head_lock = threading.Lock()
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=_stage1_workers()) as pool:
-        # the face costs about 4.6 patches a step: submitted last, it
-        # would run alone at the end
-        futures = {s: pool.submit(_train_one_source, s, sources_ae[s], labels_ae, cfg,
-                                  head_lock)
-                   for s in (N_SOURCES - 1, *range(N_SOURCES - 1))}
-        results = [futures[s].result() for s in range(N_SOURCES)]
-    models = SourceModels.from_nets([net for net, _, _ in results],
-                                    [head for _, head, _ in results])
-    histories = [h for _, _, h in results]
+    with _one_blas_thread():
+        with ThreadPoolExecutor(max_workers=_stage1_workers()) as pool:
+            # the face costs about 4.6 patches a step: submitted last, it
+            # would run alone at the end
+            futures = {s: pool.submit(_train_one_source, s, sources_ae[s], cfg)
+                       for s in (N_SOURCES - 1, *range(N_SOURCES - 1))}
+            nets, codes, histories = zip(*(futures[s].result() for s in range(N_SOURCES)))
+        heads = head_train(np.stack(codes), labels_ae, epochs=cfg.head_epochs,
+                           seed=[[cfg.seed, 2000 + s] for s in range(N_SOURCES)])
+    models = SourceModels.from_nets(nets, heads)
     # the nets go, freed into the threads' arenas, which no later
     # allocation of this thread reuses
-    del futures, results
+    del futures, nets, codes
     _release_free_heap()
-    return models, histories
+    return models, list(histories)
 
 
 @functools.cache
@@ -370,25 +362,22 @@ class SourceModels:
                    assemble_mlp_head(prefixed(arrays, "heads")))
 
     @classmethod
-    def from_nets(cls, nets: list[RCodeanNet], heads: list[MlpHead]) -> SourceModels:
-        """The models of ten trained (net, head) pairs, source s at index
-        s: copies of the patch encoders' and the heads' arrays stacked, and
-        the face net's encoder arrays as they are. Every net must have the
-        shortcuts of ``DEFAULT_SKIP_LAYOUT``, the layout a stored encoder runs."""
-        if len(nets) != N_SOURCES or len(heads) != N_SOURCES:
-            raise ShapeError(f"expected {N_SOURCES} nets and heads, "
-                             f"got {len(nets)} and {len(heads)}")
+    def from_nets(cls, nets: list[RCodeanNet], heads: MlpHead) -> SourceModels:
+        """The models of ten trained nets, source s at index s, and their
+        stacked head: copies of the patch encoders' arrays stacked, the rest
+        as they are. Every net must have the shortcuts of
+        ``DEFAULT_SKIP_LAYOUT``, the layout a stored encoder runs."""
+        if len(nets) != N_SOURCES:
+            raise ShapeError(f"expected {N_SOURCES} nets, got {len(nets)}")
         if any(net.skips != DEFAULT_SKIP_LAYOUT for net in nets):
             raise ConfigError("cannot build the model set from nets whose shortcuts "
                               "differ from DEFAULT_SKIP_LAYOUT")
         net_arrays = [dict(net.parameters()) for net in nets]
-        head_arrays = [dict(head.parameters()) for head in heads]
         arrays = {}
         for name in (f"{lid}.{part}" for lid in ENCODER_IDS for part in ("weight", "bias")):
             arrays[f"patch_encoders.{name}"] = _stack(name, [a[name] for a in net_arrays[:-1]])
             arrays[f"face_encoder.{name}"] = net_arrays[-1][name]
-        for name in head_arrays[0]:
-            arrays[f"heads.{name}"] = _stack(name, [a[name] for a in head_arrays])
+        arrays.update((f"heads.{name}", arr) for name, arr in heads.parameters())
         return cls.from_arrays(arrays)
 
 
@@ -665,6 +654,10 @@ class EvalReport:
 def evaluate(bundle: ModelBundle, dataset: AttributeDataset, split: str) -> EvalReport:
     if dataset.k != bundle.k:
         raise ConfigError(f"bundle expects k={bundle.k}, dataset has k={dataset.k}")
+    for a, (ours, theirs) in enumerate(zip(bundle.attribute_names, dataset.names)):
+        if ours != theirs:
+            raise ConfigError(f"dataset attribute {a + 1} is {theirs!r}, where the "
+                              f"bundle was trained on {ours!r}")
     if split not in dataset.splits:
         raise ConfigError(f"unknown split {split!r}")
     idx = dataset.splits[split]

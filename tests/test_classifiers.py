@@ -95,6 +95,34 @@ def test_flat_head_training_equals_the_per_array_loop_bitwise(make):
         assert np.array_equal(arr, expected), name
 
 
+@pytest.mark.parametrize("n, k", [(200, 4), (1000, 4), (200, 8), (1000, 8)])
+def test_stacked_head_training_equals_one_head_at_a_time_bitwise(n, k):
+    # ten heads, each on its own codes and seed and all on the same
+    # labels, as stage 1 trains its ten scoring heads
+    stack = [_separable_codes(n, seed=30, k=k, dim=64)[0]]
+    labels = _separable_codes(n, seed=30, k=k, dim=64)[1]
+    rng = np.random.default_rng(31)
+    stack += [rng.normal(size=(64, n)) for _ in range(9)]
+    seeds = [[5, 2000 + s] for s in range(10)]
+    heads = head_train(np.stack(stack), labels, seed=seeds)
+    assert [layer.weight.shape for layer in heads.layers] == [
+        (10, 32, 64), (10, 16, 32), (10, k, 16)]
+    for i, (codes, seed) in enumerate(zip(stack, seeds)):
+        for one in (head_train(codes, labels, seed=seed),
+                    reference_head_train(codes, labels, seed=seed)):
+            for (name, arr), (_, expected) in zip(heads.parameters(), one.parameters()):
+                assert np.array_equal(arr[i], expected), (i, name)
+
+
+def test_stacked_head_training_takes_one_seed_per_head():
+    codes, labels = _separable_codes(20, seed=32)
+    for seed in (4, [4, 5, 6], [[4, 1]]):
+        with pytest.raises(ValueError, match="2 stacked heads take a list of 2 seeds"):
+            head_train(np.stack([codes, codes]), labels, epochs=2, seed=seed)
+    with pytest.raises(ShapeError):
+        head_train(codes[None, None], labels, epochs=2, seed=[4])
+
+
 def test_non_finite_head_gradient_stops_training_before_any_update(monkeypatch):
     # finite features this large overflow the forward pass, and with it
     # the first gradient (at 1e200 every gradient stays finite)

@@ -153,6 +153,21 @@ def test_eval_records_the_bundle_config(run_dir, synth_dir, tmp_path, capsys):
     assert {name: recorded["pipeline"][name] for name in trained} == trained
 
 
+def test_eval_refuses_a_list_of_other_attributes(run_dir, synth_dir, tmp_path, capsys):
+    # the same images and labels under other names: k matches, the
+    # attributes do not
+    lines = (synth_dir / "list_attr.txt").read_text().splitlines()
+    lines[1] = "a b"
+    (tmp_path / "list_attr.txt").write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--bundle", str(run_dir / "model.rcbn"),
+               "--data", str(tmp_path / "list_attr.txt"),
+               "--images", str(synth_dir / "images"), "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'a'" in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_refuses_training_flags(run_dir, synth_dir, tmp_path, capsys):
     # eval takes the model's settings from the bundle; a training flag
     # would be silently ignored, so it is refused
@@ -339,6 +354,8 @@ def test_gradcheck_zero_trials_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["gen-synth", "--out", "o", "--n", "-1"],
+    # no records: a dataset that train and eval both refuse
+    ["gen-synth", "--out", "o", "--n", "0"],
     ["gen-synth", "--out", "o", "--seed", "-1"],
     ["gradcheck", "--seed", "-1"],
     # numpy refuses these 29 TiB label arrays without allocating them

@@ -209,6 +209,34 @@ def test_stacked_layer_matches_each_layer_bitwise(act):
     assert inference.pre_activation is None
 
 
+@pytest.mark.parametrize("act", ["relu", "linear", "sigmoid"])
+@pytest.mark.parametrize("shape", [(48, 16, 1), (64, 32, 200), (32, 16, 1000)])
+def test_stacked_backward_matches_each_layer_bitwise(act, shape):
+    # relu and linear layers through dense_backward, every activation at
+    # its pre-activation through dense_backward_preact, also into out
+    # buffers, as a stacked head's training runs them
+    in_dim, out_dim, n = shape
+    rng = np.random.default_rng(83)
+    layers = [_random_layer(in_dim, out_dim, act, rng) for _ in range(3)]
+    stacked = _stacked(layers, "stacked")
+    x = rng.normal(size=(3, in_dim, n))
+    upstream = rng.normal(size=(3, out_dim, n))
+    cache = dense_forward(stacked, x)
+    calls = [lambda layer, c, g, out: dense_backward_preact(layer, c, g, out=out)]
+    if act != "sigmoid":
+        calls += [lambda layer, c, g, out: dense_backward(layer, c, g, out=out),
+                  lambda layer, c, g, out: dense_backward(layer, c, g, input_grad=False,
+                                                          out=out)]
+    for backward in calls:
+        for out in (None, (np.empty(stacked.weight.shape), np.empty(stacked.bias.shape))):
+            got = backward(stacked, cache, upstream, out)
+            for i, layer in enumerate(layers):
+                expected = backward(layer, dense_forward(layer, x[i]), upstream[i], None)
+                for g, e in zip(got, expected):
+                    assert (g is None) == (e is None)
+                    assert g is None or np.array_equal(g[i], e)
+
+
 def test_stacked_layer_shape_checks():
     rng = np.random.default_rng(79)
     stacked = _stacked([_random_layer(6, 4, "relu", rng) for _ in range(2)], "s")

@@ -1,8 +1,6 @@
 import dataclasses
 import logging
-import sys
 import threading
-import time
 import tracemalloc
 import weakref
 
@@ -25,6 +23,14 @@ from rcodean.pipeline import (IMAGE_SIZE, N_SOURCES, PATCH_OFFSETS, PATCH_SIZE,
                               train_autoencoder, train_full, train_stage1,
                               _bilinear_resize, _preprocessed_stack, _resize_plan)
 from rcodean.tensor import Mat
+
+
+def _from_nets(nets, heads):
+    """``SourceModels.from_nets`` of per-source heads, stacked as stage 1
+    trains them, source s as slice s."""
+    arrays = [dict(head.parameters()) for head in heads]
+    return SourceModels.from_nets(nets, assemble_mlp_head(
+        {name: np.stack([a[name] for a in arrays]) for name in arrays[0]}))
 
 
 def _tiny_cfg(seed=0):
@@ -226,8 +232,8 @@ def test_score_images_zero_heads_give_half():
     for head in heads:
         for _, arr in head.parameters():
             arr[:] = 0.0
-    models = SourceModels.from_nets([build_rcodean(d, 6, seed=s)
-                                     for s, d in enumerate([1024] * 9 + [4096])], heads)
+    models = _from_nets([build_rcodean(d, 6, seed=s)
+                         for s, d in enumerate([1024] * 9 + [4096])], heads)
     img = preprocess(np.random.default_rng(17).integers(0, 256, size=(64, 64)))
     scores = score_images(models, img.a[None])
     assert scores.shape == (1, 10, 3)
@@ -262,7 +268,7 @@ def test_stacked_scores_equal_per_source_loop_bitwise_at_l64():
              for s, d in enumerate([1024] * 9 + [4096])]
     probes = _probe_stack(max(SCORE_SIZES))
     expected = [reference_score_images(pairs, probes[:n]) for n in SCORE_SIZES]
-    models = SourceModels.from_nets(*zip(*pairs))
+    models = _from_nets(*zip(*pairs))
     for n, scores in zip(SCORE_SIZES, expected):
         assert np.array_equal(score_images(models, probes[:n]), scores), n
 
@@ -274,7 +280,7 @@ def l64_split():
     pairs = [(build_rcodean(d, 64, seed=s), build_mlp_head(64, 4, seed=100 + s))
              for s, d in enumerate([1024] * 9 + [4096])]
     ds = gen_synthetic(2100, 3, seed=19, splits=split_by_counts((2100, 0, 0)))
-    return SourceModels.from_nets(*zip(*pairs)), ds, ds.splits["ae-train"]
+    return _from_nets(*zip(*pairs)), ds, ds.splits["ae-train"]
 
 
 def test_blocked_scores_equal_whole_stack_bitwise(l64_split):
@@ -320,7 +326,7 @@ def test_path_backed_dataset_keeps_no_pixels_after_scoring(tmp_path):
         lines.append(f"{i}.rcim 1 -1")
     (tmp_path / "list_attr.txt").write_text("\n".join(lines) + "\n")
     ds = load_attr_list(tmp_path / "list_attr.txt", tmp_path, split_fractions=(0.0, 1.0, 0.0))
-    models = SourceModels.from_nets(
+    models = _from_nets(
         [build_rcodean(d, 6, seed=s) for s, d in enumerate([1024] * 9 + [4096])],
         [build_mlp_head(6, 2, seed=s) for s in range(N_SOURCES)])
     tracemalloc.start()
@@ -360,12 +366,12 @@ def test_stacking_refuses_mismatched_models():
              for s, d in enumerate([1024] * 9 + [4096])]
     pairs[3] = (build_rcodean(1024, 7, seed=3), pairs[3][1])
     with pytest.raises(ShapeError):
-        SourceModels.from_nets(*zip(*pairs))
+        _from_nets(*zip(*pairs))
     with pytest.raises(ShapeError):
-        SourceModels.from_nets(*zip(*pairs[:9]))
+        _from_nets(*zip(*pairs[:9]))
     pairs[3] = (build_rcodean(1024, 6, seed=3, skip_layout=()), pairs[3][1])
     with pytest.raises(ConfigError, match="shortcuts"):
-        SourceModels.from_nets(*zip(*pairs))
+        _from_nets(*zip(*pairs))
 
 
 def test_non_finite_pixel_in_batch_is_numeric_error(tiny_bundle):
@@ -599,43 +605,29 @@ def test_pipeline_deterministic_and_parallel_equivalent(monkeypatch):
         assert other_histories == histories
 
 
-def test_stage1_heads_never_train_two_at_once(monkeypatch):
-    # a head's many small numpy calls hand the GIL back and forth when two
-    # train together, so the stage-1 threads take turns at their heads
+def test_stage1_trains_its_heads_in_one_call_on_the_calling_thread(monkeypatch):
+    # the ten heads train after the autoencoders, as one stacked head on
+    # the (10, l, n) stack of the sources' codes, kept as it is trained
     ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
     cfg = dataclasses.replace(_tiny_cfg(seed=7), epochs=1)
-    unspied, _ = train_full(ds, cfg)
     head_train = pipeline.head_train
-    for workers in (2, 10):
-        guard = threading.Lock()
-        running, most = [0], [0]
+    calls = []
 
-        def spy(*args, **kwargs):
-            if threading.current_thread() is threading.main_thread():  # the stage-2 MLP
-                return head_train(*args, **kwargs)
-            with guard:
-                running[0] += 1
-                most[0] = max(most[0], running[0])
-            try:
-                time.sleep(0.02)  # a window for another head to enter
-                return head_train(*args, **kwargs)
-            finally:
-                with guard:
-                    running[0] -= 1
+    def spy(features, *args, **kwargs):
+        head = head_train(features, *args, **kwargs)
+        calls.append((threading.current_thread(), features.shape, head))
+        return head
 
+    monkeypatch.setattr(pipeline, "head_train", spy)
+    for workers in (1, 2, 10):
         monkeypatch.setattr(pipeline, "_stage1_workers", lambda: workers)
-        monkeypatch.setattr(pipeline, "head_train", spy)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)  # threads swap often, so a race would show
-        try:
-            bundle, _ = train_full(ds, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert most[0] == 1, workers
-        arrays, expected = _stored_arrays(bundle), _stored_arrays(unspied)
-        assert list(arrays) == list(expected)
-        for name, arr in expected.items():
-            assert np.array_equal(arrays[name], arr), name
+        calls.clear()
+        models, _ = train_stage1(ds, cfg)
+        [(thread, shape, head)] = calls
+        assert thread is threading.current_thread()
+        assert shape == (N_SOURCES, cfg.l, 50)
+        assert all(layer.weight is trained.weight and layer.bias is trained.bias
+                   for layer, trained in zip(models.heads.layers, head.layers))
 
 
 def test_train_full_without_openblas_warns_once(monkeypatch, caplog):
@@ -716,3 +708,15 @@ def test_evaluate_reports_and_k_guard(tiny_bundle):
         evaluate(bundle, other, "test")
     with pytest.raises(ConfigError):
         evaluate(bundle, ds, "validation")
+
+
+def test_evaluate_refuses_other_attribute_names_before_scoring(tiny_bundle, monkeypatch):
+    # k matches, but column a of the dataset is not what the bundle's
+    # column a learned: other attributes, or the same ones in another order
+    ds, bundle, _ = tiny_bundle
+    monkeypatch.setattr(pipeline, "score_split", None)  # scoring would fail
+    first, second, third = bundle.attribute_names
+    for names, wrong in ((["a", "b", "c"], "'a'"), ([first, third, second], f"'{third}'")):
+        other = dataclasses.replace(ds, names=names)
+        with pytest.raises(ConfigError, match=wrong):
+            evaluate(bundle, other, "test")
