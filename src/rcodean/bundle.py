@@ -6,15 +6,14 @@ in manifest order as a u64 entry count plus little-endian payload, and a
 trailing CRC-32 of all preceding bytes.
 
 The arrays are exactly what prediction reads, laid out as it reads them:
-the nine patch encoders as (9, out, in) stacks, the face encoder, the ten
-stage-1 heads as (10, out, in) stacks, the patch weights, the stage-2
-MLP, the forest and the SVM. The forest is one (n_nodes, 5) table of
-[feature, threshold, left, right, prob] rows, every tree in preorder one
-after another with children indexed within their own tree, plus the
-(k, trees) node counts; integer fields round-trip exactly through
-float64. The autoencoders' decoders are not stored. Version-1 files,
-which held the whole autoencoders, are refused: retrain to get a
-version-2 bundle.
+the nine patch encoders as (9, out, in) stacks, the face encoder, the
+patch weights, the ten stage-1 heads as (10, out, in) stacks, the
+stage-2 MLP, the forest and the SVM. Each part's module names and
+shapes its arrays (``network.parameter_shapes``, ``classifiers.head_shapes``
+and ``classifiers.forest_shapes``); this module only stacks and prefixes
+them. Integer fields round-trip exactly through float64. The
+autoencoders' decoders are not stored. Version-1 files, which held the
+whole autoencoders, are refused: retrain to get a version-2 bundle.
 
 The config's ``skip_layout`` records the shortcuts into and within the
 autoencoders. There is one layout, ``network.DEFAULT_SKIP_LAYOUT``; the
@@ -22,10 +21,10 @@ loaded encoders run it, so the field must equal it.
 
 A passing checksum does not make a file trusted: a manifest other than
 the one the config implies, a ``skip_layout`` other than the trained
-one, a non-finite array or a malformed tree is a ``FormatError``. That
-is the only check the loaded values get; the encoders and heads are
-built from the arrays as training builds them (``SourceModels.from_arrays``)
-and use them as they are.
+one, a non-finite array or a forest that ``Forest`` refuses is a
+``FormatError``. That is the only check the loaded values get; the
+encoders and heads are built from the arrays as training builds them
+(``SourceModels.from_arrays``) and use them as they are.
 """
 
 from __future__ import annotations
@@ -34,13 +33,12 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import fields
 
 import numpy as np
 
-from .classifiers import HEAD_ACTS, Forest, LinearSvm, Tree, assemble_mlp_head, head_dims
+from .classifiers import Forest, LinearSvm, assemble_mlp_head, forest_shapes, head_shapes
 from .errors import ConfigError, CorruptionError, FormatError, VersionError
-from .network import DEFAULT_SKIP_LAYOUT, ENCODER_IDS
+from .network import DEFAULT_SKIP_LAYOUT, parameter_shapes
 from .pipeline import (N_SOURCES, SOURCE_DIMS, ModelBundle, PatchWeights, PipelineConfig,
                        SourceModels, is_number, prefixed)
 
@@ -52,44 +50,32 @@ def _manifest(config: dict) -> dict[str, tuple[int, ...]]:
     """Every stored array's name and shape, in file order, as the config
     implies them; -1 marks the forest's node count, the one free size."""
     l, k = config["l"], config["k"]
-    shapes: dict[str, tuple[int, ...]] = {}
-    for prefix, stack, d in (("patch_encoders", (N_SOURCES - 1,), SOURCE_DIMS[0]),
-                             ("face_encoder", (), SOURCE_DIMS[-1])):
-        for lid, in_dim in zip(ENCODER_IDS, (d, l, l)):
-            shapes[f"{prefix}.{lid}.weight"] = (*stack, l, in_dim)
-            shapes[f"{prefix}.{lid}.bias"] = (*stack, l, 1)
-    shapes["patch_weights"] = (k, N_SOURCES)
-    for prefix, stack, in_dim in (("heads", (N_SOURCES,), l),
-                                  ("stage2_mlp", (), N_SOURCES * k)):
-        dims = head_dims(in_dim, k)
-        for i in range(len(HEAD_ACTS)):
-            shapes[f"{prefix}.layer{i}.weight"] = (*stack, dims[i + 1], dims[i])
-            shapes[f"{prefix}.layer{i}.bias"] = (*stack, dims[i + 1], 1)
-    shapes["forest.nodes"] = (-1, len(fields(Tree)))
-    shapes["forest.sizes"] = (k, config["forest_trees"])
-    shapes["svm.weights"] = (k, N_SOURCES * k)
-    shapes["svm.biases"] = (k,)
-    return shapes
+
+    def part(prefix, shapes, stack=()):
+        return {f"{prefix}.{name}": (*stack, *shape) for name, shape in shapes.items()}
+
+    return {**part("patch_encoders", parameter_shapes(SOURCE_DIMS[0], l, encoder_only=True),
+                   (N_SOURCES - 1,)),
+            **part("face_encoder", parameter_shapes(SOURCE_DIMS[-1], l, encoder_only=True)),
+            "patch_weights": (k, N_SOURCES),
+            **part("heads", head_shapes(l, k), (N_SOURCES,)),
+            **part("stage2_mlp", head_shapes(N_SOURCES * k, k)),
+            **part("forest", forest_shapes(k, config["forest_trees"])),
+            "svm.weights": (k, N_SOURCES * k), "svm.biases": (k,)}
 
 
 def _stored_arrays(bundle: ModelBundle) -> dict[str, np.ndarray]:
     """Every array prediction reads, by its manifest name, in file order."""
-    models = bundle.sources
-    arrays: dict[str, np.ndarray] = {}
-    for prefix, encoder in (("patch_encoders", models.patch_encoders),
-                            ("face_encoder", models.face_encoder)):
-        for name, arr in encoder.parameters():
-            arrays[f"{prefix}.{name}"] = arr
-    arrays["patch_weights"] = bundle.patch_weights.values
-    for prefix, head in (("heads", models.heads), ("stage2_mlp", bundle.stage2_mlp)):
-        for name, arr in head.parameters():
-            arrays[f"{prefix}.{name}"] = arr
-    nodes = bundle.forest.nodes
-    arrays["forest.nodes"] = np.column_stack([getattr(nodes, f.name) for f in fields(Tree)])
-    arrays["forest.sizes"] = bundle.forest.sizes
-    arrays["svm.weights"] = bundle.svm.weights
-    arrays["svm.biases"] = bundle.svm.biases
-    return arrays
+    def part(prefix, arrays):
+        return {f"{prefix}.{name}": arr for name, arr in arrays}
+
+    return {**part("patch_encoders", bundle.sources.patch_encoders.parameters()),
+            **part("face_encoder", bundle.sources.face_encoder.parameters()),
+            "patch_weights": bundle.patch_weights.values,
+            **part("heads", bundle.sources.heads.parameters()),
+            **part("stage2_mlp", bundle.stage2_mlp.parameters()),
+            **part("forest", bundle.forest.arrays()),
+            "svm.weights": bundle.svm.weights, "svm.biases": bundle.svm.biases}
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -131,7 +117,7 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
         raise FormatError(f"{path}: header length {header_len} exceeds the file")
     try:
         header = json.loads(data[8:8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
@@ -149,8 +135,7 @@ def _read_header(path, data: bytes) -> tuple[dict, int]:
     if missing:
         raise FormatError(f"{path}: config lacks {', '.join(missing)}")
     try:  # the recorded pipeline settings are checked as training checks them
-        PipelineConfig(**{f.name: config[f.name] for f in fields(PipelineConfig)
-                          if f.name in config})
+        PipelineConfig(**{key: config[key] for key in vars(PipelineConfig()) if key in config})
     except ConfigError as exc:
         raise FormatError(f"{path}: config {exc}") from None
     names, k = config["attribute_names"], config["k"]
@@ -203,58 +188,12 @@ def _read_arrays(path, data: bytes, manifest: list, pos: int,
     return arrays
 
 
-def _check_trees(nodes: np.ndarray, sizes: np.ndarray, n_features: int) -> None:
-    """Raise ``FormatError`` unless the (n_nodes, 5) table holds trees of
-    the (k, trees) node counts ``sizes``, one after another, each a tree in
-    preorder, so a sample walked down it reaches a leaf within the tree's
-    depth: an internal node has a feature in [0, n_features) and two
-    children after it within its tree, a leaf has feature and children
-    -1, every node but the root is the child of exactly one node, and
-    every probability lies in [0, 1]. All trees are checked in one pass."""
-    flat = sizes.reshape(-1)
-    if not ((flat >= 1) & (flat == np.floor(flat))).all() or flat.sum() != len(nodes):
-        raise FormatError(f"forest.sizes are not node counts of the {len(nodes)} nodes "
-                          f"in forest.nodes")
-    flat = flat.astype(np.int64)
-    ends = np.cumsum(flat)
-    start = np.repeat(ends - flat, flat)
-    index = np.arange(len(nodes)) - start
-    n_nodes = np.repeat(flat, flat)
-    feature, left, right, prob = nodes[:, 0], nodes[:, 2], nodes[:, 3], nodes[:, 4]
-    internal = ((feature >= 0) & (feature < n_features)
-                & (left > index) & (left < n_nodes) & (right > index) & (right < n_nodes))
-    leaf = (feature == -1) & (left == -1) & (right == -1)
-    indices = nodes[:, [0, 2, 3]]
-    whole = (indices == np.floor(indices)).all(axis=1)
-    ok = (internal | leaf) & whole & (prob >= 0.0) & (prob <= 1.0)
-    if ok.all():
-        # the children are valid indices now; the forest's level-by-level
-        # depth count would visit a node with two parents once per path.
-        # A leaf's missing children are counted in one extra, last bin.
-        parents = np.zeros(len(nodes) + 1, dtype=np.int64)
-        for child in (left, right):
-            parents += np.bincount(np.where(leaf, len(nodes), child + start).astype(np.int64),
-                                   minlength=len(nodes) + 1)
-        parents[ends - flat] += 1  # a root has none
-        ok = parents[:-1] == 1
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        attr, tree = divmod(int(np.searchsorted(ends, bad, side="right")), sizes.shape[1])
-        raise FormatError(f"forest.attr{attr}.tree{tree}: node {int(index[bad])} is not "
-                          f"a leaf or an internal node of a preorder tree")
-
-
 def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     """The bundle around ``arrays``, the file's arrays by manifest name,
     viewing its bytes: each is copied once, straight into the array the
-    bundle keeps, so no bundle array views the file's bytes."""
-    nodes, sizes = arrays["forest.nodes"], arrays["forest.sizes"]
-    n_features = N_SOURCES * int(config["k"])
-    _check_trees(nodes, sizes, n_features)
-    forest = Forest(Tree(feature=nodes[:, 0].astype(np.int64), threshold=nodes[:, 1].copy(),
-                         left=nodes[:, 2].astype(np.int64), right=nodes[:, 3].astype(np.int64),
-                         prob=nodes[:, 4].copy()),
-                    sizes.astype(np.int64), n_features)
+    bundle keeps (the forest copies its own), so no bundle array views
+    the file's bytes."""
+    forest = Forest.from_arrays(prefixed(arrays, "forest"), N_SOURCES * int(config["k"]))
     owned = {name: arr.copy() for name, arr in arrays.items() if not name.startswith("forest.")}
     return ModelBundle(
         config=config, sources=SourceModels.from_arrays(owned),

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, TrainingError
+from .errors import FormatError, NumericError, ShapeError, TrainingError
 from .layers import (DenseLayer, LayerCache, dense_backward, dense_backward_preact,
                      dense_forward, glorot_uniform)
 from .optimizer import AdamState, adam_step
@@ -67,11 +67,9 @@ class MlpHead:
         return self.layers[-1].out_dim
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"layer{i}.weight", layer.weight))
-            out.append((f"layer{i}.bias", layer.bias))
-        return out
+        """Every array, named as ``head_shapes`` names them."""
+        arrays = [arr for layer in self.layers for arr in (layer.weight, layer.bias)]
+        return list(zip(head_shapes(self.in_dim, self.n_attributes), arrays))
 
 
 def assemble_mlp_head(arrays) -> MlpHead:
@@ -82,20 +80,20 @@ def assemble_mlp_head(arrays) -> MlpHead:
                     for i, act in enumerate(HEAD_ACTS)])
 
 
-def head_dims(in_dim: int, k: int) -> list[int]:
-    """The input, hidden and output sizes of a head: the hidden layers
-    are in/2 and in/4 wide."""
-    return [in_dim, max(1, in_dim // 2), max(1, in_dim // 4), k]
+def head_shapes(in_dim: int, k: int) -> dict[str, tuple[int, int]]:
+    """The name and shape of each array of a head for ``in_dim``-dim
+    inputs and k attributes, in ``MlpHead.parameters()`` order; the
+    hidden layers are in/2 and in/4 wide, at least 1."""
+    dims = [in_dim, max(1, in_dim // 2), max(1, in_dim // 4), k]
+    return {f"layer{i}.{part}": (dims[i + 1], dims[i] if part == "weight" else 1)
+            for i in range(len(HEAD_ACTS)) for part in ("weight", "bias")}
 
 
 def build_mlp_head(in_dim: int, k: int, seed: int = 0) -> MlpHead:
     rng = np.random.default_rng(seed)
-    dims = head_dims(in_dim, k)
-    arrays = {}
-    for i in range(len(HEAD_ACTS)):
-        arrays[f"layer{i}.weight"] = glorot_uniform(rng, dims[i + 1], dims[i])
-        arrays[f"layer{i}.bias"] = np.zeros((dims[i + 1], 1))
-    return assemble_mlp_head(arrays)
+    return assemble_mlp_head({name: glorot_uniform(rng, *shape) if name.endswith(".weight")
+                              else np.zeros(shape)
+                              for name, shape in head_shapes(in_dim, k).items()})
 
 
 def _head_forward(head: MlpHead, x: np.ndarray,
@@ -228,37 +226,72 @@ class Forest:
     """Every tree's nodes in one preorder ``Tree``, the trees in
     [attribute][tree] order with ``sizes[a, t]`` nodes each, and the node
     table ``forest_predict_proba`` walks, built from them here and
-    nowhere else. Each tree must be a tree in preorder (every node but the
-    root the child of one node, after its parent), as ``forest_train``
-    grows them and the bundle loader checks."""
+    nowhere else. A bundle stores the nodes as float64 rows of [feature,
+    threshold, left, right, prob] (``arrays``, ``from_arrays``). Before
+    the table is built, a ``FormatError`` refuses node counts that are not
+    whole numbers >= 1 filling the node arrays, and any tree not in
+    preorder: an internal node has a feature in [0, n_features) and two
+    children after it within its tree, a leaf has feature and children
+    -1, every node but the root is the child of exactly one node, and
+    every probability lies in [0, 1]."""
     nodes: Tree
     sizes: np.ndarray  # (attributes, trees per attribute), int64
     n_features: int
     table: NodeTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = self.sizes.reshape(-1)
-        starts = np.cumsum(sizes) - sizes
-        leaf = self.nodes.feature < 0
-        own = np.arange(len(leaf))
-        offset = np.repeat(starts, sizes)
-        left, right = self.nodes.left + offset, self.nodes.right + offset
-        np.copyto(left, own, where=leaf)
-        np.copyto(right, own, where=leaf)
-        # the depth from the trees themselves (a loaded forest may be deeper
-        # than its config's forest_depth), one level of every tree per step;
-        # each node has one parent, so this visits each node once
-        level, depth = starts, 0
-        while (level := level[~leaf[level]]).size:
-            level = np.concatenate([left[level], right[level]])
-            depth += 1
-        self.table = NodeTable(np.maximum(self.nodes.feature, 0), self.nodes.threshold,
-                               left, right, self.nodes.prob,
-                               starts.reshape(self.sizes.shape), depth)
+        nodes, flat = self.nodes, self.sizes.reshape(-1)
+        n = len(nodes.feature)
+        if not ((flat >= 1) & (flat == np.floor(flat))).all() or flat.sum() != n:
+            raise FormatError(f"forest.sizes are not node counts of the {n} nodes "
+                              f"in forest.nodes")
+        self.sizes = self.sizes.astype(np.int64, copy=False)
+        flat = self.sizes.reshape(-1)
+        ends = np.cumsum(flat)
+        starts = ends - flat
+        offset = np.repeat(starts, flat)
+        index = np.arange(n) - offset
+        n_nodes = np.repeat(flat, flat)
+        feature, left, right, prob = nodes.feature, nodes.left, nodes.right, nodes.prob
+        internal = ((feature >= 0) & (feature < self.n_features)
+                    & (left > index) & (left < n_nodes) & (right > index) & (right < n_nodes))
+        leaf = (feature == -1) & (left == -1) & (right == -1)
+        whole = ((feature == np.floor(feature)) & (left == np.floor(left))
+                 & (right == np.floor(right)))
+        ok = (internal | leaf) & whole & (prob >= 0.0) & (prob <= 1.0)
+        if ok.all():
+            # the children are valid indices now; the depth walk would visit
+            # a node with two parents once per path. A leaf's missing
+            # children are counted in one extra, last bin.
+            parents = np.zeros(n + 1, dtype=np.int64)
+            for child in (left, right):
+                parents += np.bincount(np.where(leaf, n, child + offset).astype(np.int64),
+                                       minlength=n + 1)
+            parents[starts] += 1  # a root has none
+            ok = parents[:-1] == 1
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            attr, tree = divmod(int(np.searchsorted(ends, bad, side="right")),
+                                self.sizes.shape[1])
+            raise FormatError(f"forest.attr{attr}.tree{tree}: node {int(index[bad])} is "
+                              f"not a leaf or an internal node of a preorder tree")
+        feature, left, right = (a.astype(np.int64, copy=False) for a in (feature, left, right))
+        self.nodes = Tree(feature, nodes.threshold, left, right, prob)
+        left, right = (np.where(leaf, np.arange(n), child + offset) for child in (left, right))
+        self.table = NodeTable(np.maximum(feature, 0), nodes.threshold, left, right, prob,
+                               starts.reshape(self.sizes.shape),
+                               _tree_depth(starts, leaf, left, right))
 
-    @property
-    def n_attributes(self) -> int:
-        return len(self.sizes)
+    @classmethod
+    def from_arrays(cls, arrays, n_features: int) -> Forest:
+        """The forest of arrays named as ``arrays()`` names them, copied."""
+        return cls(Tree(*(np.array(col) for col in arrays["nodes"].T)), arrays["sizes"],
+                   n_features)
+
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """The node rows and the node counts, named as ``forest_shapes`` names them."""
+        columns = [getattr(self.nodes, f.name) for f in fields(Tree)]
+        return [("nodes", np.column_stack(columns)), ("sizes", self.sizes)]
 
     @property
     def trees(self) -> list[list[Tree]]:
@@ -268,6 +301,23 @@ class Forest:
         return [[Tree(*(col[end - size:end] for col in columns))
                  for end, size in zip(row_ends, row_sizes)]
                 for row_ends, row_sizes in zip(ends, self.sizes)]
+
+
+def forest_shapes(k: int, trees: int) -> dict[str, tuple[int, int]]:
+    """The name and shape of each of ``Forest.arrays()`` for k attributes
+    and ``trees`` trees each; -1 stands for the node count."""
+    return {"nodes": (-1, len(fields(Tree))), "sizes": (k, trees)}
+
+
+def _tree_depth(roots, leaf, left, right) -> int:
+    """The deepest tree's depth, from the trees (a loaded one may be deeper
+    than training grows them), one level of every tree per step; each
+    node has one parent, so this visits each node once."""
+    level, depth = roots, 0
+    while (level := level[~leaf[level]]).size:
+        level = np.concatenate([left[level], right[level]])
+        depth += 1
+    return depth
 
 
 def _gini_pair(n_pos_left, n_left, n_pos_total, n_total):

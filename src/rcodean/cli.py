@@ -25,8 +25,8 @@ from .data import (AttributeDataset, DEFAULT_SPLIT_FRACTIONS, gen_synthetic,
                    split_by_counts)
 from .errors import ConfigError, RCodeanError, UsageError
 from .network import gradient_check
-from .pipeline import (EpochStats, PipelineConfig, evaluate, is_number, predict,
-                       train_full)
+from .pipeline import (N_SOURCES, EpochStats, PipelineConfig, evaluate, is_number,
+                       predict, train_full)
 
 log = logging.getLogger("rcodean")
 
@@ -150,7 +150,7 @@ def _read_config_file(path: Path, command: str) -> dict:
         raise UsageError(f"config file not found: {path}")
     try:
         settings = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"config file {path} is not readable JSON: {exc}") from None
     if not isinstance(settings, dict):
         raise UsageError(f"config file {path} holds a JSON "
@@ -312,7 +312,7 @@ def cmd_report_weights(args) -> int:
          "out": args.out and str(args.out)}, sort_keys=True))
     bundle = load_bundle(args.bundle)
     w = bundle.patch_weights.values
-    header = "attribute," + ",".join([f"patch{i + 1}" for i in range(9)] + ["full_face"])
+    header = ",".join(["attribute", *(f"patch{i}" for i in range(1, N_SOURCES)), "full_face"])
     rows = [header]
     for name, row in zip(bundle.attribute_names, w):
         rows.append(name + "," + ",".join(_fmt(v) for v in row))

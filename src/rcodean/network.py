@@ -136,6 +136,18 @@ def assemble_rcodean(arrays, skip_layout, params: CodeanParams) -> RCodeanNet:
     return RCodeanNet(layers, tuple(skip_layout), projections, params)
 
 
+def parameter_shapes(d: int, l: int, encoder_only: bool = False) -> dict[str, tuple[int, int]]:
+    """The name and shape of each layer's weight and bias in a net for
+    d-dim inputs and l-dim codes, in ``RCodeanNet.parameters()`` order:
+    all six layers', or with ``encoder_only`` the three that a stored
+    encoder keeps, which no shortcut projection joins."""
+    out_dims = dict.fromkeys(LAYER_ORDER, l) | {"dec3": d}
+    in_dims = dict.fromkeys(LAYER_ORDER, l) | {"enc1": d}
+    return {f"{lid}.{part}": (out_dims[lid], in_dims[lid] if part == "weight" else 1)
+            for lid in (ENCODER_IDS if encoder_only else LAYER_ORDER)
+            for part in ("weight", "bias")}
+
+
 def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
                   seed: int = 0,
                   skip_layout=DEFAULT_SKIP_LAYOUT) -> RCodeanNet:
@@ -145,16 +157,13 @@ def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
     mismatched dimensions; they are trained with all other parameters.
     """
     rng = np.random.default_rng(seed)
-    out_dims = {lid: l for lid in LAYER_ORDER} | {"dec3": d}
-    in_dims = {lid: l for lid in LAYER_ORDER} | {"enc1": d}
-    arrays = {}
-    for lid in LAYER_ORDER:
-        arrays[f"{lid}.weight"] = glorot_uniform(rng, out_dims[lid], in_dims[lid])
-        arrays[f"{lid}.bias"] = np.zeros((out_dims[lid], 1))
+    shapes = parameter_shapes(d, l)
+    arrays = {name: glorot_uniform(rng, *shape) if name.endswith(".weight") else np.zeros(shape)
+              for name, shape in shapes.items()}
     for src, dst, _ in skip_layout:
-        if out_dims[src] != out_dims[dst]:
-            arrays[f"skip.{src}->{dst}.projection"] = glorot_uniform(
-                rng, out_dims[dst], out_dims[src])
+        src_dim, dst_dim = shapes[f"{src}.bias"][0], shapes[f"{dst}.bias"][0]
+        if src_dim != dst_dim:
+            arrays[f"skip.{src}->{dst}.projection"] = glorot_uniform(rng, dst_dim, src_dim)
     return assemble_rcodean(arrays, skip_layout, params or CodeanParams())
 
 

@@ -29,9 +29,9 @@ from .classifiers import (Forest, LinearSvm, MlpHead, assemble_mlp_head, ensembl
                           svm_decision, svm_train, PROB_THRESHOLD)
 from .data import AttributeDataset
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .network import (DEFAULT_SKIP_LAYOUT, ENCODER_IDS, CodeanParams, RCodeanNet,
-                      assemble_rcodean, build_rcodean, codean_loss, encode,
-                      loss_and_grads, net_forward, stacked_encode)
+from .network import (DEFAULT_SKIP_LAYOUT, CodeanParams, RCodeanNet, assemble_rcodean,
+                      build_rcodean, codean_loss, encode, loss_and_grads, net_forward,
+                      parameter_shapes, stacked_encode)
 from .optimizer import AdamState, PlateauScheduler, adam_step, scheduler_update
 from .tensor import Mat, _sigmoid
 
@@ -41,7 +41,7 @@ IMAGE_SIZE = 64
 PATCH_SIZE = 32
 PATCH_OFFSETS = tuple((r, c) for r in (0, 16, 32) for c in (0, 16, 32))
 N_SOURCES = len(PATCH_OFFSETS) + 1  # nine patches + full face
-SOURCE_DIMS = tuple([PATCH_SIZE * PATCH_SIZE] * 9 + [IMAGE_SIZE * IMAGE_SIZE])
+SOURCE_DIMS = tuple([PATCH_SIZE * PATCH_SIZE] * len(PATCH_OFFSETS) + [IMAGE_SIZE * IMAGE_SIZE])
 
 MIN_INPUT_SIDE = 8  # refuse to upsample anything smaller
 
@@ -364,9 +364,9 @@ class SourceModels:
     @classmethod
     def from_nets(cls, nets: list[RCodeanNet], heads: MlpHead) -> SourceModels:
         """The models of ten trained nets, source s at index s, and their
-        stacked head: copies of the patch encoders' arrays stacked, the rest
-        as they are. Every net must have the shortcuts of
-        ``DEFAULT_SKIP_LAYOUT``, the layout a stored encoder runs."""
+        stacked head: of each net the arrays a stored encoder keeps, the
+        patch nets' copied into stacks. Every net must have the shortcuts
+        of ``DEFAULT_SKIP_LAYOUT``, the layout a stored encoder runs."""
         if len(nets) != N_SOURCES:
             raise ShapeError(f"expected {N_SOURCES} nets, got {len(nets)}")
         if any(net.skips != DEFAULT_SKIP_LAYOUT for net in nets):
@@ -374,7 +374,7 @@ class SourceModels:
                               "differ from DEFAULT_SKIP_LAYOUT")
         net_arrays = [dict(net.parameters()) for net in nets]
         arrays = {}
-        for name in (f"{lid}.{part}" for lid in ENCODER_IDS for part in ("weight", "bias")):
+        for name in parameter_shapes(SOURCE_DIMS[-1], heads.in_dim, encoder_only=True):
             arrays[f"patch_encoders.{name}"] = _stack(name, [a[name] for a in net_arrays[:-1]])
             arrays[f"face_encoder.{name}"] = net_arrays[-1][name]
         arrays.update((f"heads.{name}", arr) for name, arr in heads.parameters())

@@ -9,19 +9,25 @@ from hypothesis import given, strategies as st
 from bundle_rewrite import (get_array, replace_tree, rewrite_bundle, set_array,
                             write_version1_bundle)
 from fuzzing import FUZZ, time_bound
-from rcodean.bundle import load_bundle, save_bundle
+from rcodean import classifiers
+from rcodean.bundle import _manifest, _stored_arrays, load_bundle, save_bundle
+from rcodean.classifiers import Forest
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import ConfigError, CorruptionError, FormatError, VersionError
 from rcodean.pipeline import (PipelineConfig, evaluate, predict_batch,
                               preprocess, train_full)
 
 
+def _train(l, k):
+    ds = gen_synthetic(110, k, seed=3, splits=split_by_counts((60, 30, 20)))
+    cfg = PipelineConfig(l=l, epochs=2, batch_size=32, head_epochs=30,
+                         weight_steps=60, forest_trees=3, svm_epochs=4, seed=1)
+    return ds, train_full(ds, cfg)[0]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    ds = gen_synthetic(110, 3, seed=3, splits=split_by_counts((60, 30, 20)))
-    cfg = PipelineConfig(l=8, epochs=2, batch_size=32, head_epochs=30,
-                         weight_steps=60, forest_trees=3, svm_epochs=4, seed=1)
-    bundle, _ = train_full(ds, cfg)
+    ds, bundle = _train(8, 3)
     path = tmp_path_factory.mktemp("bundle") / "model.rcbn"
     save_bundle(bundle, path)
     return ds, bundle, path
@@ -96,6 +102,15 @@ def test_manifest_holds_only_what_prediction_reads(trained):
     assert {name.split(".")[0] for name in names} == {
         "patch_encoders", "face_encoder", "heads", "patch_weights", "stage2_mlp",
         "forest", "svm"}
+
+
+def test_manifest_names_the_stored_arrays_in_order(trained):
+    # each part states its arrays once; the config's manifest and a
+    # bundle's arrays agree but for the forest's node count, the free size
+    for bundle in (trained[1], _train(5, 2)[1]):
+        stored = [(name, (-1, *arr.shape[1:]) if name == "forest.nodes" else arr.shape)
+                  for name, arr in _stored_arrays(bundle).items()]
+        assert list(_manifest(bundle.config).items()) == stored
 
 
 def test_reloaded_forest_has_the_trained_node_table(trained):
@@ -244,21 +259,23 @@ def test_well_formed_replacement_tree_loads(trained, tmp_path):
     assert forest.sizes[0, 0] == 3 and forest.table.roots[0, 1] == 3
 
 
-@pytest.mark.parametrize("rows", [
-    [[0, 0.5, 0, 0, 0.5], _LEAF0, _LEAF1],
-    [[0, 0.5, 1, 3, 0.5], _LEAF0, _LEAF1],
-    [["N", 0.5, 1, 2, 0.5], _LEAF0, _LEAF1],
-    [[-2, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1],
-    [[0, 0.5, 1, 2, 0.5], [-1, 0.0, 2, -1, 0.0], _LEAF1],
-    [[0, 0.5, 1.5, 2, 0.5], _LEAF0, _LEAF1],
-    [[0, 0.5, 1, 2, 0.5], _LEAF0, [-1, 0.0, -1, -1, 1.5]],
-    [[0, 0.5, 1, 2, 0.5, 0.0]],
-    [[0, 0.5, 1, 1, 0.5], _LEAF0, _LEAF1],
-    [[0, 0.5, 1, 2, 0.5], [0, 0.5, 3, 4, 0.5], [0, 0.5, 3, 4, 0.5], _LEAF0, _LEAF1],
-    [[0, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1, _LEAF0],
-], ids=["self-loop", "child-past-end", "feature-too-large", "feature-below-leaf",
-        "leaf-with-child", "fractional-child", "prob-above-one", "six-columns",
-        "shared-child", "shared-subtree", "unreachable-node"])
+_MALFORMED_TREES = {
+    "self-loop": [[0, 0.5, 0, 0, 0.5], _LEAF0, _LEAF1],
+    "child-past-end": [[0, 0.5, 1, 3, 0.5], _LEAF0, _LEAF1],
+    "feature-too-large": [["N", 0.5, 1, 2, 0.5], _LEAF0, _LEAF1],
+    "feature-below-leaf": [[-2, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1],
+    "leaf-with-child": [[0, 0.5, 1, 2, 0.5], [-1, 0.0, 2, -1, 0.0], _LEAF1],
+    "fractional-child": [[0, 0.5, 1.5, 2, 0.5], _LEAF0, _LEAF1],
+    "prob-above-one": [[0, 0.5, 1, 2, 0.5], _LEAF0, [-1, 0.0, -1, -1, 1.5]],
+    "six-columns": [[0, 0.5, 1, 2, 0.5, 0.0]],
+    "shared-child": [[0, 0.5, 1, 1, 0.5], _LEAF0, _LEAF1],
+    "shared-subtree": [[0, 0.5, 1, 2, 0.5], [0, 0.5, 3, 4, 0.5], [0, 0.5, 3, 4, 0.5], _LEAF0,
+                       _LEAF1],
+    "unreachable-node": [[0, 0.5, 1, 2, 0.5], _LEAF0, _LEAF1, _LEAF0],
+}
+
+
+@pytest.mark.parametrize("rows", list(_MALFORMED_TREES.values()), ids=list(_MALFORMED_TREES))
 def test_malformed_tree_is_format_error(trained, tmp_path, rows):
     # load only: at the parent a self-loop loads and then hangs in predict.
     # Every tree shares the node table, so a six-column tree widens all of
@@ -268,6 +285,20 @@ def test_malformed_tree_is_format_error(trained, tmp_path, rows):
     with pytest.raises(FormatError, match="forest.nodes has shape" if len(rows[0]) != 5
                        else "forest.attr0.tree0"):
         load_bundle(p)
+
+
+@pytest.mark.parametrize("case", ["shared-subtree", "self-loop", "child-past-end"])
+def test_forest_refuses_malformed_rows_before_its_depth_walk(case, monkeypatch):
+    # the walk would visit a shared subtree once per path, loop on a
+    # self-loop and index past the table
+    def walk(*args):
+        raise AssertionError("the depth walk ran on unchecked trees")
+
+    monkeypatch.setattr(classifiers, "_tree_depth", walk)
+    rows = np.array(_MALFORMED_TREES[case], dtype=np.float64)
+    arrays = {"nodes": rows, "sizes": np.array([[len(rows)]], dtype=np.float64)}
+    with time_bound(LOAD_SECONDS), pytest.raises(FormatError, match="forest.attr0.tree0"):
+        Forest.from_arrays(arrays, n_features=1)
 
 
 # attribute 0's three tree sizes, edited from the trained (a, b, c)
@@ -324,6 +355,16 @@ def test_loaded_arrays_are_private_and_writeable(trained):
     assert all(arr.flags.writeable for arr in arrays)
     for i, a in enumerate(arrays):
         assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_deeply_nested_header_is_format_error(tmp_path):
+    # json.loads raises RecursionError, not a JSONDecodeError, this deep
+    header = b'{"config": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+    body = b"RCBN" + struct.pack("<I", len(header)) + header
+    path = tmp_path / "deep.rcbn"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(FormatError, match="unreadable header"):
+        load_bundle(path)
 
 
 def test_config_guard_on_mismatched_dataset(trained):

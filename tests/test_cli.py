@@ -1,7 +1,9 @@
 import dataclasses
 import io
 import json
+import struct
 import tempfile
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -289,6 +291,24 @@ def _assert_usage_error(rc, capsys, message):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error:") and message in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_deeply_nested_json_is_usage_error(command, synth_dir, tmp_path, capsys):
+    # json.loads raises RecursionError, not a ValueError, this deep
+    deep = b'{"l": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+    if command == "train":
+        (tmp_path / "deep.json").write_bytes(deep)
+        rc = main(["train", "--config", str(tmp_path / "deep.json"),
+                   "--out", str(tmp_path / "run")])
+        _assert_usage_error(rc, capsys, "is not readable JSON")
+        assert not (tmp_path / "run").exists()
+    else:
+        body = b"RCBN" + struct.pack("<I", len(deep)) + deep
+        (tmp_path / "deep.rcbn").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["predict", "--bundle", str(tmp_path / "deep.rcbn"),
+                   "--image", str(synth_dir / "images" / "img_000003.rcim")])
+        _assert_usage_error(rc, capsys, "unreadable header")
 
 
 def test_predict_with_directory_as_bundle_is_usage_error(synth_dir, tmp_path, capsys):
