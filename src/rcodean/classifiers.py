@@ -13,7 +13,13 @@ its features once, and everything else is a plain float64 ndarray.
 are scored and stored, keeping the six arrays as views into one flat
 buffer and their gradients in another: each epoch ends in one finiteness
 check and one ``adam_step`` over that one pair, with the values six
-per-array steps of each head on its own give.
+per-array steps of each head on its own give. Every other array an epoch
+writes (pre-activations, activations, deltas, input gradients and the
+sigmoid's temporary) is made once, before the first epoch, and each
+epoch's ``dense_forward``, ``dense_backward`` and ``dense_backward_preact``
+write into them through ``out``, with the operations, and so the bits, of
+a pass into new arrays. Calls on separate threads share nothing, so the
+stage-1 heads train as contiguous slices of sources, one call a thread.
 
 Stage-2 training runs as array programs over independent work. The
 forest grows all k x trees trees in lockstep: every tree keeps its own
@@ -28,7 +34,6 @@ attribute, at a time gives, bit for bit.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,8 +43,6 @@ from .layers import (DenseLayer, LayerCache, dense_backward, dense_backward_prea
                      dense_forward, glorot_uniform)
 from .optimizer import AdamState, adam_step
 from .tensor import Mat
-
-log = logging.getLogger("rcodean")
 
 PROB_THRESHOLD = 0.5  # probability-like score above this maps to bit 1
 
@@ -119,26 +122,6 @@ def stacked_head_score(heads: MlpHead, codes: np.ndarray) -> np.ndarray:
     return _head_forward(heads, codes, keep_preact=False)[-1].output
 
 
-def _head_grads(head: MlpHead, caches: list[LayerCache], y: np.ndarray,
-                grads: dict[str, np.ndarray]) -> None:
-    """Write the gradients of the mean binary cross-entropy, from a forward
-    pass, into ``grads``, arrays named as ``head.parameters()`` names them.
-
-    The output layer is differentiated at its pre-activation, where the
-    sigmoid + cross-entropy gradient collapses to (p - y) / n and stays
-    finite even at saturated probabilities.
-    """
-    def out(i):
-        return grads[f"layer{i}.weight"], grads[f"layer{i}.bias"]
-
-    probs = caches[-1].output
-    upstream = dense_backward_preact(head.layers[2], caches[2],
-                                     (probs - y) / probs.shape[-1], out=out(2))[0]
-    for i in (1, 0):
-        upstream = dense_backward(head.layers[i], caches[i], upstream,
-                                  input_grad=i > 0, out=out(i))[0]
-
-
 def _flat_views(arrays: list[tuple[str, np.ndarray]], flat: np.ndarray) -> dict:
     """Views into ``flat``, one after another, shaped and named as ``arrays``."""
     views, start = {}, 0
@@ -154,7 +137,9 @@ def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
     labels, or m stacked heads on an (m, dim, n) stack, head i drawn from
     ``seed[i]`` and bit for bit what a 2-D call on slice i fits. The
     features are checked here, once; the head's arrays are views into one
-    flat buffer (see the module docstring)."""
+    flat buffer, and every array an epoch writes is made before the first
+    (see the module docstring). An attribute with one class only trains
+    without a word: the pipeline warns once per split."""
     if features.ndim not in (2, 3) or min(features.shape) < 1:
         raise ShapeError(f"features must be a non-empty (dim, n) matrix or "
                          f"(m, dim, n) stack, got shape {features.shape}")
@@ -170,8 +155,6 @@ def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
             f"labels shape {labels.shape} does not match {features.shape[-1]} samples")
     if not _is_binary(labels):
         raise ValueError("labels must be binary")
-    for a in np.flatnonzero(labels.min(axis=0) == labels.max(axis=0)):
-        log.warning("attribute %d has a single class in the training set", a)
     drawn = [build_mlp_head(features.shape[-2], labels.shape[1], seed=s).parameters()
              for s in (seed if stack else [seed])]
     arrays = [(same[0][0], np.stack([arr for _, arr in same]) if stack else same[0][1])
@@ -181,9 +164,30 @@ def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
     head = assemble_mlp_head(_flat_views(arrays, flat))
     grads = _flat_views(arrays, flat_grad)
     y = np.ascontiguousarray(labels.T)
+    n = features.shape[-1]
+    # every array an epoch writes, made once: each layer's pre-activation,
+    # output and delta (a relu's holds its mask first), the input gradients
+    # of the layers past the first, and the sigmoid's temporary
+    pre, act, delta = ([np.empty((*stack, layer.out_dim, n)) for layer in head.layers]
+                       for _ in range(3))
+    work = np.empty_like(pre[-1])
+    inputs = [features, *act[:-1]]
+    backward = [(np.empty_like(x) if i > 0 else None, grads[f"layer{i}.weight"],
+                 grads[f"layer{i}.bias"], delta[i]) for i, x in enumerate(inputs)]
     state = AdamState(lr=lr)
     for _ in range(epochs):
-        _head_grads(head, _head_forward(head, features), y, grads)
+        caches = [dense_forward(layer, x, out=(z, a, work))
+                  for layer, x, z, a in zip(head.layers, inputs, pre, act)]
+        # the mean binary cross-entropy is differentiated at the output
+        # pre-activation, where the sigmoid + cross-entropy gradient
+        # collapses to (p - y) / n and stays finite at saturated probabilities
+        np.subtract(act[-1], y, out=delta[-1])
+        delta[-1] /= n
+        upstream = dense_backward_preact(head.layers[-1], caches[-1], delta[-1],
+                                         out=backward[-1])[0]
+        for i in (1, 0):
+            upstream = dense_backward(head.layers[i], caches[i], upstream,
+                                      input_grad=i > 0, out=backward[i])[0]
         adam_step(state, [("head", flat)], {"head": flat_grad})
     return head
 

@@ -8,6 +8,10 @@ same-shaped layers, weight (m, out_dim, in_dim) and bias (m, out_dim, 1),
 run forward and backward on an (m, in_dim, n) input: slice i of each
 result is layer i's on input i, bit for bit the 2-D call's. Everything
 here is a plain float64 ndarray; shapes are checked, never broadcast.
+Each pass takes an optional ``out`` of arrays made by the caller, which
+receive its results in place of new arrays, with the same operations in
+the same order and so the same bits: a trainer that runs a layer every
+epoch makes its arrays once.
 """
 
 from __future__ import annotations
@@ -61,20 +65,24 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 def dense_forward(layer: DenseLayer, x: np.ndarray,
                   skip_in: np.ndarray | None = None,
-                  keep_preact: bool = True) -> LayerCache:
+                  keep_preact: bool = True, out=None) -> LayerCache:
     """z = W x + b + skip_in (skip added pre-activation); output = act(z).
 
     The bias and the skip are added in place into the fresh W x; a linear
     layer's output is z itself. Without ``keep_preact`` (inference, where
     no backward pass reads z) a relu is applied in place into z too, and
-    the cache holds no pre-activation.
+    the cache holds no pre-activation. ``out``, a (pre_activation,
+    output, work) triple of arrays shaped as z, receives z and, with
+    ``keep_preact``, the output in place of new arrays; ``work`` takes a
+    sigmoid's temporary and is not read by other activations.
     """
     if x.shape[:-1] != (*layer.weight.shape[:-2], layer.in_dim):
         raise ShapeError(
             f"layer {layer.name}: input shape {x.shape} does not have "
             f"{layer.in_dim} rows"
         )
-    z = layer.weight @ x
+    z_out, act_out, work = (None, None, None) if out is None else out
+    z = np.matmul(layer.weight, x, out=z_out)
     if skip_in is not None and skip_in.shape != z.shape:
         raise ShapeError(
             f"layer {layer.name}: skip input shape {skip_in.shape} does not "
@@ -84,7 +92,8 @@ def dense_forward(layer: DenseLayer, x: np.ndarray,
     if skip_in is not None:
         z += skip_in
     if keep_preact:
-        return LayerCache(input=x, pre_activation=z, output=activation(z, layer.act))
+        return LayerCache(input=x, pre_activation=z,
+                          output=activation(z, layer.act, act_out, work))
     out = np.maximum(z, 0.0, out=z) if layer.act == "relu" else activation(z, layer.act)
     return LayerCache(input=x, pre_activation=None, output=out)
 
@@ -99,25 +108,29 @@ def dense_backward(layer: DenseLayer, cache: LayerCache, grad_out: np.ndarray,
     grad_skip); grad_bias sums delta over sample columns, and grad_skip
     is delta itself since the skip enters the pre-activation additively.
     grad_in is None when ``input_grad`` is false (a first layer, whose
-    input gradient nothing reads). ``out``, a (weight, bias) pair of
-    arrays, receives grad_weight and grad_bias in place of new arrays. Any
-    other layer is differentiated at its pre-activation with
-    ``dense_backward_preact``.
+    input gradient nothing reads). ``out``, arrays shaped as the returned
+    (grad_in, grad_weight, grad_bias, delta), grad_in's None when
+    ``input_grad`` is false, receives them in place of new arrays; a
+    relu's mask z > 0 is made in the delta array, as 1.0 and 0.0, and a
+    linear layer's delta is grad_out itself. Any other layer is
+    differentiated at its pre-activation with ``dense_backward_preact``.
     """
     if grad_out.shape != cache.output.shape:
         raise ShapeError(
             f"layer {layer.name}: grad_out shape {grad_out.shape} does not match "
             f"output shape {cache.output.shape}"
         )
+    grad_in, grad_weight, grad_bias, delta = (None,) * 4 if out is None else out
     if layer.act == "linear":
         delta = grad_out
     elif layer.act == "relu":
-        delta = grad_out * (cache.pre_activation > 0)
+        mask = np.greater(cache.pre_activation, 0.0, out=delta)
+        delta = np.multiply(grad_out, mask, out=delta)
     else:
         raise ValueError(f"layer {layer.name}: dense_backward differentiates relu and "
                          f"linear layers; pass the gradient at a {layer.act} layer's "
                          f"pre-activation to dense_backward_preact")
-    return _grads_from_delta(layer, cache, delta, input_grad, out)
+    return _grads_from_delta(layer, cache, delta, input_grad, (grad_in, grad_weight, grad_bias))
 
 
 def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
@@ -126,19 +139,21 @@ def dense_backward_preact(layer: DenseLayer, cache: LayerCache,
 
     Used where the loss-activation pair has a simplified combined gradient
     (sigmoid output with cross-entropy), avoiding a 0/0 at saturation.
-    ``out`` is as for ``dense_backward``.
+    ``out`` is as for ``dense_backward``; its delta array is not written,
+    the delta being given.
     """
     if delta.shape != cache.pre_activation.shape:
         raise ShapeError(
             f"layer {layer.name}: delta shape {delta.shape} does not match "
             f"pre-activation shape {cache.pre_activation.shape}"
         )
-    return _grads_from_delta(layer, cache, delta, out=out)
+    return _grads_from_delta(layer, cache, delta, out=None if out is None else out[:3])
 
 
 def _grads_from_delta(layer, cache, delta, input_grad=True, out=None):
-    grad_weight, grad_bias = (None, None) if out is None else out
+    grad_in, grad_weight, grad_bias = (None, None, None) if out is None else out
     grad_weight = np.matmul(delta, np.swapaxes(cache.input, -1, -2), out=grad_weight)
     grad_bias = np.sum(delta, axis=-1, keepdims=True, out=grad_bias)
-    grad_in = np.swapaxes(layer.weight, -1, -2) @ delta if input_grad else None
+    grad_in = (np.matmul(np.swapaxes(layer.weight, -1, -2), delta, out=grad_in)
+               if input_grad else None)
     return grad_in, grad_weight, grad_bias, delta

@@ -258,18 +258,28 @@ def _stage1_workers() -> int:
     return min(cores, N_SOURCES)
 
 
+def _warn_single_class(labels: np.ndarray, split: str) -> None:
+    """Log each attribute whose ``split`` labels hold one class only; what
+    trains on them cannot tell the attribute's two values apart."""
+    for a in np.flatnonzero(labels.min(axis=0) == labels.max(axis=0)):
+        log.warning("attribute %d has a single class in the %s split", a, split)
+
+
 def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     """Train the ten autoencoders, one source per thread on
-    ``_stage1_workers()`` threads, then the ten scoring heads on this
-    thread as one stacked head on the stack of the ten sources' codes.
+    ``_stage1_workers()`` threads, then on the same threads the ten
+    scoring heads, on the (10, l, n) stack of the sources' codes: one
+    stacked ``head_train`` call per thread, on a contiguous slice of
+    sources, the slices' heads joined into one stacked head.
 
     Autoencoders and their scoring heads both fit the ae-train split (the
     autoencoders unsupervised, the heads on frozen codes against labels),
     keeping the disjoint clf-train split unseen so the downstream patch
     weights and ensemble learn from honest out-of-sample scores.
-    Every source has its own seeds, so the thread count changes no
-    output. OpenBLAS runs on one thread, as in ``train_full``, and the
-    caller's count is restored after.
+    Every source has its own seeds, and a stacked head's slice s is bit
+    for bit what training source s's head alone gives, so the thread
+    count changes no output. OpenBLAS runs on one thread, as in
+    ``train_full``, and the caller's count is restored after.
     Returns (models, histories): models is the ``SourceModels`` of the
     trained encoders and heads; the decoders go with the nets.
     """
@@ -280,22 +290,34 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     patches, face = tessellate_batch(_preprocessed_stack(dataset, ae_idx))
     sources_ae = [*patches, face]
     labels_ae = dataset.labels[ae_idx]
+    _warn_single_class(labels_ae, "ae-train")
     # the threads allocate from malloc arenas of their own, so the memory
     # this thread has freed would stay resident beside theirs, unused
     _release_free_heap()
-    with _one_blas_thread():
-        with ThreadPoolExecutor(max_workers=_stage1_workers()) as pool:
-            # the face costs about 4.6 patches a step: submitted last, it
-            # would run alone at the end
-            futures = {s: pool.submit(_train_one_source, s, sources_ae[s], cfg)
-                       for s in (N_SOURCES - 1, *range(N_SOURCES - 1))}
-            nets, codes, histories = zip(*(futures[s].result() for s in range(N_SOURCES)))
-        heads = head_train(np.stack(codes), labels_ae, epochs=cfg.head_epochs,
-                           seed=[[cfg.seed, 2000 + s] for s in range(N_SOURCES)])
+    workers = _stage1_workers()
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        # the face costs about 4.6 patches a step: submitted last, it
+        # would run alone at the end
+        futures = {s: pool.submit(_train_one_source, s, sources_ae[s], cfg)
+                   for s in (N_SOURCES - 1, *range(N_SOURCES - 1))}
+        nets, codes, histories = zip(*(futures[s].result() for s in range(N_SOURCES)))
+        # one contiguous slice of sources a thread: several heads a call keep
+        # each numpy call large, where one head a task would hand the
+        # interpreter lock back and forth at every call
+        stack, n_slices = np.stack(codes), min(workers, N_SOURCES)
+        slices = [range(N_SOURCES * i // n_slices, N_SOURCES * (i + 1) // n_slices)
+                  for i in range(n_slices)]
+        trained = [pool.submit(head_train, stack[part.start:part.stop], labels_ae,
+                               epochs=cfg.head_epochs,
+                               seed=[[cfg.seed, 2000 + s] for s in part])
+                   for part in slices]
+        parts = [dict(future.result().parameters()) for future in trained]
+    heads = assemble_mlp_head({name: np.concatenate([part[name] for part in parts])
+                               for name in parts[0]})
     models = SourceModels.from_nets(nets, heads)
     # the nets go, freed into the threads' arenas, which no later
-    # allocation of this thread reuses
-    del futures, nets, codes
+    # allocation of this thread reuses; so do the slices' heads, joined
+    del futures, nets, codes, stack, trained, parts
     _release_free_heap()
     return models, list(histories)
 
@@ -587,6 +609,7 @@ def train_full(dataset: AttributeDataset,
         models, histories = train_stage1(dataset, cfg)
         clf_idx = dataset.splits["clf-train"]
         labels_clf = dataset.labels[clf_idx]
+        _warn_single_class(labels_clf, "clf-train")
         scores = score_split(models, dataset, clf_idx)
         weights = learn_patch_weights(scores, labels_clf, steps=cfg.weight_steps)
         feats = build_stage2_features(scores, weights)

@@ -8,9 +8,10 @@ none. Everything computed inside a model is a plain float64 ndarray and
 is not re-checked: the trainers check their input once, and a NaN made
 inside is caught by the stage-1 score check or by the optimizer's
 gradient and epoch-loss checks. In-place arithmetic writes only into
-fresh intermediates that nothing else holds; the only sanctioned
-in-place mutation of a value a caller holds is the optimizer's
-documented parameter update.
+fresh intermediates that nothing else holds, or into arrays a caller
+made to receive that result and passed as ``out`` (as ``activation``
+takes them); the only sanctioned in-place mutation of a value a caller
+holds is the optimizer's documented parameter update.
 """
 
 from __future__ import annotations
@@ -58,21 +59,31 @@ class Mat:
         return f"Mat({self.rows}x{self.cols})"
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # numerically stable split form; naive 1/(1+exp(-z)) overflows for z << 0.
-    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, never above 1
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable split form, exp(min(z, 0)) / (1 + exp(-|z|)):
+    1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere,
+    neither exp above 1, where naive 1/(1+exp(-z)) overflows for z << 0.
+    The value goes into ``out`` and the denominator into ``work``, arrays
+    shaped as z, or into new arrays where they are not given."""
+    d = np.abs(z, out=work)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    num = np.minimum(z, 0.0, out=out)
+    np.exp(num, out=num)
+    return np.divide(num, d, out=num)
 
 
-def activation(z: np.ndarray, kind: str) -> np.ndarray:
-    """Entrywise activation value; the linear value is ``z`` itself, not
-    a copy."""
+def activation(z: np.ndarray, kind: str, out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise activation value, written into ``out`` where it is given;
+    a sigmoid also writes its temporary into ``work`` (see ``_sigmoid``).
+    The linear value is ``z`` itself, not a copy, whatever ``out``."""
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation kind {kind!r}")
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "sigmoid":
-        return _sigmoid(z)
+        return _sigmoid(z, out, work)
     return z

@@ -8,7 +8,7 @@ must match bit for bit; each says so.
 
 import numpy as np
 
-from rcodean.classifiers import MlpHead, _head_forward, build_mlp_head, head_score
+from rcodean.classifiers import MlpHead, build_mlp_head, head_score
 from rcodean.data import (ILLUM_SIGMA, _NOISE_SIGMA, _apply_primitive,
                           _illumination_fields)
 from rcodean.layers import DenseLayer
@@ -287,24 +287,44 @@ def reference_gen_synthetic(n: int, k: int, seed: int = 0):
 
 
 
+def _reference_head_forward(head, x):
+    """Each head layer's (input, pre-activation, output), every one a fresh
+    array: z = W x, then += b, then relu as np.maximum(z, 0.0) or the
+    split-form sigmoid, 1 / (1 + e) where z >= 0 and e / (1 + e)
+    elsewhere, e = exp(-|z|)."""
+    caches = []
+    for layer in head.layers:
+        z = layer.weight @ x
+        z += layer.bias
+        if layer.act == "relu":
+            out = np.maximum(z, 0.0)
+        else:
+            e = np.exp(-np.abs(z))
+            d = 1.0 + e
+            out = np.where(z >= 0, 1.0 / d, e / d)
+        caches.append((x, z, out))
+        x = out
+    return caches
+
+
 def reference_head_train(features, labels, epochs=300, seed=0, lr=1e-2):
     """A kept copy of the earlier package ``head_train`` loop, which the
-    flat-buffer version must match bit for bit: every epoch, fresh
-    gradients of the six named head arrays, each its own array, through
-    ``adam_step``."""
+    flat-buffer version must match bit for bit: every epoch, a forward
+    pass of its own and fresh gradients of the six named head arrays,
+    each its own array, through ``adam_step``."""
     labels = np.asarray(labels, dtype=np.float64)
     head = build_mlp_head(features.shape[0], labels.shape[1], seed=seed)
     y = labels.T
     state = AdamState(lr=lr)
     for _ in range(epochs):
-        caches = _head_forward(head, features)
-        probs = caches[-1].output
+        caches = _reference_head_forward(head, features)
+        probs = caches[-1][2]
         delta = (probs - y) / probs.shape[1]
         grads = {}
         for i in (2, 1, 0):
-            grads[f"layer{i}.weight"] = delta @ caches[i].input.T
+            grads[f"layer{i}.weight"] = delta @ caches[i][0].T
             grads[f"layer{i}.bias"] = delta.sum(axis=1, keepdims=True)
             if i > 0:
-                delta = (head.layers[i].weight.T @ delta) * (caches[i - 1].pre_activation > 0)
+                delta = (head.layers[i].weight.T @ delta) * (caches[i - 1][1] > 0)
         adam_step(state, head.parameters(), grads)
     return head

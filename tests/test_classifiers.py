@@ -1,6 +1,11 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from bundle_rewrite import replace_tree, rewrite_bundle
 from oracles import reference_forest, reference_head_train, reference_svm
 from rcodean import classifiers
 from rcodean.bundle import load_bundle, save_bundle
-from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, _head_forward, _head_grads,
+from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, _head_forward,
                                  assemble_mlp_head, build_mlp_head, ensemble_vote,
                                  forest_predict_proba, forest_train, head_score,
                                  head_train, svm_decision, svm_train)
@@ -63,14 +68,17 @@ def test_head_train_refuses_non_finite_features(value):
         head_train(codes, labels, epochs=5, seed=4)
 
 
-def test_head_single_class_warns_but_trains(caplog):
+def test_head_trains_on_a_single_class_attribute(caplog):
+    # the pipeline warns about a single-class attribute once per split,
+    # where the split's labels are known; head training itself says nothing
     rng = np.random.default_rng(5)
     codes = rng.normal(size=(4, 50))
     labels = np.zeros((50, 2), dtype=np.int64)
     labels[:, 1] = rng.integers(0, 2, size=50)
     with caplog.at_level("WARNING", logger="rcodean"):
-        head_train(codes, labels, epochs=5, seed=6)
-    assert any("single class" in r.message for r in caplog.records)
+        head = head_train(codes, labels, epochs=50, seed=6)
+    assert (head_score(head, Mat(codes))[0] < 0.5).all()
+    assert not caplog.records
 
 
 def _single_class_codes():
@@ -153,6 +161,37 @@ def test_head_training_is_deterministic():
         assert np.array_equal(a, b)
 
 
+_EPOCH_FAULTS = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from rcodean.classifiers import head_train
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(10, 64, 1000))
+    y = rng.integers(0, 2, size=(1000, 4))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    head_train(x, y, epochs=int(sys.argv[1]), seed=[[0, 2000 + s] for s in range(10)])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+def test_head_training_makes_its_epoch_arrays_once():
+    # every array an epoch writes is made before the first epoch, so in a
+    # fresh process more epochs touch no new pages; arrays made afresh each
+    # epoch cost thousands of minor page faults an epoch at this size, as
+    # glibc hands the top of the heap back and takes it again
+    pytest.importorskip("resource")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+    def faults(epochs):
+        run = subprocess.run([sys.executable, "-c", _EPOCH_FAULTS, str(epochs)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return int(run.stdout)
+
+    assert faults(30) - faults(10) < 2000
+
+
 def test_head_outputs_are_independent_probabilities():
     head = build_mlp_head(5, 3, seed=9)
     out = head_score(head, Mat(np.random.default_rng(10).normal(size=(5, 7))))
@@ -178,33 +217,37 @@ def test_assemble_from_named_parameters_rebuilds_the_head():
     assert np.array_equal(head_score(head, Mat(codes)), head_score(again, Mat(codes)))
 
 
-def test_head_gradients_match_finite_differences():
+def test_head_gradients_match_finite_differences(monkeypatch):
     rng = np.random.default_rng(13)
-    head = build_mlp_head(5, 2, seed=14)
+    seed = 14
+    head = build_mlp_head(5, 2, seed=seed)
     x = rng.normal(size=(5, 4))
     y = rng.integers(0, 2, size=(2, 4)).astype(np.float64)
     h = 1e-6
     while True:  # keep relu pre-activations away from kinks
-        zs = []
-        cur = x
-        from rcodean.layers import dense_forward
-        for layer in head.layers:
-            c = dense_forward(layer, cur)
-            zs.append(np.abs(c.pre_activation).min())
-            cur = c.output
+        zs = [np.abs(c.pre_activation).min() for c in _head_forward(head, x)]
         if min(zs[:2]) > 1e-3:
             break
-        head = build_mlp_head(5, 2, seed=int(rng.integers(2**31)))
+        seed = int(rng.integers(2**31))
+        head = build_mlp_head(5, 2, seed=seed)
     def loss():
         # mean binary cross-entropy summed over attributes
         p = _head_forward(head, x)[-1].output
         return float(-np.mean(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p), axis=0)))
 
-    grads = {name: np.empty_like(arr) for name, arr in head.parameters()}
-    _head_grads(head, _head_forward(head, x), y, grads)
+    # the gradient of head_train's first epoch, taken at the head it draws
+    # from the seed, which is this head, as its six arrays flat one after another
+    steps = []
+    monkeypatch.setattr(classifiers, "adam_step",
+                        lambda state, params, grads: steps.append(grads["head"].copy()))
+    head_train(x, y.T, epochs=1, seed=seed)
+    [flat_grad] = steps
+    sizes = [arr.size for _, arr in head.parameters()]
+    grads = dict(zip([name for name, _ in head.parameters()],
+                     np.split(flat_grad, np.cumsum(sizes)[:-1])))
     for name, arr in head.parameters():
         flat = arr.reshape(-1)
-        g = grads[name].reshape(-1)
+        g = grads[name]
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h

@@ -209,6 +209,25 @@ def test_stacked_layer_matches_each_layer_bitwise(act):
     assert inference.pre_activation is None
 
 
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "linear"])
+def test_forward_into_given_arrays_is_bitwise_the_same(act):
+    # a stacked forward writing into arrays made once, as head training
+    # runs it every epoch, gives the arrays a forward into new ones gives
+    rng = np.random.default_rng(79)
+    layers = [_random_layer(32, 16, act, rng) for _ in range(3)]
+    stacked = _stacked(layers, "stacked")
+    stacked.bias[:] = rng.normal(size=stacked.bias.shape)
+    out = tuple(np.full((3, 16, 200), np.nan) for _ in range(3))
+    for _ in range(2):  # the second pass overwrites the first
+        x = rng.normal(size=(3, 32, 200))
+        cache = dense_forward(stacked, x, out=out)
+        fresh = dense_forward(stacked, x)
+        assert cache.pre_activation is out[0] and cache.input is x
+        assert cache.output is (out[0] if act == "linear" else out[1])
+        assert np.array_equal(cache.pre_activation, fresh.pre_activation)
+        assert np.array_equal(cache.output, fresh.output)
+
+
 @pytest.mark.parametrize("act", ["relu", "linear", "sigmoid"])
 @pytest.mark.parametrize("shape", [(48, 16, 1), (64, 32, 200), (32, 16, 1000)])
 def test_stacked_backward_matches_each_layer_bitwise(act, shape):
@@ -227,9 +246,14 @@ def test_stacked_backward_matches_each_layer_bitwise(act, shape):
         calls += [lambda layer, c, g, out: dense_backward(layer, c, g, out=out),
                   lambda layer, c, g, out: dense_backward(layer, c, g, input_grad=False,
                                                           out=out)]
+    buffers = (np.empty(x.shape), np.empty(stacked.weight.shape),
+               np.empty(stacked.bias.shape), np.empty(upstream.shape))
     for backward in calls:
-        for out in (None, (np.empty(stacked.weight.shape), np.empty(stacked.bias.shape))):
+        for out in (None, buffers):
             got = backward(stacked, cache, upstream, out)
+            if out is not None:  # every result computed here is in its buffer
+                assert all(g is None or g is buf or g is upstream
+                           for g, buf in zip(got, out))
             for i, layer in enumerate(layers):
                 expected = backward(layer, dense_forward(layer, x[i]), upstream[i], None)
                 for g, e in zip(got, expected):

@@ -605,29 +605,54 @@ def test_pipeline_deterministic_and_parallel_equivalent(monkeypatch):
         assert other_histories == histories
 
 
-def test_stage1_trains_its_heads_in_one_call_on_the_calling_thread(monkeypatch):
-    # the ten heads train after the autoencoders, as one stacked head on
-    # the (10, l, n) stack of the sources' codes, kept as it is trained
+def test_stage1_trains_its_heads_in_one_call_a_thread_on_slices_of_sources(monkeypatch):
+    # after the autoencoders, each stage-1 thread trains the heads of one
+    # contiguous slice of sources as one stacked head; the joined slices
+    # are bit for bit one stacked call on the whole (10, l, n) stack
     ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
     cfg = dataclasses.replace(_tiny_cfg(seed=7), epochs=1)
     head_train = pipeline.head_train
     calls = []
 
-    def spy(features, *args, **kwargs):
-        head = head_train(features, *args, **kwargs)
-        calls.append((threading.current_thread(), features.shape, head))
-        return head
+    def spy(features, labels, **kwargs):
+        calls.append((threading.current_thread(), features, kwargs["seed"]))
+        return head_train(features, labels, **kwargs)
 
     monkeypatch.setattr(pipeline, "head_train", spy)
+    whole = None
     for workers in (1, 2, 10):
         monkeypatch.setattr(pipeline, "_stage1_workers", lambda: workers)
         calls.clear()
         models, _ = train_stage1(ds, cfg)
-        [(thread, shape, head)] = calls
-        assert thread is threading.current_thread()
-        assert shape == (N_SOURCES, cfg.l, 50)
-        assert all(layer.weight is trained.weight and layer.bias is trained.bias
-                   for layer, trained in zip(models.heads.layers, head.layers))
+        assert len(calls) == workers
+        assert all(thread is not threading.current_thread() for thread, _, _ in calls)
+        calls.sort(key=lambda call: call[2][0])
+        assert [seed for _, _, part in calls for seed in part] == \
+            [[7, 2000 + s] for s in range(N_SOURCES)]
+        stack = np.concatenate([features for _, features, _ in calls])
+        assert stack.shape == (N_SOURCES, cfg.l, 50)
+        if whole is None:
+            whole = head_train(stack, ds.labels[ds.splits["ae-train"]],
+                               epochs=cfg.head_epochs,
+                               seed=[[7, 2000 + s] for s in range(N_SOURCES)])
+        assert [name for name, _ in models.heads.parameters()] == \
+            [name for name, _ in whole.parameters()]
+        for (name, arr), (_, expected) in zip(models.heads.parameters(), whole.parameters()):
+            assert np.array_equal(arr, expected), (workers, name)
+
+
+def test_single_class_attributes_are_logged_once_per_split(monkeypatch, caplog):
+    # attribute 1 is always present in ae-train and always absent in
+    # clf-train: one warning names each split, though two threads train heads
+    ds = gen_synthetic(90, 2, seed=43, splits=split_by_counts((50, 25, 15)))
+    ds.labels[ds.splits["ae-train"], 1] = 1
+    ds.labels[ds.splits["clf-train"], 1] = 0
+    monkeypatch.setattr(pipeline, "_stage1_workers", lambda: 2)
+    with caplog.at_level(logging.WARNING, logger="rcodean"):
+        train_full(ds, dataclasses.replace(_tiny_cfg(seed=7), epochs=1))
+    single = [r.getMessage() for r in caplog.records if "single class in" in r.getMessage()]
+    assert single == ["attribute 1 has a single class in the ae-train split",
+                      "attribute 1 has a single class in the clf-train split"]
 
 
 def test_train_full_without_openblas_warns_once(monkeypatch, caplog):

@@ -45,6 +45,19 @@ def test_activation_sigmoid_matches_split_form_bitwise():
     assert np.array_equal(activation(z.reshape(-1, 8), "sigmoid").ravel(), ref)
 
 
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "linear"])
+def test_activation_into_given_arrays_is_bitwise_the_same(kind):
+    # a trainer's arrays, made once, receive the value a new array holds
+    rng = np.random.default_rng(33)
+    z = np.concatenate([rng.normal(scale=20.0, size=(3, 4, 40)),
+                        np.full((3, 4, 1), -0.0), np.full((3, 4, 1), -800.0)], axis=-1)
+    out, work = np.full_like(z, np.nan), np.full_like(z, np.nan)
+    got = activation(z, kind, out, work)
+    expected = activation(z, kind)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert got is (z if kind == "linear" else out)
+
+
 @pytest.mark.parametrize("kind", ["relu", "linear"])
 def test_activation_derivative_matches_finite_differences(kind):
     rng = np.random.default_rng(29)
