@@ -23,8 +23,10 @@ A passing checksum does not make a file trusted: a manifest other than
 the one the config implies, a ``skip_layout`` other than the trained
 one, a non-finite array or a forest that ``Forest`` refuses is a
 ``FormatError``. That is the only check the loaded values get; the
-encoders and heads are built from the arrays as training builds them
-(``SourceModels.from_arrays``) and use them as they are.
+encoders and heads are built from each part's arrays, with the part's
+prefix taken off, by the constructor training calls
+(``SourceModels.from_parts``), and use them as they are. This module
+alone puts the parts' prefixes on the array names and takes them off.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .classifiers import Forest, LinearSvm, assemble_mlp_head, forest_shapes, he
 from .errors import ConfigError, CorruptionError, FormatError, VersionError
 from .network import DEFAULT_SKIP_LAYOUT, parameter_shapes
 from .pipeline import (N_SOURCES, SOURCE_DIMS, ModelBundle, PatchWeights, PipelineConfig,
-                       SourceModels, is_number, prefixed)
+                       SourceModels, is_number)
 
 BUNDLE_MAGIC = b"RCBN"
 BUNDLE_FORMAT_VERSION = "2"
@@ -188,6 +190,12 @@ def _read_arrays(path, data: bytes, manifest: list, pos: int,
     return arrays
 
 
+def prefixed(arrays, prefix: str) -> dict[str, np.ndarray]:
+    """The arrays named ``<prefix>.<name>``, by ``<name>``."""
+    return {name[len(prefix) + 1:]: arr for name, arr in arrays.items()
+            if name.startswith(prefix + ".")}
+
+
 def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     """The bundle around ``arrays``, the file's arrays by manifest name,
     viewing its bytes: each is copied once, straight into the array the
@@ -196,7 +204,10 @@ def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     forest = Forest.from_arrays(prefixed(arrays, "forest"), N_SOURCES * int(config["k"]))
     owned = {name: arr.copy() for name, arr in arrays.items() if not name.startswith("forest.")}
     return ModelBundle(
-        config=config, sources=SourceModels.from_arrays(owned),
+        config=config,
+        sources=SourceModels.from_parts(prefixed(owned, "patch_encoders"),
+                                        prefixed(owned, "face_encoder"),
+                                        prefixed(owned, "heads")),
         patch_weights=PatchWeights(owned["patch_weights"]),
         stage2_mlp=assemble_mlp_head(prefixed(owned, "stage2_mlp")), forest=forest,
         svm=LinearSvm(weights=owned["svm.weights"], biases=owned["svm.biases"]))

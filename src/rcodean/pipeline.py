@@ -237,7 +237,10 @@ def _preprocessed_stack(dataset: AttributeDataset, indices: np.ndarray) -> np.nd
 
 
 def _train_one_source(source: int, X_ae: np.ndarray, cfg: PipelineConfig):
-    """One source's autoencoder and its (l, n) codes of ``X_ae``."""
+    """One source's trained encoder arrays, named as
+    ``parameter_shapes(d, l, encoder_only=True)`` names them, its (l, n)
+    codes of ``X_ae`` and its loss history. The decoder and its
+    projection go with the net, when this returns."""
     net = build_rcodean(SOURCE_DIMS[source], cfg.l, cfg.codean_params(),
                         seed=[cfg.seed, source])
     history = train_autoencoder(net, X_ae, cfg, seed=[cfg.seed, 1000 + source])
@@ -245,7 +248,8 @@ def _train_one_source(source: int, X_ae: np.ndarray, cfg: PipelineConfig):
     codes = stacked_encode(net, X_ae)
     log.info("source %d trained: loss %.5f -> %.5f", source,
              history[0].total, history[-1].total)
-    return net, codes, history
+    kept = parameter_shapes(SOURCE_DIMS[source], cfg.l, encoder_only=True)
+    return {name: arr for name, arr in net.parameters() if name in kept}, codes, history
 
 
 def _stage1_workers() -> int:
@@ -281,7 +285,8 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
     count changes no output. OpenBLAS runs on one thread, as in
     ``train_full``, and the caller's count is restored after.
     Returns (models, histories): models is the ``SourceModels`` of the
-    trained encoders and heads; the decoders go with the nets.
+    trained encoders, the patch encoders' arrays copied into stacks, and
+    of the joined head; each decoder goes when its source's task ends.
     """
     ae_idx = dataset.splits["ae-train"]
     clf_idx = dataset.splits["clf-train"]
@@ -300,7 +305,7 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
         # would run alone at the end
         futures = {s: pool.submit(_train_one_source, s, sources_ae[s], cfg)
                    for s in (N_SOURCES - 1, *range(N_SOURCES - 1))}
-        nets, codes, histories = zip(*(futures[s].result() for s in range(N_SOURCES)))
+        encoders, codes, histories = zip(*(futures[s].result() for s in range(N_SOURCES)))
         # one contiguous slice of sources a thread: several heads a call keep
         # each numpy call large, where one head a task would hand the
         # interpreter lock back and forth at every call
@@ -312,12 +317,15 @@ def train_stage1(dataset: AttributeDataset, cfg: PipelineConfig):
                                seed=[[cfg.seed, 2000 + s] for s in part])
                    for part in slices]
         parts = [dict(future.result().parameters()) for future in trained]
-    heads = assemble_mlp_head({name: np.concatenate([part[name] for part in parts])
-                               for name in parts[0]})
-    models = SourceModels.from_nets(nets, heads)
-    # the nets go, freed into the threads' arenas, which no later
-    # allocation of this thread reuses; so do the slices' heads, joined
-    del futures, nets, codes, stack, trained, parts
+    models = SourceModels.from_parts(
+        {name: np.stack([encoder[name] for encoder in encoders[:-1]])
+         for name in encoders[-1]},
+        encoders[-1],
+        {name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
+    # the patch encoders' own arrays go, freed into the threads' arenas,
+    # which no later allocation of this thread reuses; so do the slices'
+    # heads, joined
+    del futures, encoders, codes, stack, trained, parts
     _release_free_heap()
     return models, list(histories)
 
@@ -345,19 +353,6 @@ def _release_free_heap() -> None:
 # scoring and patch weights
 
 
-def prefixed(arrays, prefix: str) -> dict[str, np.ndarray]:
-    """The arrays named ``<prefix>.<name>``, by ``<name>``."""
-    return {name[len(prefix) + 1:]: arr for name, arr in arrays.items()
-            if name.startswith(prefix + ".")}
-
-
-def _stack(name: str, arrays: list[np.ndarray]) -> np.ndarray:
-    shapes = {arr.shape for arr in arrays}
-    if len(shapes) != 1:
-        raise ShapeError(f"cannot stack {name} arrays of shapes {sorted(shapes)}")
-    return np.stack(arrays)
-
-
 @dataclass
 class SourceModels:
     """The ten stage-1 models as ``score_images`` runs them, encoders and
@@ -372,35 +367,16 @@ class SourceModels:
     heads: MlpHead
 
     @classmethod
-    def from_arrays(cls, arrays) -> SourceModels:
-        """The models around ``arrays``, named as a bundle stores them
-        (``patch_encoders.enc1.weight`` ... ``face_encoder.*`` ...
-        ``heads.layer2.bias``; other names are ignored), used as they
-        are, not copied. Training and loading both build the models here."""
-        return cls(assemble_rcodean(prefixed(arrays, "patch_encoders"), DEFAULT_SKIP_LAYOUT,
-                                    CodeanParams()),
-                   assemble_rcodean(prefixed(arrays, "face_encoder"), DEFAULT_SKIP_LAYOUT,
-                                    CodeanParams()),
-                   assemble_mlp_head(prefixed(arrays, "heads")))
-
-    @classmethod
-    def from_nets(cls, nets: list[RCodeanNet], heads: MlpHead) -> SourceModels:
-        """The models of ten trained nets, source s at index s, and their
-        stacked head: of each net the arrays a stored encoder keeps, the
-        patch nets' copied into stacks. Every net must have the shortcuts
-        of ``DEFAULT_SKIP_LAYOUT``, the layout a stored encoder runs."""
-        if len(nets) != N_SOURCES:
-            raise ShapeError(f"expected {N_SOURCES} nets, got {len(nets)}")
-        if any(net.skips != DEFAULT_SKIP_LAYOUT for net in nets):
-            raise ConfigError("cannot build the model set from nets whose shortcuts "
-                              "differ from DEFAULT_SKIP_LAYOUT")
-        net_arrays = [dict(net.parameters()) for net in nets]
-        arrays = {}
-        for name in parameter_shapes(SOURCE_DIMS[-1], heads.in_dim, encoder_only=True):
-            arrays[f"patch_encoders.{name}"] = _stack(name, [a[name] for a in net_arrays[:-1]])
-            arrays[f"face_encoder.{name}"] = net_arrays[-1][name]
-        arrays.update((f"heads.{name}", arr) for name, arr in heads.parameters())
-        return cls.from_arrays(arrays)
+    def from_parts(cls, patch_encoders, face_encoder, heads) -> SourceModels:
+        """The models around three parts' arrays, each named as its part
+        names them: the patch encoders' and the face encoder's as
+        ``parameter_shapes(d, l, encoder_only=True)`` (the patch encoders'
+        stacked as (9, out, in)), the heads' as ``head_shapes(l, k)``,
+        stacked as (10, out, in). The arrays are used as they are, not
+        copied. Training and loading both build the models here."""
+        return cls(assemble_rcodean(patch_encoders, DEFAULT_SKIP_LAYOUT, CodeanParams()),
+                   assemble_rcodean(face_encoder, DEFAULT_SKIP_LAYOUT, CodeanParams()),
+                   assemble_mlp_head(heads))
 
 
 def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
@@ -478,7 +454,9 @@ def learn_patch_weights(scores: np.ndarray, labels: np.ndarray,
     initialization keeps identical sources exactly symmetric; plain
     descent (not Adam) is deliberate so the fitted magnitudes stay
     proportional to how much each source actually helps. Reported
-    weights are w^2 normalized by the row maximum.
+    weights are w^2 normalized by the row maximum. An attribute whose
+    labels hold one class gets the uniform row, unlogged here: the
+    caller warns about its labels, naming the split.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -492,7 +470,6 @@ def learn_patch_weights(scores: np.ndarray, labels: np.ndarray,
     for a in range(k):
         y = labels[:, a]
         if y.min() == y.max():
-            log.warning("attribute %d has a single class; uniform patch weights", a)
             continue
         x = logits[:, :, a]  # (n, 10)
         w = np.full(N_SOURCES, _WEIGHT_INIT)

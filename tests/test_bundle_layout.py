@@ -7,13 +7,20 @@ for a head, and ``classifiers.forest_shapes`` with ``Forest.arrays`` and
 checks. So a change to a part is made in one module, and the bundle
 module reads none of the names that state a part's layout: layer ids,
 activations, head widths, forest fields.
+
+The other way round, ``pipeline.py`` builds the models from each part's
+own-named arrays and spells none of the names the bundle stores them
+under (``patch_encoders.enc1.weight``, ``svm.biases``) in any string:
+``bundle.py`` alone puts the parts' prefixes on and takes them off.
 """
 
 import ast
 from pathlib import Path
 
 BUNDLE = Path(__file__).resolve().parents[1] / "src" / "rcodean" / "bundle.py"
+PIPELINE = BUNDLE.with_name("pipeline.py")
 LAYOUT_NAMES = {"ENCODER_IDS", "LAYER_ORDER", "LAYER_ACTS", "HEAD_ACTS", "head_dims", "Tree"}
+STORED_NAMES = ("patch_encoders", "face_encoder", "heads.", "stage2_mlp", "forest.", "svm.")
 
 
 def _layout_names(path: Path) -> list[tuple[int, str]]:
@@ -46,3 +53,26 @@ def test_guard_sees_a_layout_import(tmp_path):
                     "x = network.ENCODER_IDS, dataclasses.fields(Forest), acts.fields\n")
     assert _layout_names(path) == [(1, "fields"), (2, "HEAD_ACTS"), (5, "LAYER_ACTS"),
                                    (7, "ENCODER_IDS"), (7, "fields")]
+
+
+def _stored_names(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each stored part or array name in a string
+    constant of the module, docstrings and f-string parts included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [(node.lineno, name) for name in STORED_NAMES if name in node.value]
+    return sorted(found)
+
+
+def test_pipeline_names_no_stored_array():
+    assert _stored_names(PIPELINE) == []
+
+
+def test_guard_sees_a_stored_name(tmp_path):
+    path = tmp_path / "p.py"
+    path.write_text('def f(arrays, name):\n'
+                    '    """Reads ``svm.weights``."""\n'
+                    '    return prefixed(arrays, "face_encoder"), f"heads.{name}"\n\n'
+                    'heads = forest = "a field name, not a stored one"\n')
+    assert _stored_names(path) == [(2, "svm."), (3, "face_encoder"), (3, "heads.")]
