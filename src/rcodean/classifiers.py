@@ -39,8 +39,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError, TrainingError
-from .layers import (DenseLayer, LayerCache, dense_backward, dense_backward_preact,
-                     dense_forward, glorot_uniform)
+from .layers import (DenseLayer, dense_backward, dense_backward_preact, dense_forward,
+                     glorot_uniform)
 from .optimizer import AdamState, adam_step
 from .tensor import Mat
 
@@ -99,17 +99,6 @@ def build_mlp_head(in_dim: int, k: int, seed: int = 0) -> MlpHead:
                               for name, shape in head_shapes(in_dim, k).items()})
 
 
-def _head_forward(head: MlpHead, x: np.ndarray,
-                  keep_preact: bool = True) -> list[LayerCache]:
-    caches = []
-    current = x
-    for layer in head.layers:
-        cache = dense_forward(layer, current, keep_preact=keep_preact)
-        caches.append(cache)
-        current = cache.output
-    return caches
-
-
 def head_score(head: MlpHead, code: Mat) -> np.ndarray:
     """Per-attribute (k, n) probabilities for a checked (in, n) code."""
     return stacked_head_score(head, code.a)
@@ -119,7 +108,10 @@ def stacked_head_score(heads: MlpHead, codes: np.ndarray) -> np.ndarray:
     """(k, n) probabilities of one head for (l, n) codes, or (heads, k, n)
     from a head of (heads, out, in) stacked layers and an (heads, l, n)
     code stack: the one scoring forward."""
-    return _head_forward(heads, codes, keep_preact=False)[-1].output
+    current = codes
+    for layer in heads.layers:
+        current = dense_forward(layer, current, keep_preact=False).output
+    return current
 
 
 def _flat_views(arrays: list[tuple[str, np.ndarray]], flat: np.ndarray) -> dict:

@@ -285,7 +285,7 @@ def cmd_eval(args) -> int:
     rows.append(f"mean,{_fmt(100.0 * report.mean_accuracy)}")
     (out / "accuracy.csv").write_text("\n".join(rows) + "\n")
     ablation = ["classifier,mean_accuracy_pct"]
-    for name, (_, mean) in sorted(report.classifier_accuracy.items()):
+    for name, mean in sorted(report.classifier_accuracy.items()):
         ablation.append(f"{name},{_fmt(100.0 * mean)}")
     (out / "ablation.csv").write_text("\n".join(ablation) + "\n")
     print(f"mean accuracy {100.0 * report.mean_accuracy:.2f}% over "

@@ -169,19 +169,26 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
 # image files
 
 
+def _comment_end(data: bytes, pos: int) -> int:
+    """Index of the newline closing the '#' comment at ``pos``, or the
+    end of ``data``."""
+    end = data.find(b"\n", pos)
+    return len(data) if end < 0 else end
+
+
 def _read_pgm(data: bytes, path) -> np.ndarray:
-    # token scanner handling '#' comments inside the header
+    # token scanner; as Netpbm allows, a '#' comment may start anywhere
+    # before the byte that ends the header, inside a token too, which it ends
     pos = 2
     tokens = []
     while len(tokens) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
+        if data[pos:pos + 1] == b"#":
+            pos = _comment_end(data, pos)
             continue
         start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
+        while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos] != 0x23:
             pos += 1
         if start == pos:
             raise FormatError(f"{path}: truncated header")
@@ -192,7 +199,10 @@ def _read_pgm(data: bytes, path) -> np.ndarray:
         raise FormatError(f"{path}: non-numeric header fields") from None
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
-    # single whitespace byte separates header from pixels
+    # single whitespace byte separates header from pixels; a comment right
+    # after maxval ends in it
+    if data[pos:pos + 1] == b"#":
+        pos = _comment_end(data, pos)
     return _pixels(data, pos + 1, height, width, path)
 
 

@@ -12,6 +12,9 @@ layers with ``build_rcodean``; a trained model keeps an ``RCodeanNet`` of
 the three encoder layers only, one net's or several nets' stacked, which
 ``assemble_rcodean`` builds from the stored arrays. Both run the same
 forward code, through the shortcuts that end at the layers they hold.
+A net holds arrays only: the loss weights are the training loss's, and
+``codean_loss``, ``net_backward`` and ``loss_and_grads`` take them from
+their caller.
 
 The training objective for input x with reconstruction r is
 
@@ -62,10 +65,11 @@ NORM_EPS = 1e-12  # below this vector norm the cosine term is skipped
 @dataclass
 class CodeanParams:
     """Loss term weights: alpha scales the Euclidean term, beta the cosine
-    term, lam the L1 penalty on encoder weights."""
-    alpha: float = 1.0
-    beta: float = 1.0
-    lam: float = 0.01
+    term, lam the L1 penalty on encoder weights. A run's come from its
+    ``PipelineConfig``, which holds their defaults."""
+    alpha: float
+    beta: float
+    lam: float
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0 or self.lam < 0:
@@ -90,16 +94,15 @@ class RCodeanNet:
     """The autoencoder: its layers by id, all six while training and the
     three encoder layers in a stored encoder; its shortcuts as (src, dst,
     kind) triples, ``DEFAULT_SKIP_LAYOUT`` or none; the projections of the
-    shortcuts that bridge two widths, by ``"src->dst"``; and its loss
-    weights. A stored encoder's layers are one net's (out, in) arrays, or
-    same-shaped nets' arrays stacked as (nets, out, in), run through the
-    nets' own forward code, slice s as net s. ``incoming`` maps each layer
-    id to the shortcuts that end at it, in ``skips`` order; it is derived
-    once here, so replace ``skips`` by building a new net."""
+    shortcuts that bridge two widths, by ``"src->dst"``. A stored
+    encoder's layers are one net's (out, in) arrays, or same-shaped nets'
+    arrays stacked as (nets, out, in), run through the nets' own forward
+    code, slice s as net s. ``incoming`` maps each layer id to the
+    shortcuts that end at it, in ``skips`` order; it is derived once
+    here, so replace ``skips`` by building a new net."""
     layers: dict[str, DenseLayer]
     skips: tuple[tuple[str, str, str], ...]
     projections: dict[str, np.ndarray] = field(default_factory=dict)
-    params: CodeanParams = field(default_factory=CodeanParams)
     incoming: dict[str, list[tuple[str, str, str]]] = field(init=False, repr=False,
                                                            compare=False)
 
@@ -122,7 +125,7 @@ class RCodeanNet:
         return out
 
 
-def assemble_rcodean(arrays, skip_layout, params: CodeanParams) -> RCodeanNet:
+def assemble_rcodean(arrays, skip_layout) -> RCodeanNet:
     """Build a net around the arrays named as ``RCodeanNet.parameters()``
     names them. The arrays are used as they are, not copied. The net has
     the three encoder layers, plus each decoder layer whose arrays are
@@ -133,7 +136,7 @@ def assemble_rcodean(arrays, skip_layout, params: CodeanParams) -> RCodeanNet:
     projections = {f"{src}->{dst}": arrays[f"skip.{src}->{dst}.projection"]
                    for src, dst, _ in skip_layout
                    if f"skip.{src}->{dst}.projection" in arrays}
-    return RCodeanNet(layers, tuple(skip_layout), projections, params)
+    return RCodeanNet(layers, tuple(skip_layout), projections)
 
 
 def parameter_shapes(d: int, l: int, encoder_only: bool = False) -> dict[str, tuple[int, int]]:
@@ -148,8 +151,7 @@ def parameter_shapes(d: int, l: int, encoder_only: bool = False) -> dict[str, tu
             for part in ("weight", "bias")}
 
 
-def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
-                  seed: int = 0,
+def build_rcodean(d: int, l: int, seed: int = 0,
                   skip_layout=DEFAULT_SKIP_LAYOUT) -> RCodeanNet:
     """Construct a randomly initialized network for d-dim inputs, l-dim code.
 
@@ -164,13 +166,12 @@ def build_rcodean(d: int, l: int, params: CodeanParams | None = None,
         src_dim, dst_dim = shapes[f"{src}.bias"][0], shapes[f"{dst}.bias"][0]
         if src_dim != dst_dim:
             arrays[f"skip.{src}->{dst}.projection"] = glorot_uniform(rng, dst_dim, src_dim)
-    return assemble_rcodean(arrays, skip_layout, params or CodeanParams())
+    return assemble_rcodean(arrays, skip_layout)
 
 
 @dataclass
 class NetForward:
     reconstruction: np.ndarray
-    code: np.ndarray
     caches: dict[str, LayerCache]
 
 
@@ -200,8 +201,7 @@ def _forward_caches(net: RCodeanNet, x: np.ndarray, last: str,
 def net_forward(net: RCodeanNet, x: np.ndarray) -> NetForward:
     """Run the full stack; x columns are samples of normalized pixels."""
     caches = _forward_caches(net, x, "dec3")
-    return NetForward(reconstruction=caches["dec3"].output, code=caches["enc3"].output,
-                      caches=caches)
+    return NetForward(reconstruction=caches["dec3"].output, caches=caches)
 
 
 def encode(net: RCodeanNet, x: Mat) -> np.ndarray:
@@ -222,9 +222,11 @@ def _encoder_l1(net: RCodeanNet) -> float:
     return float(sum(np.sum(np.abs(net.layers[lid].weight)) for lid in ENCODER_IDS))
 
 
-def codean_loss(net: RCodeanNet, x: np.ndarray, reconstruction: np.ndarray) -> CodeanLoss:
-    """Loss terms for a batch and their gradient with respect to the
-    reconstruction; euc and cos are means over sample columns.
+def codean_loss(net: RCodeanNet, x: np.ndarray, reconstruction: np.ndarray,
+                params: CodeanParams) -> CodeanLoss:
+    """Loss terms for a batch under the weights ``params`` and their
+    gradient with respect to the reconstruction; euc and cos are means
+    over sample columns.
 
     Columns whose input or reconstruction norm is below 1e-12 have their
     cosine term skipped (contributing 0 to the loss and its gradient) and
@@ -252,26 +254,25 @@ def codean_loss(net: RCodeanNet, x: np.ndarray, reconstruction: np.ndarray) -> C
     norms = np.where(ok, x_norm * r_norm, 1.0)
     cos_sim = xr / norms
     cos_cols = np.where(ok, -cos_sim, 0.0)
-    p = net.params
-    scale = p.beta / n
+    scale = params.beta / n
     c_x = np.where(ok, scale / norms, 0.0)
     c_r = np.where(ok, scale * cos_sim / np.where(ok, rr, 1.0), 0.0)
     # the gradient is built in diff's buffer
     grad = diff
-    grad *= 2.0 * p.alpha / n
+    grad *= 2.0 * params.alpha / n
     scratch = np.multiply(r, c_r)
     grad += scratch
     grad -= np.multiply(x, c_x, out=scratch)
     euc = float(np.mean(euc_cols))
     cos = float(np.mean(cos_cols))
     reg = _encoder_l1(net)
-    total = p.alpha * euc + p.beta * cos + p.lam * reg
+    total = params.alpha * euc + params.beta * cos + params.lam * reg
     return CodeanLoss(total=total, euc=euc, cos=cos, reg=reg, recon_grad=grad,
                       degenerate=bool((~ok).any()))
 
 
 def net_backward(net: RCodeanNet, x: np.ndarray, caches: dict[str, LayerCache],
-                 recon_grad: np.ndarray) -> dict[str, np.ndarray]:
+                 recon_grad: np.ndarray, lam: float) -> dict[str, np.ndarray]:
     """Gradient of the total loss for every weight, bias, and projection,
     given d(total)/d(reconstruction) (``CodeanLoss.recon_grad``).
 
@@ -319,7 +320,6 @@ def net_backward(net: RCodeanNet, x: np.ndarray, caches: dict[str, LayerCache],
                 out_grad[prev] += grad_in
 
     # L1 penalty on encoder weights
-    lam = net.params.lam
     if lam != 0.0:
         for lid in ENCODER_IDS:
             penalty = np.sign(net.layers[lid].weight)
@@ -328,18 +328,19 @@ def net_backward(net: RCodeanNet, x: np.ndarray, caches: dict[str, LayerCache],
     return grads
 
 
-def loss_and_grads(net: RCodeanNet, x: np.ndarray) -> tuple[CodeanLoss, dict[str, np.ndarray]]:
-    """Forward pass, loss terms, and full parameter gradient in one call."""
+def loss_and_grads(net: RCodeanNet, x: np.ndarray,
+                   params: CodeanParams) -> tuple[CodeanLoss, dict[str, np.ndarray]]:
+    """Forward pass, loss terms under ``params``, and full parameter
+    gradient in one call."""
     fwd = net_forward(net, x)
-    loss = codean_loss(net, x, fwd.reconstruction)
-    return loss, net_backward(net, x, fwd.caches, loss.recon_grad)
+    loss = codean_loss(net, x, fwd.reconstruction, params)
+    return loss, net_backward(net, x, fwd.caches, loss.recon_grad, params.lam)
 
 
 @dataclass
 class GradCheckGroup:
     name: str
     worst_rel: float
-    worst_abs: float
     passed: bool
 
 
@@ -353,12 +354,11 @@ class GradCheckReport:
         return max(self.groups, key=lambda g: g.worst_rel)
 
 
-def _total_loss(net: RCodeanNet, x: np.ndarray) -> float:
-    return codean_loss(net, x, net_forward(net, x).reconstruction).total
+def _total_loss(net: RCodeanNet, x: np.ndarray, params: CodeanParams) -> float:
+    return codean_loss(net, x, net_forward(net, x).reconstruction, params).total
 
 
-def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
-                        params: CodeanParams) -> tuple[RCodeanNet, np.ndarray]:
+def _draw_checkable_net(rng: np.random.Generator, d: int, l: int) -> tuple[RCodeanNet, np.ndarray]:
     """Rejection-sample a net and input away from non-smooth points.
 
     Central differences are meaningless where a relu pre-activation sits
@@ -366,7 +366,7 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int,
     any |z| < 1e-3 or encoder |w| < 1e-4 are discarded.
     """
     while True:
-        net = build_rcodean(d, l, params, seed=int(rng.integers(2**31)))
+        net = build_rcodean(d, l, seed=int(rng.integers(2**31)))
         x = rng.uniform(0.05, 1.0, size=(d, 1))
         fwd = net_forward(net, x)
         near_kink = any(
@@ -397,17 +397,17 @@ def gradient_check(seed: int = 0, trials: int = 20, d: int = 12, l: int = 8,
     rng = np.random.default_rng(seed)
     stats: dict[str, GradCheckGroup] = {}
     for _ in range(trials):
-        net, x = _draw_checkable_net(rng, d, l, params)
-        analytic = loss_and_grads(net, x)[1]
+        net, x = _draw_checkable_net(rng, d, l)
+        analytic = loss_and_grads(net, x, params)[1]
         for name, arr in net.parameters():
             flat = arr.reshape(-1)
             g = analytic[name].reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = _total_loss(net, x)
+                up = _total_loss(net, x, params)
                 flat[i] = orig - h
-                down = _total_loss(net, x)
+                down = _total_loss(net, x, params)
                 flat[i] = orig
                 num = (up - down) / (2.0 * h)
                 diff = abs(g[i] - num)
@@ -415,10 +415,9 @@ def gradient_check(seed: int = 0, trials: int = 20, d: int = 12, l: int = 8,
                 rel = diff / max(scale, abs_tol)
                 group = stats.get(name)
                 if group is None:
-                    group = GradCheckGroup(name, 0.0, 0.0, True)
+                    group = GradCheckGroup(name, 0.0, True)
                     stats[name] = group
                 group.worst_rel = max(group.worst_rel, rel)
-                group.worst_abs = max(group.worst_abs, diff)
                 if diff > max(abs_tol, rel_tol * scale):
                     group.passed = False
     groups = sorted(stats.values(), key=lambda grp: grp.name)

@@ -198,8 +198,9 @@ class EpochStats:
 def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
                       seed) -> list[EpochStats]:
     """Minibatch Adam with plateau decay on the (d, n) float64 columns
-    ``X``, checked here, once; epoch 0 records the untrained full-batch
-    loss so relative improvement has a baseline."""
+    ``X``, checked here, once, under ``cfg``'s loss weights; epoch 0
+    records the untrained full-batch loss so relative improvement has a
+    baseline."""
     n = X.shape[1]
     if n == 0:
         raise ConfigError("autoencoder training split is empty")
@@ -208,10 +209,11 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
     rng = np.random.default_rng(seed)
     sched = PlateauScheduler()
     state = AdamState(lr=sched.lr)
-    params = net.parameters()
+    arrays = net.parameters()
+    params = cfg.codean_params()
 
     def full_batch_stats(epoch: int) -> EpochStats:
-        loss = codean_loss(net, X, net_forward(net, X).reconstruction)
+        loss = codean_loss(net, X, net_forward(net, X).reconstruction, params)
         return EpochStats(epoch, loss.total, loss.euc, loss.cos, loss.reg, state.lr)
 
     history = [full_batch_stats(0)]
@@ -220,8 +222,8 @@ def train_autoencoder(net: RCodeanNet, X: np.ndarray, cfg: PipelineConfig,
         sums = np.zeros(4)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = loss_and_grads(net, np.take(X, idx, axis=1))
-            adam_step(state, params, grads)
+            loss, grads = loss_and_grads(net, np.take(X, idx, axis=1), params)
+            adam_step(state, arrays, grads)
             sums += np.array([loss.total, loss.euc, loss.cos, loss.reg]) * len(idx)
         total, euc, cos, reg = sums / n
         state.lr = scheduler_update(sched, total)
@@ -241,8 +243,7 @@ def _train_one_source(source: int, X_ae: np.ndarray, cfg: PipelineConfig):
     ``parameter_shapes(d, l, encoder_only=True)`` names them, its (l, n)
     codes of ``X_ae`` and its loss history. The decoder and its
     projection go with the net, when this returns."""
-    net = build_rcodean(SOURCE_DIMS[source], cfg.l, cfg.codean_params(),
-                        seed=[cfg.seed, source])
+    net = build_rcodean(SOURCE_DIMS[source], cfg.l, seed=[cfg.seed, source])
     history = train_autoencoder(net, X_ae, cfg, seed=[cfg.seed, 1000 + source])
     # X_ae is C-contiguous float64, checked finite by train_autoencoder
     codes = stacked_encode(net, X_ae)
@@ -374,8 +375,8 @@ class SourceModels:
         stacked as (9, out, in)), the heads' as ``head_shapes(l, k)``,
         stacked as (10, out, in). The arrays are used as they are, not
         copied. Training and loading both build the models here."""
-        return cls(assemble_rcodean(patch_encoders, DEFAULT_SKIP_LAYOUT, CodeanParams()),
-                   assemble_rcodean(face_encoder, DEFAULT_SKIP_LAYOUT, CodeanParams()),
+        return cls(assemble_rcodean(patch_encoders, DEFAULT_SKIP_LAYOUT),
+                   assemble_rcodean(face_encoder, DEFAULT_SKIP_LAYOUT),
                    assemble_mlp_head(heads))
 
 
@@ -648,7 +649,7 @@ class EvalReport:
     attribute_names: list[str]
     accuracy: np.ndarray           # per attribute, voted predictions
     mean_accuracy: float
-    classifier_accuracy: dict      # name -> (per-attribute array, mean)
+    classifier_accuracy: dict      # name -> mean over attributes
 
 
 def evaluate(bundle: ModelBundle, dataset: AttributeDataset, split: str) -> EvalReport:
@@ -666,10 +667,8 @@ def evaluate(bundle: ModelBundle, dataset: AttributeDataset, split: str) -> Eval
     labels = dataset.labels[idx]
     bits, _, per_clf = vote_on_scores(bundle, score_split(bundle.sources, dataset, idx))
     acc = (bits == labels).mean(axis=0)
-    clf_acc = {}
-    for name, pred in per_clf.items():
-        per_attr = (pred == labels).mean(axis=0)
-        clf_acc[name] = (per_attr, float(per_attr.mean()))
+    clf_acc = {name: float((pred == labels).mean(axis=0).mean())
+               for name, pred in per_clf.items()}
     return EvalReport(attribute_names=bundle.attribute_names,
                       accuracy=acc, mean_accuracy=float(acc.mean()),
                       classifier_accuracy=clf_acc)

@@ -44,19 +44,11 @@ class Mat:
         self.a = np.ascontiguousarray(a)
 
     @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.a.shape[1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
     def __repr__(self) -> str:
-        return f"Mat({self.rows}x{self.cols})"
+        return f"Mat({self.a.shape[0]}x{self.a.shape[1]})"
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,

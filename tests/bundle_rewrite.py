@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 
+from rcodean.network import DEFAULT_SKIP_LAYOUT
+
 
 def rewrite_bundle(path, dest, mutate):
     """Write a copy of the bundle at ``path`` to ``dest`` after
@@ -73,9 +75,7 @@ def write_version1_bundle(dest, l=2, k=1):
     array per head, per head layer and per forest tree: zero weights,
     uniform patch weights and one single-leaf tree per attribute."""
     layers = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
-    layout = [["enc1", "enc3", "cross"], ["enc2", "dec1", "cross"],
-              ["enc3", "dec2", "cross"], ["enc1", "dec3", "symmetric"],
-              ["enc2", "dec2", "symmetric"], ["enc3", "dec1", "symmetric"]]
+    layout = [list(skip) for skip in DEFAULT_SKIP_LAYOUT]
     arrays = []
 
     def head(prefix, in_dim):

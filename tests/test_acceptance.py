@@ -61,17 +61,17 @@ def test_criterion_02_cosine_euclidean_contrast():
     rng = np.random.default_rng(2)
     x = rng.uniform(0.1, 1.0, size=(40, 1))
     for beta in (0.5, 1.0):
-        net = build_rcodean(40, 8, CodeanParams(alpha=1.0, beta=beta, lam=0.0), seed=2)
+        net = build_rcodean(40, 8, seed=2)
         for c in (0.5, 2.0, 5.0):
-            loss = codean_loss(net, x, c * x)
+            loss = codean_loss(net, x, c * x, CodeanParams(alpha=1.0, beta=beta, lam=0.0))
             assert abs(beta * loss.cos - (-beta)) < 1e-10
             assert loss.euc > 0.0
     # same-magnitude perturbed pair: small Euclidean error, nonzero angle
-    net = build_rcodean(40, 8, CodeanParams(alpha=1.0, beta=1.0, lam=0.0), seed=3)
+    net = build_rcodean(40, 8, seed=3)
     u = rng.normal(size=(40, 1))
     perturbed = x + 0.05 * u
     perturbed *= np.linalg.norm(x) / np.linalg.norm(perturbed)
-    loss = codean_loss(net, x, perturbed)
+    loss = codean_loss(net, x, perturbed, CodeanParams(alpha=1.0, beta=1.0, lam=0.0))
     x_dot = float(np.vdot(x, x))
     assert loss.euc < 0.02 * x_dot          # Euclidean term is small
     assert loss.cos > -1.0 + 1e-9           # cosine moved away from perfect
@@ -86,14 +86,13 @@ def test_criterion_03_plain_autoencoder_reduction():
     rng = np.random.default_rng(3)
     worst = 0.0
     for seed in range(4):
-        net = build_rcodean(10, 6, CodeanParams(alpha=1.0, beta=0.0, lam=0.0),
-                            seed=seed, skip_layout=())
+        net = build_rcodean(10, 6, seed=seed, skip_layout=())
         order = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
         plain = PlainMseAutoencoder([net.layers[l].weight for l in order],
                                     [net.layers[l].bias for l in order])
         for _ in range(5):
             x = rng.uniform(size=(10, 1))
-            loss, grads = loss_and_grads(net, x)
+            loss, grads = loss_and_grads(net, x, CodeanParams(alpha=1.0, beta=0.0, lam=0.0))
             ref_loss, gws, gbs = plain.loss_and_grads(x)
             worst = max(worst, abs(loss.total - ref_loss))
             for i, lid in enumerate(order):

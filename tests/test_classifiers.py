@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from bundle_rewrite import replace_tree, rewrite_bundle
-from oracles import reference_forest, reference_head_train, reference_svm
+from oracles import (_reference_head_forward, reference_forest, reference_head_train,
+                     reference_svm)
 from rcodean import classifiers
 from rcodean.bundle import load_bundle, save_bundle
-from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, _head_forward,
-                                 assemble_mlp_head, build_mlp_head, ensemble_vote,
-                                 forest_predict_proba, forest_train, head_score,
-                                 head_train, svm_decision, svm_train)
+from rcodean.classifiers import (PROB_THRESHOLD, Forest, Tree, assemble_mlp_head,
+                                 build_mlp_head, ensemble_vote, forest_predict_proba,
+                                 forest_train, head_score, head_train, svm_decision,
+                                 svm_train)
 from rcodean.data import gen_synthetic, split_by_counts
 from rcodean.errors import NumericError, ShapeError, TrainingError
 from rcodean.optimizer import adam_step
@@ -225,14 +226,14 @@ def test_head_gradients_match_finite_differences(monkeypatch):
     y = rng.integers(0, 2, size=(2, 4)).astype(np.float64)
     h = 1e-6
     while True:  # keep relu pre-activations away from kinks
-        zs = [np.abs(c.pre_activation).min() for c in _head_forward(head, x)]
+        zs = [np.abs(z).min() for _, z, _ in _reference_head_forward(head, x)]
         if min(zs[:2]) > 1e-3:
             break
         seed = int(rng.integers(2**31))
         head = build_mlp_head(5, 2, seed=seed)
     def loss():
         # mean binary cross-entropy summed over attributes
-        p = _head_forward(head, x)[-1].output
+        p = _reference_head_forward(head, x)[-1][2]
         return float(-np.mean(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p), axis=0)))
 
     # the gradient of head_train's first epoch, taken at the head it draws

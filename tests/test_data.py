@@ -139,6 +139,16 @@ def test_pgm_with_comment(tmp_path):
     assert load_gray_image(p).tolist() == [[7.0, 9.0]]
 
 
+@pytest.mark.parametrize("header", [b"P5\n5# w\n4\n255\n", b"P5\n5 4#c\n255\n",
+                                    b"P5\n5 4\n255#c\n"])
+def test_pgm_comment_inside_a_token_or_after_maxval(tmp_path, header):
+    # Netpbm lets a comment start anywhere before the byte that ends the
+    # header; it ends a token, and after maxval its newline is that byte
+    p = tmp_path / "a.pgm"
+    p.write_bytes(header + bytes(range(20)))
+    assert load_gray_image(p).tolist() == np.arange(20).reshape(4, 5).tolist()
+
+
 def test_pgm_ascii_rejected(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")

@@ -159,7 +159,7 @@ def test_preprocess_rejects_color():
 
 def test_preprocess_upsamples_small_crops():
     out = preprocess(np.full((8, 8), 64.0))
-    assert out.shape == (64, 64)
+    assert out.a.shape == (64, 64)
     assert np.allclose(out.a, 64.0 / 255.0)
 
 
@@ -521,6 +521,17 @@ def test_train_autoencoder_refuses_non_finite_input(value):
     X[5, 17] = value
     with pytest.raises(NumericError):
         train_autoencoder(build_rcodean(12, 4, seed=44), X, _tiny_cfg(), seed=44)
+
+
+def test_train_autoencoder_trains_under_the_configs_loss_weights():
+    # the net holds no loss weights: with beta 0 and lam 0.5 in the config,
+    # every recorded total is the Euclidean term plus half the L1 term
+    cfg = dataclasses.replace(_tiny_cfg(), beta=0.0, lam=0.5)
+    X = np.random.default_rng(45).uniform(size=(12, 40))
+    history = train_autoencoder(build_rcodean(12, 4, seed=45), X, cfg, seed=45)
+    assert abs(history[0].cos) > 0.1  # a cosine term that beta 1 would have added
+    for stats in history:
+        assert stats.total == pytest.approx(stats.euc + 0.5 * stats.reg, rel=1e-12)
 
 
 def test_tiny_bundle_structure(tiny_bundle):

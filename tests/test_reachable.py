@@ -1,22 +1,23 @@
 """Dead-code guard at run time, standard library only.
 
-``test_unused.py`` reads the source: a method passes there when any
-attribute of its name is read, so a dead member of one class hides
-behind a live one of another. Here a short CLI session runs in a fresh
-process under ``sys.setprofile``: it writes a synthetic dataset, trains
-on it in memory and from the written list (with a ``--config`` file),
-evaluates, predicts a PGM image that needs resampling, reports the patch
-weights and checks gradients. Every package function, method and
-property must have been called, dunder methods and names in a ``bench/``
-script aside, as in the static guard. A function is known by its code's
-file, first line and name, so two members of one name are two entries.
+A short session runs in a fresh process under ``sys.setprofile``. Its
+CLI part writes a synthetic dataset, trains on it in memory and from the
+written list (with a ``--config`` file), evaluates, predicts a PGM image
+that needs resampling, reports the patch weights and checks gradients.
+Its bench part runs one traced ``train-ref`` workload through
+``bench/run.py``'s ``execute`` at the sizes ``bench/smoke.py`` uses, so
+what the bench tracer reads (such as ``Mat.cols`` and ``Forest.trees``)
+is reached by really running it. Every package function, method and
+property, dunder methods aside, must have been called: a name is not
+excused for being read or written somewhere. A function is known by its
+code's file, first line and name, so two members of one name are two
+entries.
 """
 
 import importlib
 import inspect
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,9 +30,10 @@ PACKAGE = ROOT / "src" / "rcodean"
 # installed before the package is imported, so import-time calls count;
 # every thread the session starts inherits it
 SESSION = r"""
-import json, os, sys, threading
+import contextlib, io, json, os, sys, threading
+from pathlib import Path
 
-package, out, argvs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+package, bench, out, argvs = sys.argv[1], sys.argv[2], Path(sys.argv[3]), json.loads(sys.argv[4])
 called = set()
 
 def profile(frame, event, arg):
@@ -45,14 +47,22 @@ from rcodean.cli import main
 for argv in argvs:
     if main(argv) != 0:
         sys.exit(f"rcodean {' '.join(argv)} failed")
-with open(out, "w") as fh:
-    json.dump(sorted(called), fh)
+
+# what the bench tracer reads counts as reached only while it really reads it
+sys.path.insert(0, bench)
+import run, smoke
+run.OUT_DIR = out.parent
+with contextlib.redirect_stdout(io.StringIO()):
+    result = run.execute("train-ref", smoke.tiny(run.WORKLOADS["train-ref"]), 7, 0.0, True)
+if not result["correct"]:
+    sys.exit("traced bench run failed")
+out.write_text(json.dumps(sorted(called)))
 """
 
 
 def _members(module):
-    """(qualified name, name, function) of every function, method and
-    property (its getter) defined in ``module``, dunder methods aside."""
+    """(qualified name, function) of every function, method and property
+    (its getter) defined in ``module``, dunder methods aside."""
     for name, obj in vars(module).items():
         if inspect.isclass(obj) and obj.__module__ == module.__name__:
             for attr, member in vars(obj).items():
@@ -63,24 +73,22 @@ def _members(module):
                 elif isinstance(member, (classmethod, staticmethod)):
                     member = member.__func__
                 if inspect.isfunction(member):
-                    yield f"{name}.{attr}", attr, member
+                    yield f"{name}.{attr}", member
         elif (inspect.isfunction(inspect.unwrap(obj))
               and inspect.unwrap(obj).__module__ == module.__name__):
-            yield name, name, obj
+            yield name, obj
 
 
 def _unreached(called: set) -> list[str]:
     """``module:qualified name`` of each package function, method and
-    property whose code never ran, unless a bench script names it."""
-    bench = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    property whose code never ran."""
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(
             "rcodean" if path.stem == "__init__" else f"rcodean.{path.stem}")
-        for qualname, name, fn in _members(module):
+        for qualname, fn in _members(module):
             code = inspect.unwrap(fn).__code__
-            if ((path.name, code.co_firstlineno, code.co_name) not in called
-                    and re.search(rf"\b{re.escape(name)}\b", bench) is None):
+            if (path.name, code.co_firstlineno, code.co_name) not in called:
                 unreached.append(f"{path.name}:{qualname}")
     return unreached
 
@@ -117,7 +125,7 @@ def session_calls(tmp_path_factory) -> set:
     out = tmp / "called.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "RCODEAN_LOG": "error"}
     result = subprocess.run(
-        [sys.executable, "-c", SESSION, str(PACKAGE), str(out),
+        [sys.executable, "-c", SESSION, str(PACKAGE), str(ROOT / "bench"), str(out),
          json.dumps(_session_argvs(tmp))],
         cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr

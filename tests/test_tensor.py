@@ -83,7 +83,7 @@ def test_mat_flat_data_is_row_major():
     m = Mat(np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]))
     assert m.a.flags.c_contiguous
     assert m.a.reshape(-1).tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert m.rows == 2 and m.cols == 2
+    assert m.a.shape == (2, 2) and m.cols == 2
 
 
 def test_mat_rejects_wrong_ndim_and_empty():
