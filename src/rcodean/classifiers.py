@@ -53,6 +53,7 @@ PROB_THRESHOLD = 0.5  # probability-like score above this maps to bit 1
 
 # two relu hidden layers and a sigmoid output layer
 HEAD_ACTS = ("relu", "relu", "sigmoid")
+HEAD_LR = 1e-2  # the Adam rate every head trains at, stage-1 and stage-2
 
 
 @dataclass
@@ -123,8 +124,7 @@ def _flat_views(arrays: list[tuple[str, np.ndarray]], flat: np.ndarray) -> dict:
     return views
 
 
-def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
-               seed=0, lr: float = 1e-2) -> MlpHead:
+def head_train(features: np.ndarray, labels: np.ndarray, epochs: int, seed=0) -> MlpHead:
     """Fit a head on (dim, n) float64 feature columns and (n, k) binary
     labels, or m stacked heads on an (m, dim, n) stack, head i drawn from
     ``seed[i]`` and bit for bit what a 2-D call on slice i fits. The
@@ -166,7 +166,7 @@ def head_train(features: np.ndarray, labels: np.ndarray, epochs: int = 300,
     inputs = [features, *act[:-1]]
     backward = [(np.empty_like(x) if i > 0 else None, grads[f"layer{i}.weight"],
                  grads[f"layer{i}.bias"], delta[i]) for i, x in enumerate(inputs)]
-    state = AdamState(lr=lr)
+    state = AdamState(lr=HEAD_LR)
     for _ in range(epochs):
         caches = [dense_forward(layer, x, out=(z, a, work))
                   for layer, x, z, a in zip(head.layers, inputs, pre, act)]
@@ -438,9 +438,8 @@ def _partition(X, rows, size, feature, threshold):
             for side, count in ((go_left, n_left), (~go_left, node_size - n_left))]
 
 
-def forest_train(features: np.ndarray, labels: np.ndarray,
-                 trees_per_attr: int = 32, max_depth: int = 8,
-                 seed: int = 0) -> Forest:
+def forest_train(features: np.ndarray, labels: np.ndarray, trees_per_attr: int,
+                 max_depth: int = 8, seed: int = 0) -> Forest:
     """Per attribute: bootstrap trees with sqrt-of-features candidate
     sampling and Gini splits; leaves store the positive fraction.
 
@@ -558,7 +557,7 @@ class LinearSvm:
     biases: np.ndarray   # (k,)
 
 
-def svm_train(features: np.ndarray, labels: np.ndarray, epochs: int = 20,
+def svm_train(features: np.ndarray, labels: np.ndarray, epochs: int,
               reg: float = 1e-4, seed: int = 0) -> LinearSvm:
     """Hinge loss + L2, minimized per attribute by stochastic subgradient
     descent on a deterministic shuffle with the 1/(reg*t) step schedule.

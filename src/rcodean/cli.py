@@ -182,6 +182,9 @@ def _resolve_run_config(args) -> RunConfig:
     given = [name for name in unread if settings.get(name) is not None]
     if given:
         raise UsageError(f"{', '.join(given)} {reason}")
+    if cfg.split_counts and settings.get("split_fractions") is not None:
+        raise UsageError("split_fractions and split_counts both given: "
+                         "split_counts alone splits a --synthetic dataset")
     return cfg
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ParseError
 
+IMAGE_SIZE = 64  # the side of the square images the pipeline runs on
 SPLIT_NAMES = ("ae-train", "clf-train", "test")
 DEFAULT_SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # mirrors a 160k/20k/20k layout
 
@@ -170,10 +171,9 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
 
 
 def _comment_end(data: bytes, pos: int) -> int:
-    """Index of the newline closing the '#' comment at ``pos``, or the
-    end of ``data``."""
-    end = data.find(b"\n", pos)
-    return len(data) if end < 0 else end
+    """Where the '#' comment at ``pos`` ends: its first CR or LF, else the end of ``data``."""
+    ends = [end for end in (data.find(b"\n", pos), data.find(b"\r", pos)) if end >= 0]
+    return min(ends, default=len(data))
 
 
 def _read_pgm(data: bytes, path) -> np.ndarray:
@@ -265,36 +265,31 @@ def save_gray_image(path, image: np.ndarray) -> None:
 GLOBAL_SHIFT = 10.0    # raw gray levels added by the global attribute
 ILLUM_SIGMA = 18.0     # strength of the label-independent lighting nuisance
 _NOISE_SIGMA = 0.05 * 255.0
-SYNTH_BLOCK = 64       # images lit and noised at a time
+SYNTH_BLOCK = 64       # images drawn, lit and noised at a time
+
+# each attribute's brightness primitive, in SYNTHETIC_ATTRIBUTES order:
+# the rows and columns it brightens and by how many raw gray levels
+PRIMITIVES = (
+    (slice(0, 20), slice(0, 20), 90.0),
+    (slice(50, 58), slice(2, 62), 85.0),
+    (slice(None), slice(None), GLOBAL_SHIFT),
+    (slice(44, 60), slice(44, 60), 90.0),
+    (slice(2, 62), slice(52, 58), 85.0),
+    (slice(24, 40), slice(24, 40), 90.0),
+    (slice(0, 16), slice(48, 64), 90.0),
+    (slice(2, 62), slice(6, 12), 85.0),
+)
 
 
 def _illumination_fields() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smooth lighting basis (tilt-x, tilt-y, bowl), each exactly zero-mean
     over the pixel grid so only local windows see a brightness offset."""
-    coords = (np.arange(64) - 31.5) / 31.5
+    half = (IMAGE_SIZE - 1) / 2
+    coords = (np.arange(IMAGE_SIZE) - half) / half
     x, y = np.meshgrid(coords, coords)
     bowl = x * x + y * y
     bowl -= bowl.mean()
     return x, y, bowl
-
-
-def _apply_primitive(img: np.ndarray, attr_index: int) -> None:
-    if attr_index == 0:
-        img[0:20, 0:20] += 90.0
-    elif attr_index == 1:
-        img[50:58, 2:62] += 85.0
-    elif attr_index == 2:
-        img += GLOBAL_SHIFT
-    elif attr_index == 3:
-        img[44:60, 44:60] += 90.0
-    elif attr_index == 4:
-        img[2:62, 52:58] += 85.0
-    elif attr_index == 5:
-        img[24:40, 24:40] += 90.0
-    elif attr_index == 6:
-        img[0:16, 48:64] += 90.0
-    else:
-        img[2:62, 6:12] += 85.0
 
 
 def gen_synthetic(n: int, k: int, seed: int = 0,
@@ -314,17 +309,15 @@ def gen_synthetic(n: int, k: int, seed: int = 0,
         raise ConfigError(f"synthetic attribute count must be 1..8, got {k}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=(n, k))
-    images = np.full((n, 64, 64), 80.0)
-    for i in range(n):
-        for a in range(k):
-            if labels[i, a]:
-                _apply_primitive(images[i], a)
+    images = np.full((n, IMAGE_SIZE, IMAGE_SIZE), 80.0)
     tilt_x, tilt_y, bowl = _illumination_fields()
     gains = rng.normal(scale=ILLUM_SIGMA, size=(3, n, 1, 1))
     # a block at a time, so the temporaries are block-sized; the noise
     # stream and every pixel's sums are those of one whole-stack pass
     for j in range(0, n, SYNTH_BLOCK):
         block = images[j:j + SYNTH_BLOCK]
+        for a, (rows, cols, amount) in enumerate(PRIMITIVES[:k]):
+            block[labels[j:j + SYNTH_BLOCK, a] == 1, rows, cols] += amount
         g = gains[:, j:j + SYNTH_BLOCK]
         block += g[0] * tilt_x + g[1] * tilt_y + g[2] * bowl
         block += rng.normal(scale=_NOISE_SIGMA, size=block.shape)

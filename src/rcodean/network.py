@@ -354,11 +354,18 @@ class GradCheckReport:
         return max(self.groups, key=lambda g: g.worst_rel)
 
 
-def _total_loss(net: RCodeanNet, x: np.ndarray, params: CodeanParams) -> float:
-    return codean_loss(net, x, net_forward(net, x).reconstruction, params).total
+# the finite-difference check's fixed recipe: the nets' input and code
+# sizes, the loss weights, the central-difference step and the tolerances
+GRADCHECK_D, GRADCHECK_L = 12, 8
+GRADCHECK_PARAMS = CodeanParams(alpha=1.0, beta=0.5, lam=0.01)
+GRADCHECK_STEP, GRADCHECK_ABS_TOL, GRADCHECK_REL_TOL = 1e-6, 1e-6, 1e-4
 
 
-def _draw_checkable_net(rng: np.random.Generator, d: int, l: int) -> tuple[RCodeanNet, np.ndarray]:
+def _total_loss(net: RCodeanNet, x: np.ndarray) -> float:
+    return codean_loss(net, x, net_forward(net, x).reconstruction, GRADCHECK_PARAMS).total
+
+
+def _draw_checkable_net(rng: np.random.Generator) -> tuple[RCodeanNet, np.ndarray]:
     """Rejection-sample a net and input away from non-smooth points.
 
     Central differences are meaningless where a relu pre-activation sits
@@ -366,8 +373,8 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int) -> tuple[RCode
     any |z| < 1e-3 or encoder |w| < 1e-4 are discarded.
     """
     while True:
-        net = build_rcodean(d, l, seed=int(rng.integers(2**31)))
-        x = rng.uniform(0.05, 1.0, size=(d, 1))
+        net = build_rcodean(GRADCHECK_D, GRADCHECK_L, seed=int(rng.integers(2**31)))
+        x = rng.uniform(0.05, 1.0, size=(GRADCHECK_D, 1))
         fwd = net_forward(net, x)
         near_kink = any(
             net.layers[lid].act == "relu"
@@ -382,44 +389,40 @@ def _draw_checkable_net(rng: np.random.Generator, d: int, l: int) -> tuple[RCode
             return net, x
 
 
-def gradient_check(seed: int = 0, trials: int = 20, d: int = 12, l: int = 8,
-                   params: CodeanParams | None = None, h: float = 1e-6,
-                   abs_tol: float = 1e-6, rel_tol: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+def gradient_check(seed: int, trials: int) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences on
+    ``trials`` nets drawn from ``seed``, under the ``GRADCHECK_*`` recipe.
 
     Each parameter entry passes when |analytic - numeric| is within
     max(abs_tol, rel_tol * max(|analytic|, |numeric|)).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if params is None:
-        params = CodeanParams(alpha=1.0, beta=0.5, lam=0.01)
     rng = np.random.default_rng(seed)
-    stats: dict[str, GradCheckGroup] = {}
+    # per array name, each trial's analytic entries stacked over its numeric
+    entries: dict[str, list[np.ndarray]] = {}
     for _ in range(trials):
-        net, x = _draw_checkable_net(rng, d, l)
-        analytic = loss_and_grads(net, x, params)[1]
+        net, x = _draw_checkable_net(rng)
+        analytic = loss_and_grads(net, x, GRADCHECK_PARAMS)[1]
         for name, arr in net.parameters():
             flat = arr.reshape(-1)
-            g = analytic[name].reshape(-1)
+            numeric = np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
-                up = _total_loss(net, x, params)
-                flat[i] = orig - h
-                down = _total_loss(net, x, params)
+                flat[i] = orig + GRADCHECK_STEP
+                up = _total_loss(net, x)
+                flat[i] = orig - GRADCHECK_STEP
+                down = _total_loss(net, x)
                 flat[i] = orig
-                num = (up - down) / (2.0 * h)
-                diff = abs(g[i] - num)
-                scale = max(abs(g[i]), abs(num))
-                rel = diff / max(scale, abs_tol)
-                group = stats.get(name)
-                if group is None:
-                    group = GradCheckGroup(name, 0.0, True)
-                    stats[name] = group
-                group.worst_rel = max(group.worst_rel, rel)
-                if diff > max(abs_tol, rel_tol * scale):
-                    group.passed = False
-    groups = sorted(stats.values(), key=lambda grp: grp.name)
+                numeric[i] = (up - down) / (2.0 * GRADCHECK_STEP)
+            entries.setdefault(name, []).append(np.stack([analytic[name].reshape(-1), numeric]))
+    groups = []
+    for name in sorted(entries):
+        g, num = np.concatenate(entries[name], axis=1)
+        diff = np.abs(g - num)
+        scale = np.maximum(np.abs(g), np.abs(num))
+        worst = float(np.max(diff / np.maximum(scale, GRADCHECK_ABS_TOL)))
+        failed = diff > np.maximum(GRADCHECK_ABS_TOL, GRADCHECK_REL_TOL * scale)
+        groups.append(GradCheckGroup(name, worst, not failed.any()))
     return GradCheckReport(groups=groups, trials=trials,
                            passed=all(grp.passed for grp in groups))

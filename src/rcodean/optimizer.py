@@ -14,6 +14,7 @@ BETA2 = 0.999  # second-moment decay
 EPS = 1e-8  # added to the root of the second moment
 DECAY_FACTOR = 10.0  # a plateau divides the rate by this
 THRESHOLD = 1e-6  # an epoch loss must beat the best by more to improve
+MIN_LR = 1e-6  # a plateau never takes the rate below this
 
 
 @dataclass
@@ -24,9 +25,9 @@ class AdamState:
     step so one state object can serve any named parameter collection.
     """
     lr: float
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    t: int = field(init=False, default=0)
+    m: dict = field(init=False, default_factory=dict)
+    v: dict = field(init=False, default_factory=dict)
 
 
 def adam_step(state: AdamState, params: list[tuple[str, np.ndarray]],
@@ -88,13 +89,12 @@ class PlateauScheduler:
 
     An epoch counts as an improvement when its loss beats the best seen
     by more than ``THRESHOLD``. After ``patience`` consecutive stale
-    epochs the rate is divided by ``DECAY_FACTOR``, never below ``min_lr``.
+    epochs the rate is divided by ``DECAY_FACTOR``, never below ``MIN_LR``.
     """
     lr: float = 1e-3
     patience: int = 5
-    min_lr: float = 1e-6
-    best: float = float("inf")
-    stale: int = 0
+    best: float = field(init=False, default=float("inf"))
+    stale: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.patience < 1 or self.lr <= 0.0:
@@ -111,6 +111,6 @@ def scheduler_update(s: PlateauScheduler, epoch_loss: float) -> float:
     else:
         s.stale += 1
         if s.stale >= s.patience:
-            s.lr = max(s.lr / DECAY_FACTOR, s.min_lr)
+            s.lr = max(s.lr / DECAY_FACTOR, MIN_LR)
             s.stale = 0
     return s.lr

@@ -27,7 +27,7 @@ from .classifiers import (Forest, LinearSvm, MlpHead, assemble_mlp_head, ensembl
                           forest_predict_proba, forest_train, head_score,
                           head_train, stacked_head_score,
                           svm_decision, svm_train, PROB_THRESHOLD)
-from .data import AttributeDataset
+from .data import IMAGE_SIZE, AttributeDataset
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .network import (DEFAULT_SKIP_LAYOUT, CodeanParams, RCodeanNet, assemble_rcodean,
                       build_rcodean, codean_loss, encode, loss_and_grads, net_forward,
@@ -37,7 +37,6 @@ from .tensor import Mat, _sigmoid
 
 log = logging.getLogger("rcodean")
 
-IMAGE_SIZE = 64
 PATCH_SIZE = 32
 PATCH_OFFSETS = tuple((r, c) for r in (0, 16, 32) for c in (0, 16, 32))
 N_SOURCES = len(PATCH_OFFSETS) + 1  # nine patches + full face
@@ -109,7 +108,7 @@ def preprocess(image) -> Mat:
         img /= 255.0  # the resample is this call's own array
     else:
         img = img / 255.0  # a new float64 array: the caller's stays as it is
-    return Mat(img, copy=False)
+    return Mat(img)
 
 
 _TRANSPOSE_BLOCK = 64  # images per block of the face-matrix transpose
@@ -152,9 +151,9 @@ def is_number(value, integral: bool = False) -> bool:
 
 @dataclass
 class PipelineConfig:
-    """The settings a training run may vary. Every other hyperparameter is
-    fixed, as the default of the one function that uses it, such as
-    ``head_train``'s rate or ``forest_train``'s depth."""
+    """The settings a training run may vary; no trainer restates their
+    defaults. Every other hyperparameter is a constant, such as
+    ``classifiers.HEAD_LR``, or a default only tests vary."""
     l: int = 512
     alpha: float = 1.0
     beta: float = 1.0
@@ -389,7 +388,7 @@ def score_images(models: SourceModels, images: np.ndarray) -> np.ndarray:
     """
     patches, face = tessellate_batch(images)
     # the face Mat holds every pixel: the batch's one finiteness check
-    face_code = encode(models.face_encoder, Mat(face, copy=False))
+    face_code = encode(models.face_encoder, Mat(face))
     del face  # freed before the patch activations exist
     codes = np.concatenate([stacked_encode(models.patch_encoders, patches), face_code[None]])
     del patches
@@ -446,7 +445,7 @@ _WEIGHT_INIT = 0.3
 
 
 def learn_patch_weights(scores: np.ndarray, labels: np.ndarray,
-                        steps: int = 500, lr: float = 1.0) -> PatchWeights:
+                        steps: int, lr: float = 1.0) -> PatchWeights:
     """Fit per-attribute source relevances from stage-1 scores.
 
     For attribute a the model is sigmoid(sum_p w_p^2 * logit(s_pa) + b),
@@ -608,7 +607,7 @@ def train_full(dataset: AttributeDataset,
 
 def _classifier_probs(bundle: ModelBundle, feats: np.ndarray):
     """(mlp, forest, svm) probability-like outputs for (n, 10k) features."""
-    mlp = head_score(bundle.stage2_mlp, Mat(feats.T, copy=False)).T
+    mlp = head_score(bundle.stage2_mlp, Mat(feats.T)).T
     forest = forest_predict_proba(bundle.forest, feats)
     svm = _sigmoid(svm_decision(bundle.svm, feats))
     return mlp, forest, svm

@@ -26,15 +26,15 @@ ACTIVATION_KINDS = ("relu", "sigmoid", "linear")
 class Mat:
     """2-D row-major matrix of 64-bit reals.
 
-    Wraps a C-contiguous ``np.ndarray`` exposed as ``.a``. Construction
-    validates dimensionality and finiteness, so a NaN/Inf is refused where
-    a value enters the program or a scoring pass.
+    Wraps a C-contiguous float64 ``np.ndarray`` (the given one, else a
+    copy) as ``.a``. Construction validates dimensionality and finiteness,
+    so a NaN/Inf is refused where a value enters the program or a scoring pass.
     """
 
     __slots__ = ("a",)
 
-    def __init__(self, array, copy: bool = True):
-        a = np.array(array, dtype=np.float64) if copy else np.asarray(array, dtype=np.float64)
+    def __init__(self, array):
+        a = np.asarray(array, dtype=np.float64)
         if a.ndim != 2:
             raise ShapeError(f"Mat requires a 2-D array, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:

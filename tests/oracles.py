@@ -9,8 +9,7 @@ must match bit for bit; each says so.
 import numpy as np
 
 from rcodean.classifiers import MlpHead, build_mlp_head, head_score
-from rcodean.data import (ILLUM_SIGMA, _NOISE_SIGMA, _apply_primitive,
-                          _illumination_fields)
+from rcodean.data import GLOBAL_SHIFT, ILLUM_SIGMA, _NOISE_SIGMA, _illumination_fields
 from rcodean.layers import DenseLayer
 from rcodean.network import DEFAULT_SKIP_LAYOUT, RCodeanNet, encode
 from rcodean.optimizer import AdamState, adam_step
@@ -257,15 +256,34 @@ def reference_score_images(models, images: np.ndarray) -> np.ndarray:
     n = images.shape[0]
     out = np.empty((n, N_SOURCES, k))
     for s, (net, head) in enumerate(models):
-        probs = head_score(head, Mat(encode(net, Mat(sources[s], copy=False)), copy=False))
+        probs = head_score(head, Mat(encode(net, Mat(sources[s]))))
         out[:, s, :] = probs.T
     return out
 
 
 # ---------------------------------------------------------------------------
-# the synthetic generator as it was before it lit and noised the stack a
-# block at a time, kept verbatim; the primitives and the lighting basis
-# are the package's own
+# the synthetic generator as it was before it drew, lit and noised the
+# stack a block at a time, kept verbatim with its per-image primitive
+# chain; the lighting basis is the package's own
+
+
+def _apply_primitive(img: np.ndarray, attr_index: int) -> None:
+    if attr_index == 0:
+        img[0:20, 0:20] += 90.0
+    elif attr_index == 1:
+        img[50:58, 2:62] += 85.0
+    elif attr_index == 2:
+        img += GLOBAL_SHIFT
+    elif attr_index == 3:
+        img[44:60, 44:60] += 90.0
+    elif attr_index == 4:
+        img[2:62, 52:58] += 85.0
+    elif attr_index == 5:
+        img[24:40, 24:40] += 90.0
+    elif attr_index == 6:
+        img[0:16, 48:64] += 90.0
+    else:
+        img[2:62, 6:12] += 85.0
 
 
 def reference_gen_synthetic(n: int, k: int, seed: int = 0):

@@ -97,7 +97,7 @@ def _single_class_codes():
 ], ids=["64x200k4", "64x1000k4", "80x2000k8", "n1", "single-class"])
 def test_flat_head_training_equals_the_per_array_loop_bitwise(make):
     codes, labels = make()
-    head = head_train(codes, labels, seed=[5, 2003])
+    head = head_train(codes, labels, epochs=300, seed=[5, 2003])
     ref = reference_head_train(codes, labels, seed=[5, 2003])
     assert [name for name, _ in head.parameters()] == [name for name, _ in ref.parameters()]
     for (name, arr), (_, expected) in zip(head.parameters(), ref.parameters()):
@@ -113,11 +113,11 @@ def test_stacked_head_training_equals_one_head_at_a_time_bitwise(n, k):
     rng = np.random.default_rng(31)
     stack += [rng.normal(size=(64, n)) for _ in range(9)]
     seeds = [[5, 2000 + s] for s in range(10)]
-    heads = head_train(np.stack(stack), labels, seed=seeds)
+    heads = head_train(np.stack(stack), labels, epochs=300, seed=seeds)
     assert [layer.weight.shape for layer in heads.layers] == [
         (10, 32, 64), (10, 16, 32), (10, k, 16)]
     for i, (codes, seed) in enumerate(zip(stack, seeds)):
-        for one in (head_train(codes, labels, seed=seed),
+        for one in (head_train(codes, labels, epochs=300, seed=seed),
                     reference_head_train(codes, labels, seed=seed)):
             for (name, arr), (_, expected) in zip(heads.parameters(), one.parameters()):
                 assert np.array_equal(arr[i], expected), (i, name)
@@ -558,7 +558,7 @@ def test_forest_learns_separable_rule():
 
 def test_forest_requires_two_samples():
     with pytest.raises(TrainingError):
-        forest_train(np.ones((1, 3)), np.ones((1, 1)), seed=0)
+        forest_train(np.ones((1, 3)), np.ones((1, 1)), trees_per_attr=32, seed=0)
 
 
 def test_forest_leaf_probabilities_in_range():

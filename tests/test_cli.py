@@ -122,6 +122,26 @@ def test_train_missing_dataset(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_split_fractions_beside_split_counts_are_refused_for_synthetic(command, run_dir,
+                                                                      tmp_path, capsys):
+    # split_counts split a --synthetic dataset, so fractions given beside
+    # them would be recorded in the run's config and never read
+    out = tmp_path / "o"
+    argv = [command, "--synthetic", "70", "--out", str(out),
+            *(["--k", "2", *TRAIN_FLAGS] if command == "train"
+              else ["--bundle", str(run_dir / "model.rcbn")])]
+    (tmp_path / "fractions.json").write_text('{"split_fractions": [0.5, 0.25, 0.25]}')
+    (tmp_path / "both.json").write_text(
+        '{"split_fractions": [0.5, 0.25, 0.25], "split_counts": [40, 20, 10]}')
+    for given in (["--split-counts", "40,20,10", "--split-fractions", "0.5,0.25,0.25"],
+                  ["--split-counts", "40,20,10", "--config", str(tmp_path / "fractions.json")],
+                  ["--config", str(tmp_path / "both.json")]):
+        _assert_usage_error(main([*argv, *given]), capsys,
+                            "split_fractions and split_counts both given")
+    assert not out.exists()
+
+
 def test_eval_outputs(run_dir, synth_dir, tmp_path):
     out = tmp_path / "eval"
     rc = main(["eval", "--bundle", str(run_dir / "model.rcbn"),

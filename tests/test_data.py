@@ -140,10 +140,12 @@ def test_pgm_with_comment(tmp_path):
 
 
 @pytest.mark.parametrize("header", [b"P5\n5# w\n4\n255\n", b"P5\n5 4#c\n255\n",
-                                    b"P5\n5 4\n255#c\n"])
+                                    b"P5\n5 4\n255#c\n", b"P5\n5# w\r4\n255\n",
+                                    b"P5\n5 4\n255#c\r"])
 def test_pgm_comment_inside_a_token_or_after_maxval(tmp_path, header):
     # Netpbm lets a comment start anywhere before the byte that ends the
-    # header; it ends a token, and after maxval its newline is that byte
+    # header; it ends a token, and it ends at a carriage return or a
+    # newline, which after maxval is that byte
     p = tmp_path / "a.pgm"
     p.write_bytes(header + bytes(range(20)))
     assert load_gray_image(p).tolist() == np.arange(20).reshape(4, 5).tolist()
@@ -372,9 +374,11 @@ def test_synthetic_illumination_is_globally_neutral():
     assert abs(gap - GLOBAL_SHIFT) < 1.5
 
 
-# one image, a block edge, the bench's stage-2 set-up shape
+# one image, a block edge, every attribute on a ragged last block, the
+# reference run's set-up and the bench's stage-2 set-up shape
 @pytest.mark.parametrize("n, k, seed", [(1, 1, 5), (255, 3, 9), (256, 4, 0),
-                                        (257, 3, 9), (2400, 8, 7)])
+                                        (257, 3, 9), (130, 8, 3), (1400, 4, 0),
+                                        (2400, 8, 7)])
 def test_block_wise_generator_equals_whole_stack_oracle_bitwise(n, k, seed):
     ds = gen_synthetic(n, k, seed=seed)
     images, labels = reference_gen_synthetic(n, k, seed=seed)

@@ -256,8 +256,7 @@ def test_batch_gradient_is_mean_of_column_gradients():
 
 
 def test_gradient_check_full_default_skips():
-    report = gradient_check(seed=0, trials=4, d=12, l=8,
-                            params=CodeanParams(alpha=1.0, beta=0.5, lam=0.01))
+    report = gradient_check(seed=0, trials=4)
     assert report.passed, report.worst()
     names = {g.name for g in report.groups}
     assert "skip.enc1->dec3.projection" in names
@@ -275,7 +274,7 @@ def test_gradient_check_catches_corrupted_backward(monkeypatch):
 
 def test_gradient_check_rejects_zero_trials():
     with pytest.raises(ValueError):
-        gradient_check(trials=0)
+        gradient_check(seed=0, trials=0)
 
 
 def test_loss_decreases_under_adam_for_most_seeds():

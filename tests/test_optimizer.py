@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rcodean.errors import ShapeError, TrainingError
-from rcodean.optimizer import (BETA1, BETA2, DECAY_FACTOR, EPS, THRESHOLD, AdamState,
-                               PlateauScheduler, adam_step, scheduler_update)
+from rcodean.optimizer import (BETA1, BETA2, DECAY_FACTOR, EPS, MIN_LR, THRESHOLD,
+                               AdamState, PlateauScheduler, adam_step, scheduler_update)
 
 
 def test_zero_gradients_are_a_fixed_point():
@@ -120,11 +120,11 @@ def test_scheduler_constant_loss_decays_after_patience_plus_one():
 
 
 def test_scheduler_floor():
-    s = PlateauScheduler(lr=0.001, patience=2, min_lr=1e-6)
+    s = PlateauScheduler(lr=0.001, patience=2)
     lr = 0.001
     for _ in range(100):
         lr = scheduler_update(s, 5.0)
-    assert lr == 1e-6
+    assert lr == MIN_LR == 1e-6
 
 
 def test_scheduler_lr_never_increases():

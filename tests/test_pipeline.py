@@ -390,7 +390,7 @@ def test_learn_patch_weights_identical_sources_stay_uniform():
     base = rng.uniform(0.2, 0.8, size=(300, 1, 2))
     scores = np.repeat(base, N_SOURCES, axis=1)
     labels = (base[:, 0, :] > 0.5).astype(np.int64)
-    pw = learn_patch_weights(scores, labels)
+    pw = learn_patch_weights(scores, labels, steps=500)
     spread = pw.values.max(axis=1) - pw.values.min(axis=1)
     assert (spread < 1e-3).all()
 
@@ -403,7 +403,7 @@ def test_learn_patch_weights_planted_informative_source():
     # source 3 alone predicts attribute 0; source 7 alone predicts attribute 1
     scores[:, 3, 0] = np.where(labels[:, 0] == 1, 0.9, 0.1)
     scores[:, 7, 1] = np.where(labels[:, 1] == 1, 0.9, 0.1)
-    pw = learn_patch_weights(scores, labels)
+    pw = learn_patch_weights(scores, labels, steps=500)
     assert int(np.argmax(pw.values[0])) == 3
     assert int(np.argmax(pw.values[1])) == 7
 
@@ -412,7 +412,7 @@ def test_learn_patch_weights_single_class_uniform():
     rng = np.random.default_rng(29)
     scores = rng.uniform(0.3, 0.7, size=(50, N_SOURCES, 1))
     labels = np.ones((50, 1), dtype=np.int64)
-    pw = learn_patch_weights(scores, labels)
+    pw = learn_patch_weights(scores, labels, steps=500)
     assert np.array_equal(pw.values, np.ones((1, N_SOURCES)))
 
 
