@@ -39,6 +39,7 @@ import zlib
 import numpy as np
 
 from .classifiers import Forest, LinearSvm, assemble_mlp_head, forest_shapes, head_shapes
+from .data import read_regular_file
 from .errors import ConfigError, CorruptionError, FormatError, VersionError
 from .network import DEFAULT_SKIP_LAYOUT, parameter_shapes
 from .pipeline import (N_SOURCES, SOURCE_DIMS, ModelBundle, PatchWeights, PipelineConfig,
@@ -199,25 +200,23 @@ def prefixed(arrays, prefix: str) -> dict[str, np.ndarray]:
 def _assemble(config: dict, arrays: dict[str, np.ndarray]) -> ModelBundle:
     """The bundle around ``arrays``, the file's arrays by manifest name,
     viewing its bytes: each is copied once, straight into the array the
-    bundle keeps (the forest copies its own), so no bundle array views
-    the file's bytes."""
-    forest = Forest.from_arrays(prefixed(arrays, "forest"), N_SOURCES * int(config["k"]))
-    owned = {name: arr.copy() for name, arr in arrays.items() if not name.startswith("forest.")}
+    bundle keeps, so no bundle array views the file's bytes."""
+    owned = {name: arr.copy() for name, arr in arrays.items()}
     return ModelBundle(
         config=config,
         sources=SourceModels.from_parts(prefixed(owned, "patch_encoders"),
                                         prefixed(owned, "face_encoder"),
                                         prefixed(owned, "heads")),
         patch_weights=PatchWeights(owned["patch_weights"]),
-        stage2_mlp=assemble_mlp_head(prefixed(owned, "stage2_mlp")), forest=forest,
+        stage2_mlp=assemble_mlp_head(prefixed(owned, "stage2_mlp")),
+        forest=Forest(owned["forest.nodes"], owned["forest.sizes"], N_SOURCES * int(config["k"])),
         svm=LinearSvm(weights=owned["svm.weights"], biases=owned["svm.biases"]))
 
 
 def load_bundle(path) -> ModelBundle:
     """The bundle saved at ``path``. The file is read once, and each array
     is copied once, from the file's bytes into the bundle."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_regular_file(path)
     header, pos = _read_header(path, data)
     config = header["config"]
     arrays = _read_arrays(path, data, header["arrays"], pos, _manifest(config))

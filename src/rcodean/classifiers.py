@@ -190,10 +190,11 @@ def head_train(features: np.ndarray, labels: np.ndarray, epochs: int, seed=0) ->
 
 @dataclass
 class Tree:
-    """Node arrays in preorder, of one tree or of many trees one after
-    another: feature == -1 marks a leaf, ``left`` and ``right`` index
-    nodes of the node's own tree (-1 at a leaf), and ``prob`` holds the
-    positive-label fraction of the node's training samples."""
+    """One tree's nodes in preorder, as ``Forest.trees`` gives them:
+    feature == -1 marks a leaf, ``left`` and ``right`` index nodes of the
+    tree (-1 at a leaf), and ``prob`` holds the positive-label fraction of
+    the node's training samples. The fields are the columns of a forest's
+    node rows, in order."""
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -203,7 +204,7 @@ class Tree:
 
 @dataclass
 class NodeTable:
-    """Every tree's nodes as ``Forest.nodes`` holds them, with children
+    """Every tree's nodes as ``Forest.rows`` holds them, with children
     as indices into the whole table; ``roots[a, t]`` is tree t's root. A
     leaf is its own left and right child and reads feature 0, so every
     walk that takes ``depth`` steps, the deepest tree's depth, ends at a
@@ -219,25 +220,23 @@ class NodeTable:
 
 @dataclass
 class Forest:
-    """Every tree's nodes in one preorder ``Tree``, the trees in
-    [attribute][tree] order with ``sizes[a, t]`` nodes each, and the node
-    table ``forest_predict_proba`` walks, built from them here and
-    nowhere else. A bundle stores the nodes as float64 rows of [feature,
-    threshold, left, right, prob] (``arrays``, ``from_arrays``). Before
-    the table is built, a ``FormatError`` refuses node counts that are not
-    whole numbers >= 1 filling the node arrays, and any tree not in
-    preorder: an internal node has a feature in [0, n_features) and two
-    children after it within its tree, a leaf has feature and children
-    -1, every node but the root is the child of exactly one node, and
-    every probability lies in [0, 1]."""
-    nodes: Tree
+    """Every tree's nodes as the float64 rows of [feature, threshold,
+    left, right, prob] a bundle stores, each tree in preorder and the
+    trees in [attribute][tree] order with ``sizes[a, t]`` nodes each, and
+    the node table ``forest_predict_proba`` walks, built from them here
+    and nowhere else. Before the table is built, a ``FormatError``
+    refuses node counts that are not whole numbers >= 1 filling the rows,
+    and any tree not in preorder: an internal node has a feature in [0,
+    n_features) and two children after it within its tree, a leaf has
+    feature and children -1, every node but the root is the child of
+    exactly one node, and every probability lies in [0, 1]."""
+    rows: np.ndarray  # (nodes, 5) float64
     sizes: np.ndarray  # (attributes, trees per attribute), int64
     n_features: int
     table: NodeTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes, flat = self.nodes, self.sizes.reshape(-1)
-        n = len(nodes.feature)
+        flat, n = self.sizes.reshape(-1), len(self.rows)
         if not ((flat >= 1) & (flat == np.floor(flat))).all() or flat.sum() != n:
             raise FormatError(f"forest.sizes are not node counts of the {n} nodes "
                               f"in forest.nodes")
@@ -248,7 +247,7 @@ class Forest:
         offset = np.repeat(starts, flat)
         index = np.arange(n) - offset
         n_nodes = np.repeat(flat, flat)
-        feature, left, right, prob = nodes.feature, nodes.left, nodes.right, nodes.prob
+        feature, threshold, left, right, prob = self.rows.T
         internal = ((feature >= 0) & (feature < self.n_features)
                     & (left > index) & (left < n_nodes) & (right > index) & (right < n_nodes))
         leaf = (feature == -1) & (left == -1) & (right == -1)
@@ -271,28 +270,25 @@ class Forest:
                                 self.sizes.shape[1])
             raise FormatError(f"forest.attr{attr}.tree{tree}: node {int(index[bad])} is "
                               f"not a leaf or an internal node of a preorder tree")
-        feature, left, right = (a.astype(np.int64, copy=False) for a in (feature, left, right))
-        self.nodes = Tree(feature, nodes.threshold, left, right, prob)
-        left, right = (np.where(leaf, np.arange(n), child + offset) for child in (left, right))
-        self.table = NodeTable(np.maximum(feature, 0), nodes.threshold, left, right, prob,
-                               starts.reshape(self.sizes.shape),
+        left, right = (np.where(leaf, np.arange(n), child.astype(np.int64) + offset)
+                       for child in (left, right))
+        # the walk gathers from contiguous copies of the rows' columns
+        # faster than from the columns themselves
+        self.table = NodeTable(np.maximum(feature, 0).astype(np.int64), threshold.copy(), left,
+                               right, prob.copy(), starts.reshape(self.sizes.shape),
                                _tree_depth(starts, leaf, left, right))
-
-    @classmethod
-    def from_arrays(cls, arrays, n_features: int) -> Forest:
-        """The forest of arrays named as ``arrays()`` names them, copied."""
-        return cls(Tree(*(np.array(col) for col in arrays["nodes"].T)), arrays["sizes"],
-                   n_features)
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """The node rows and the node counts, named as ``forest_shapes`` names them."""
-        columns = [getattr(self.nodes, f.name) for f in fields(Tree)]
-        return [("nodes", np.column_stack(columns)), ("sizes", self.sizes)]
+        return [("nodes", self.rows), ("sizes", self.sizes)]
 
     @property
     def trees(self) -> list[list[Tree]]:
-        """Each tree's nodes as views of ``nodes``, indexed [attribute][tree]."""
-        columns = [getattr(self.nodes, f.name) for f in fields(Tree)]
+        """Each tree's nodes, indexed [attribute][tree]: feature and
+        children as int64, threshold and prob as views of ``rows``."""
+        feature, threshold, left, right, prob = self.rows.T
+        columns = (feature.astype(np.int64), threshold, left.astype(np.int64),
+                   right.astype(np.int64), prob)
         ends = np.cumsum(self.sizes).reshape(self.sizes.shape)
         return [[Tree(*(col[end - size:end] for col in columns))
                  for end, size in zip(row_ends, row_sizes)]
@@ -517,14 +513,12 @@ def _forest_of_steps(steps, counts, k, n_feat):
         np.concatenate(col) for col in zip(*steps))
     tree_start = (np.cumsum(counts) - counts)[tree]
     at = tree_start + number
-    nodes = Tree(np.empty_like(feature), np.empty_like(threshold), np.full_like(feature, -1),
-                 np.full_like(feature, -1), np.empty_like(prob))
-    nodes.feature[at], nodes.threshold[at], nodes.prob[at] = feature, threshold, prob
+    rows = np.full((int(counts.sum()), len(fields(Tree))), -1.0)
+    rows[at, 0], rows[at, 1], rows[at, 4] = feature, threshold, prob
     child = parent >= 0
-    for side, right in ((nodes.left, False), (nodes.right, True)):
-        mine = child & (is_right == right)
-        side[tree_start[mine] + parent[mine]] = number[mine]
-    return Forest(nodes, counts.reshape(k, -1), n_feat)
+    # a left child's number goes in column 2 of its parent's row, a right one's in 3
+    rows[tree_start[child] + parent[child], 2 + is_right[child]] = number[child]
+    return Forest(rows, counts.reshape(k, -1), n_feat)
 
 
 def forest_predict_proba(forest: Forest, features: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from pathlib import Path
 from .bundle import load_bundle, save_bundle
 from .data import (AttributeDataset, DEFAULT_SPLIT_FRACTIONS, gen_synthetic,
                    load_attr_list, save_gray_image, load_gray_image,
-                   split_by_counts)
+                   read_regular_file, split_by_counts)
 from .errors import ConfigError, RCodeanError, UsageError
 from .network import gradient_check
 from .pipeline import (N_SOURCES, EpochStats, PipelineConfig, evaluate, is_number,
@@ -46,12 +46,14 @@ class RunConfig:
 
     def __post_init__(self):
         # the fields come from --config JSON as well as from flags
+        # a NUL byte ends a path at the system call, so no path holds one
         for name in ("data", "images"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{name} must be a path string, got {value!r}")
-        if not isinstance(self.out, str) or not self.out:
-            raise ConfigError(f"out must be a non-empty path string, got {self.out!r}")
+            if value is not None and not (isinstance(value, str) and "\0" not in value):
+                raise ConfigError(f"{name} must be a path string without NUL, got {value!r}")
+        if not isinstance(self.out, str) or not self.out or "\0" in self.out:
+            raise ConfigError(f"out must be a non-empty path string without NUL, "
+                              f"got {self.out!r}")
         if self.synthetic_n is not None and not (
                 is_number(self.synthetic_n, integral=True) and self.synthetic_n >= 1):
             raise ConfigError(f"synthetic_n must be an integer >= 1, got {self.synthetic_n!r}")
@@ -149,7 +151,7 @@ def _read_config_file(path: Path, command: str) -> dict:
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     try:
-        settings = json.loads(path.read_text())
+        settings = json.loads(read_regular_file(path))
     except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"config file {path} is not readable JSON: {exc}") from None
     if not isinstance(settings, dict):

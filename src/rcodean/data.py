@@ -12,6 +12,8 @@ use the luma transform Y = 0.299 R + 0.587 G + 0.114 B.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +88,17 @@ class AttributeDataset:
         return load_gray_image(self.paths[i])
 
 
+def read_regular_file(path) -> bytes:
+    """The bytes of the file at ``path``, refused before any read unless
+    it is a regular file: reading a FIFO waits for a writer, and a device
+    may never end. The open itself does not wait (``O_NONBLOCK``); a
+    directory is refused by ``open`` as ``IsADirectoryError``."""
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise FormatError(f"{path}: not a regular file")
+        return fh.read()
+
+
 def split_by_fractions(n: int, fractions=DEFAULT_SPLIT_FRACTIONS) -> dict[str, np.ndarray]:
     """Index-ordered split; the first block trains the autoencoders."""
     if len(fractions) != 3 or any(f < 0 for f in fractions) or sum(fractions) > 1 + 1e-9:
@@ -113,7 +126,7 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
     """
     path = Path(path)
     images_dir = Path(images_dir)
-    raw = path.read_bytes()
+    raw = read_regular_file(path)
     try:
         lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -149,6 +162,8 @@ def load_attr_list(path, images_dir, split_fractions=DEFAULT_SPLIT_FRACTIONS) ->
             raise ParseError(
                 f"expected filename plus {k} labels, got {len(fields)} fields",
                 line=lineno)
+        if "\0" in fields[0]:
+            raise ParseError(f"filename {fields[0]!r} holds a NUL byte", line=lineno)
         paths.append(images_dir / fields[0])
         for a, tok in enumerate(fields[1:]):
             if tok == "1":
@@ -229,7 +244,7 @@ def load_gray_image(path) -> np.ndarray:
     """Decode a binary PGM (P5, maxval 255) or packed raw image file into
     an (H, W) uint8 array."""
     path = Path(path)
-    data = path.read_bytes()
+    data = read_regular_file(path)
     if data[:2] == b"P5":
         return _read_pgm(data, path)
     if data[:4] == PACKED_MAGIC:
@@ -307,6 +322,9 @@ def gen_synthetic(n: int, k: int, seed: int = 0,
     """
     if k < 1 or k > len(SYNTHETIC_ATTRIBUTES):
         raise ConfigError(f"synthetic attribute count must be 1..8, got {k}")
+    # numpy holds no array of more bytes than an intp counts, on any machine
+    if n * IMAGE_SIZE * IMAGE_SIZE * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{n} synthetic images are more than one numpy array can hold")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=(n, k))
     images = np.full((n, IMAGE_SIZE, IMAGE_SIZE), 80.0)

@@ -178,6 +178,11 @@ class PipelineConfig:
                           ("svm_epochs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # the largest array a run makes is a (9, l, 1024) or (9, l, l) float64
+        # stack of the patch encoders' layers; numpy holds no array of more
+        # bytes than an intp counts, on any machine
+        if (N_SOURCES - 1) * self.l * max(self.l, SOURCE_DIMS[0]) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"l {self.l} sizes encoders larger than one numpy array can hold")
         self.codean_params()  # checks alpha, beta and lam
 
     def codean_params(self) -> CodeanParams:

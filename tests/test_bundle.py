@@ -83,12 +83,12 @@ def test_round_trip_preserves_config_and_weights(trained):
     assert np.array_equal(bundle.svm.weights, loaded.svm.weights)
     assert np.array_equal(bundle.svm.biases, loaded.svm.biases)
     assert np.array_equal(bundle.forest.sizes, loaded.forest.sizes)
-    for name in ("feature", "threshold", "left", "right", "prob"):
-        a, b = getattr(bundle.forest.nodes, name), getattr(loaded.forest.nodes, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    a, b = bundle.forest.rows, loaded.forest.rows
+    assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
     for ta, tb in zip(bundle.forest.trees[0], loaded.forest.trees[0]):
-        assert np.array_equal(ta.feature, tb.feature)
-        assert np.array_equal(ta.threshold, tb.threshold)
+        for name in ("feature", "threshold", "left", "right", "prob"):
+            x, y = getattr(ta, name), getattr(tb, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def test_manifest_holds_only_what_prediction_reads(trained):
@@ -296,9 +296,9 @@ def test_forest_refuses_malformed_rows_before_its_depth_walk(case, monkeypatch):
 
     monkeypatch.setattr(classifiers, "_tree_depth", walk)
     rows = np.array(_MALFORMED_TREES[case], dtype=np.float64)
-    arrays = {"nodes": rows, "sizes": np.array([[len(rows)]], dtype=np.float64)}
+    sizes = np.array([[len(rows)]], dtype=np.float64)
     with time_bound(LOAD_SECONDS), pytest.raises(FormatError, match="forest.attr0.tree0"):
-        Forest.from_arrays(arrays, n_features=1)
+        Forest(rows, sizes, n_features=1)
 
 
 # attribute 0's three tree sizes, edited from the trained (a, b, c)
@@ -349,9 +349,7 @@ def test_loaded_arrays_are_private_and_writeable(trained):
     loaded = load_bundle(path)
     arrays = _model_arrays(loaded)
     arrays += [loaded.patch_weights.values, loaded.svm.weights, loaded.svm.biases,
-               loaded.forest.sizes]
-    arrays += [getattr(loaded.forest.nodes, field)
-               for field in ("feature", "threshold", "left", "right", "prob")]
+               loaded.forest.sizes, loaded.forest.rows]
     assert all(arr.flags.writeable for arr in arrays)
     for i, a in enumerate(arrays):
         assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])

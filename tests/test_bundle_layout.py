@@ -2,9 +2,9 @@
 
 Each model part names and shapes its stored arrays in its own module:
 ``network.parameter_shapes`` for an encoder, ``classifiers.head_shapes``
-for a head, and ``classifiers.forest_shapes`` with ``Forest.arrays`` and
-``Forest.from_arrays`` for the forest, whose node rows ``Forest`` also
-checks. So a change to a part is made in one module, and the bundle
+for a head, and ``classifiers.forest_shapes`` with ``Forest.arrays`` for
+the forest, which holds its node rows as they are stored and checks them
+when it is made. So a change to a part is made in one module, and the bundle
 module reads none of the names that state a part's layout: layer ids,
 activations, head widths, forest fields.
 

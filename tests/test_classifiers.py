@@ -346,10 +346,11 @@ def _forest_of(trees, n_features):
     """The forest of ``trees``, indexed [attribute][tree] with the same
     count per attribute, their nodes copied into one table."""
     flat = [tree for per_attr in trees for tree in per_attr]
-    nodes = Tree(*(np.concatenate([getattr(tree, f.name) for tree in flat])
-                   for f in dataclasses.fields(Tree)))
+    rows = np.concatenate([np.column_stack([getattr(tree, f.name)
+                                            for f in dataclasses.fields(Tree)])
+                           for tree in flat])
     sizes = np.array([[len(tree.feature) for tree in per_attr] for per_attr in trees])
-    return Forest(nodes, sizes, n_features)
+    return Forest(rows, sizes, n_features)
 
 
 def _mixed_depth_forest():
@@ -501,14 +502,13 @@ def test_forest_split_between_adjacent_doubles_leaves_no_empty_child(small_bundl
     x = np.where(upper[:, None], b, a) * np.ones((1, 30))
     y = np.repeat(upper[:, None], 3, axis=1).astype(np.int64)
     forest = forest_train(x, y, trees_per_attr=3, max_depth=3, seed=1)
-    internal = forest.nodes.feature >= 0
-    assert internal.any() and (forest.nodes.threshold[internal] == a).all()
-    assert np.isfinite(forest.nodes.prob).all()
+    feature, threshold, _, _, prob = forest.rows.T
+    internal = feature >= 0
+    assert internal.any() and (threshold[internal] == a).all()
+    assert np.isfinite(prob).all()
     path = tmp_path / "adjacent.rcbn"
     save_bundle(dataclasses.replace(small_bundle, forest=forest), path)
-    loaded = load_bundle(path).forest
-    for name in ("feature", "threshold", "left", "right", "prob"):
-        assert np.array_equal(getattr(loaded.nodes, name), getattr(forest.nodes, name)), name
+    assert np.array_equal(load_bundle(path).forest.rows, forest.rows)
 
 
 @pytest.mark.parametrize("y", [np.full((10, 1), 2), np.full((10, 1), 0.5),

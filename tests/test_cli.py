@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import os
+import shlex
 import struct
 import tempfile
 import zlib
@@ -94,8 +96,13 @@ def test_train_missing_dataset(tmp_path, capsys):
     (tmp_path / "bool.json").write_text('{"lam": true}')
     (tmp_path / "misspelt.json").write_text('{"epoch": 7, "lr_rate": 0.5, "l": 8}')
     (tmp_path / "counts.json").write_text('{"split_counts": [1000000000000, 0, 0]}')
+    # a NUL would otherwise reach a system call as a ValueError
+    for name in ("data", "images", "out"):
+        (tmp_path / f"nul_{name}.json").write_text(json.dumps({name: "a\u0000b"}))
+    (tmp_path / "list_attr.txt").write_text("1\nA\ni.pgm 1\n")
     base = ["--split-counts", "40,20,10", "--out", str(tmp_path / "o"), *TRAIN_FLAGS]
     synthetic = ["--synthetic", "70", "--k", "2", *base]
+    listed = ["--out", str(tmp_path / "o"), *TRAIN_FLAGS]
     for args, message in [([*synthetic, "--batch-size", "0"], "batch_size"),
                           ([*synthetic, "--l", "0"], "l must be"),
                           ([*synthetic, "--seed", "-1"], "seed must be"),
@@ -114,12 +121,19 @@ def test_train_missing_dataset(tmp_path, capsys):
                           # without the flags that would override the file's value
                           ([*base, "--config", str(tmp_path / "k.json")], "k must be"),
                           ([*base, "--config", str(tmp_path / "n.json")],
-                           "synthetic_n must be")]:
+                           "synthetic_n must be"),
+                          ([*listed, "--images", str(tmp_path),
+                            "--config", str(tmp_path / "nul_data.json")], "data must be"),
+                          ([*listed, "--data", str(tmp_path / "list_attr.txt"),
+                            "--config", str(tmp_path / "nul_images.json")], "images must be"),
+                          ([*synthetic[:4], *base[:2], *TRAIN_FLAGS,
+                            "--config", str(tmp_path / "nul_out.json")], "out must be")]:
         rc = main(["train", *args])
         assert rc == 2, args
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error:") and message in err, err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists(), args
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -337,6 +351,33 @@ def test_predict_with_directory_as_bundle_is_usage_error(synth_dir, tmp_path, ca
     _assert_usage_error(rc, capsys, "Is a directory")
 
 
+FIFO_SECONDS = 10  # a read of a FIFO would wait for a writer past this
+
+
+@pytest.mark.parametrize("case", ["predict-image", "train-config", "train-data",
+                                  "report-weights-bundle", "eval-record"])
+def test_fifo_path_is_refused_before_it_is_read(case, run_dir, synth_dir, tmp_path, capsys):
+    fifo = tmp_path / "images" / "fifo.rcim"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    bundle = str(run_dir / "model.rcbn")
+    names = (synth_dir / "list_attr.txt").read_text().splitlines()[1]
+    listed = tmp_path / "list_attr.txt"
+    listed.write_text(f"1\n{names}\nfifo.rcim 1 -1\n")
+    out = str(tmp_path / "out")
+    argv = {"predict-image": ["predict", "--bundle", bundle, "--image", str(fifo)],
+            "train-config": ["train", "--config", str(fifo), "--out", out],
+            "train-data": ["train", "--data", str(fifo), "--images", str(fifo.parent),
+                           "--out", out, *TRAIN_FLAGS],
+            "report-weights-bundle": ["report-weights", "--bundle", str(fifo)],
+            "eval-record": ["eval", "--bundle", bundle, "--data", str(listed),
+                            "--split-fractions", "0,0,1", "--out", out]}[case]
+    with time_bound(FIFO_SECONDS):
+        rc = main(argv)
+    _assert_usage_error(rc, capsys, "not a regular file")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_on_non_utf8_attribute_list_is_usage_error(tmp_path, capsys):
     attr_list = tmp_path / "list_attr.txt"
     attr_list.write_bytes(b"1\nA\nimg\xe9.rcim 1\n")
@@ -401,6 +442,11 @@ def test_gradcheck_zero_trials_is_usage_error(capsys):
     # numpy refuses these 29 TiB label arrays without allocating them
     ["train", "--synthetic", "1000000000000", "--k", "4"],
     ["gen-synth", "--out", "o", "--n", "1000000000000"],
+    # sizes no numpy array can hold, refused as settings
+    ["train", "--synthetic", "100000000000000000000", "--k", "4"],
+    ["gen-synth", "--out", "o", "--n", "100000000000000000000"],
+    ["train", "--synthetic", "100", "--split-counts", "60,20,20",
+     "--l", "100000000000000000000"],
     ["gen-synth", "--out", "o", "--n", "5", "--k", "9"],
 ])
 def test_out_of_range_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -636,3 +682,21 @@ def test_config_and_flag_values_exit_0_or_usage_error(run_dir, data):
         assert "Traceback" not in err, err
         if rc == 2:  # split at newlines only: a drawn key may hold other line breaks
             assert "error:" in err.rstrip("\n").split("\n")[-1], err
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_parses():
+    # a renamed or removed flag fails here rather than leaving README wrong
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(lines) >= 6
+    for line in lines:
+        words = shlex.split(line)
+        assert words[0] == "rcodean", line
+        build_parser().parse_args(words[1:])

@@ -80,6 +80,15 @@ def test_attr_list_not_utf8(tmp_path):
     assert err.value.line == 3
 
 
+def test_attr_list_filename_with_nul(tmp_path):
+    # a NUL would otherwise reach the image's system call as a ValueError
+    path = tmp_path / "list_attr.txt"
+    path.write_bytes(b"2\nA B\na.pgm 1 -1\ni5\x00.rcim -1 1\n")
+    with pytest.raises(ParseError, match="holds a NUL byte") as err:
+        load_attr_list(path, tmp_path)
+    assert err.value.line == 4
+
+
 def test_attr_list_proportional_split(tmp_path):
     body = "10\nA\n" + "\n".join(f"i{j}.pgm 1" for j in range(10)) + "\n"
     ds = load_attr_list(_write_list(tmp_path, body), tmp_path)
